@@ -204,13 +204,40 @@ class BatchIK:
                        self.reachable[mask], self.stroke_ok[mask])
 
 
-def pose_array(poses) -> np.ndarray:
-    """Stack Pose objects (or accept an (N, 3) array) into (N, 3)."""
-    if isinstance(poses, np.ndarray):
-        return np.atleast_2d(poses)
-    if isinstance(poses, Pose):
-        return poses.as_array()[None, :]
-    return np.stack([p.as_array() for p in poses])
+def _masked_solve(fn, *args) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a batched linear-algebra call, isolating singular rows.
+
+    fn(*args) runs once over the whole batch.  Only when it raises
+    LinAlgError is each row retried alone, so one singular member cannot
+    fail the rest; rows that still raise come back zeroed and flagged
+    False in the (N,) ok mask.  fn must return an array shaped like its
+    first argument.
+    """
+    ok = np.ones(args[0].shape[0], dtype=bool)
+    try:
+        return fn(*args), ok
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(args[0])
+    for i in range(out.shape[0]):
+        try:
+            out[i] = fn(*(a[i:i + 1] for a in args))[0]
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return out, ok
+
+
+def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """C_i in the base frame and the rotated anchor vectors E R(phi) c_i,
+    both (N, 3, 2), for an (N, 3) pose array."""
+    px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    cp = layout.platform_points                      # (3, 2), platform frame
+    rx = cp[:, 0] * cphi[:, None] - cp[:, 1] * sphi[:, None]
+    ry = cp[:, 0] * sphi[:, None] + cp[:, 1] * cphi[:, None]
+    c_world = np.stack([px[:, None] + rx, py[:, None] + ry], axis=2)
+    return c_world, np.stack([-ry, rx], axis=2)
 
 
 def ik_batch(design: DesignVector, poses: np.ndarray,
@@ -221,15 +248,7 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     arch = design.architecture
     lb = design.link_length
     n = poses.shape[0]
-
-    px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cp = layout.platform_points                      # (3, 2), platform frame
-    # C_i in the base frame and the rotated anchor vectors E * R(phi) c_i.
-    rx = cp[:, 0] * cphi[:, None] - cp[:, 1] * sphi[:, None]
-    ry = cp[:, 0] * sphi[:, None] + cp[:, 1] * cphi[:, None]
-    c_world = np.stack([px[:, None] + rx, py[:, None] + ry], axis=2)
-    moment = np.stack([-ry, rx], axis=2)
+    c_world, moment = _platform_anchors(layout, poses)
 
     a = layout.leg_origins()                         # (3, 2)
     w = c_world - a[None, :, :]
@@ -357,14 +376,7 @@ def closure_residuals(design: DesignVector, q: np.ndarray,
     layout = anchor_layout(design)
     arch = design.architecture
     q = np.asarray(q, dtype=float)
-
-    px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cp = layout.platform_points
-    rx = cp[:, 0] * cphi[:, None] - cp[:, 1] * sphi[:, None]
-    ry = cp[:, 0] * sphi[:, None] + cp[:, 1] * cphi[:, None]
-    c_world = np.stack([px[:, None] + rx, py[:, None] + ry], axis=2)
-    moment = np.stack([-ry, rx], axis=2)
+    c_world, moment = _platform_anchors(layout, poses)
 
     a = layout.leg_origins()
     if arch is Architecture.PRR:

@@ -129,8 +129,6 @@ class Wrench:
     f_x: float = 100.0   # [N]
     f_y: float = 0.0     # [N]
     f_z: float = 100.0   # [N]
-    tau_x: float = 0.0   # [N*m]
-    tau_y: float = 0.0   # [N*m]
     tau_z: float = 100.0 # [N*m]
 
     @property

@@ -35,7 +35,8 @@ from .errors import PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector, mass,
                     validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
-from .workspace import DEFAULT_GRID, GridSpec, max_regular_workspace_detail
+from .workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID, GridSpec,
+                        max_regular_workspace_detail)
 
 GENE_BITS = 16
 GENE_MAX = (1 << GENE_BITS) - 1
@@ -202,7 +203,7 @@ def _count_violations(report: ConstraintReport | None) -> int:
 def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
                     grid: GridSpec = DEFAULT_GRID,
                     ctx: EvalContext = DEFAULT_CONTEXT,
-                    tol: float = 1e-3) -> Evaluation:
+                    tol: float = BISECTION_TOL_DEFAULT) -> Evaluation:
     """Decode and score one genome; every failure folds into infeasibility."""
     design = decode(genome, bounds)
     m = mass(design, ctx.material)
@@ -466,7 +467,8 @@ class _Evaluator:
 
 def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
            grid: GridSpec = DEFAULT_GRID, ctx: EvalContext = DEFAULT_CONTEXT,
-           tol: float = 1e-3, threads: int = 1, progress=None) -> MogaResult:
+           tol: float = BISECTION_TOL_DEFAULT, threads: int = 1,
+           progress=None) -> MogaResult:
     """Run the full optimization: DOE generation plus evolution steps.
 
     Total budget is exactly population x generations scored slots (the DOE

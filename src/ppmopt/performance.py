@@ -34,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HomeUnreachable, Unreachable
-from .kinematics import (DEFAULT_MODE, HOME_POSE, Pose, WorkingMode, ik_batch,
-                         jacobian_batch)
+from .kinematics import (DEFAULT_MODE, HOME_POSE, Pose, WorkingMode,
+                         _masked_solve, ik_batch, jacobian_batch)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
                     DEFAULT_MATERIAL)
 from .stiffness import stiffness_batch, stiffness_indices_batch
@@ -81,9 +81,9 @@ class StiffnessLimits:
     only, so rescaling it never flips a constraint flag.
     """
 
-    k_xy: float = 1.0e6                       # [N/m]
-    k_z: float = 1.0e5                        # [N/m]
-    k_phiz: float = 10.0 / math.radians(1.0)  # [N*m/rad]
+    k_xy: float    # [N/m]
+    k_z: float     # [N/m]
+    k_phiz: float  # [N*m/rad]
 
     @staticmethod
     def from_requirements(wrench: Wrench, accuracy: AccuracySpec) -> "StiffnessLimits":
@@ -100,7 +100,8 @@ class EvalContext:
     material: Material = DEFAULT_MATERIAL
     actuator: ActuatorStiffness = ActuatorStiffness()
     wrench: Wrench = Wrench()
-    limits: StiffnessLimits = StiffnessLimits()
+    limits: StiffnessLimits = StiffnessLimits.from_requirements(Wrench(),
+                                                                AccuracySpec())
     dexterity: DexterityConfig = DexterityConfig()
     mode: WorkingMode = DEFAULT_MODE
 
@@ -148,17 +149,7 @@ def _inv_kappa_batch(j: np.ndarray) -> np.ndarray:
 def _forward_jacobians(design: DesignVector, bik) -> tuple[np.ndarray, np.ndarray]:
     """J = A^-1 B per batch row plus a validity mask (False at det A = 0)."""
     amat, bmat = jacobian_batch(design, bik)
-    n = amat.shape[0]
-    ok = np.ones(n, dtype=bool)
-    try:
-        j = np.linalg.solve(amat, bmat)
-    except np.linalg.LinAlgError:
-        j = np.zeros_like(amat)
-        for i in range(n):
-            try:
-                j[i] = np.linalg.solve(amat[i], bmat[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
+    j, ok = _masked_solve(np.linalg.solve, amat, bmat)
     bad = ~np.isfinite(j).all(axis=(1, 2))
     j[bad] = 0.0
     return j, ok & ~bad
@@ -168,6 +159,13 @@ def _normalized(j: np.ndarray, l_c: float) -> np.ndarray:
     jn = j.copy()
     jn[..., 2, :] *= l_c
     return jn
+
+
+def _dexterity(design: DesignVector, bik, l_c: float) -> np.ndarray:
+    """Normalized 1/kappa_F per batch row, in [0, 1]; 0 where det A = 0."""
+    j, ok = _forward_jacobians(design, bik)
+    inv = np.where(ok, _inv_kappa_batch(_normalized(j, l_c)), 0.0)
+    return np.clip(inv, 0.0, 1.0)
 
 
 @lru_cache(maxsize=4096)
@@ -227,10 +225,7 @@ def inverse_condition(design: DesignVector, pose: Pose,
     legs_ok = bik.reachable[0] & bik.stroke_ok[0]
     if not legs_ok.all():
         raise Unreachable(int(np.argmin(legs_ok)))
-    j, ok = _forward_jacobians(design, bik)
-    if not bool(ok[0]):
-        return 0.0
-    return float(np.clip(_inv_kappa_batch(_normalized(j, l_c))[0], 0.0, 1.0))
+    return float(_dexterity(design, bik, l_c)[0])
 
 
 @dataclass(frozen=True)
@@ -309,9 +304,7 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     if usable.any() and g1_flag:
         sub = bik.take(usable)
         if math.isfinite(l_c):
-            j, jok = _forward_jacobians(design, sub)
-            kinv_sub = np.where(jok, _inv_kappa_batch(_normalized(j, l_c)), 0.0)
-            kinv[usable] = np.clip(kinv_sub, 0.0, 1.0)
+            kinv[usable] = _dexterity(design, sub, l_c)
         k_mat, k_ok = stiffness_batch(design, sub, ctx.material, ctx.actuator)
         kxy_s, kz_s, kphiz_s = stiffness_indices_batch(k_mat, k_ok)
         kxy[usable] = kxy_s

@@ -8,20 +8,24 @@ section is all-or-nothing: overriding physics halfway is a config error.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
 from .errors import ConfigError
 from .kinematics import Branch, DEFAULT_MODE, WorkingMode
-from .model import ActuatorStiffness, Bounds, Material, Wrench, steel
+from .model import (ActuatorStiffness, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
+                    Material, Wrench, steel)
 from .moga import MogaConfig
 from .performance import (AccuracySpec, DexterityConfig, EvalContext,
                           StiffnessLimits)
-from .workspace import DELTA_PHI_DEFAULT, GridSpec
+from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT,
+                        DELTA_PHI_DEFAULT, GridSpec)
 
 _BOUND_KEYS = ("R", "r", "L_b", "r_j", "r_p")
+_STEEL_POISSON = inspect.signature(steel).parameters["poisson_ratio"].default
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ class RunConfig:
     center: tuple[float, float, float]
     delta_phi: float          # [rad], total rotation band
     bisection_tol: float      # [m]
-    threads: int
-    output_dir: str
+    threads: int = 1
+    output_dir: str = "out"
 
 
 class _Section:
@@ -86,13 +90,28 @@ class _Section:
                               f"cannot interpret {value!r} as {kind.__name__}")
 
 
+def _read(sec: _Section, cls, **given):
+    """Build the dataclass cls from a section whose keys are its field names.
+
+    Each field not in given is read from the key of the same name,
+    defaulting to the field's default and converted to that default's
+    type.  Leftover keys and values cls rejects are config errors.
+    """
+    values = {f.name: sec.take(f.name, f.default, type(f.default))
+              for f in fields(cls) if f.name not in given}
+    try:
+        obj = cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(sec.path, str(exc))
+    sec.finish()
+    return obj
+
+
 def _parse_bounds(sec: _Section) -> Bounds:
     lower_sec = sec.sub("lower")
     upper_sec = sec.sub("upper")
-    default = Bounds(lower=(0.5, 0.5, 0.5, 0.0, 0.0),
-                     upper=(4.0, 4.0, 4.0, 0.1, 0.1))
-    lower = tuple(lower_sec.take(k, d) for k, d in zip(_BOUND_KEYS, default.lower))
-    upper = tuple(upper_sec.take(k, d) for k, d in zip(_BOUND_KEYS, default.upper))
+    lower = tuple(lower_sec.take(k, d) for k, d in zip(_BOUND_KEYS, DEFAULT_BOUNDS.lower))
+    upper = tuple(upper_sec.take(k, d) for k, d in zip(_BOUND_KEYS, DEFAULT_BOUNDS.upper))
     lower_sec.finish()
     upper_sec.finish()
     sec.finish()
@@ -108,11 +127,13 @@ def _parse_material(sec: _Section) -> Material:
         return steel()
     density = sec.require("density")
     young = sec.require("young_modulus")
-    poisson = sec.take("poisson_ratio", 0.3)
-    shear = sec.take("shear_modulus", young / (2.0 * (1.0 + poisson)))
+    poisson = sec.take("poisson_ratio", _STEEL_POISSON)
+    shear = sec.take("shear_modulus", None)
     sec.finish()
     try:
-        return Material(density=density, young_modulus=young, shear_modulus=shear)
+        return (steel(density, young, poisson) if shear is None
+                else Material(density=density, young_modulus=young,
+                              shear_modulus=shear))
     except ValueError as exc:
         raise ConfigError(sec.path, str(exc))
 
@@ -137,72 +158,34 @@ def parse_config(data: dict | None) -> RunConfig:
 
     bounds = _parse_bounds(root.sub("bounds"))
     material = _parse_material(root.sub("material"))
-
-    act = root.sub("actuator")
-    actuator = ActuatorStiffness(prismatic=act.take("prismatic", 1.0e7),
-                                 revolute=act.take("revolute", 1.0e6))
-    act.finish()
-
-    wr = root.sub("wrench")
-    wrench = Wrench(f_x=wr.take("f_x", 100.0), f_y=wr.take("f_y", 0.0),
-                    f_z=wr.take("f_z", 100.0), tau_x=wr.take("tau_x", 0.0),
-                    tau_y=wr.take("tau_y", 0.0), tau_z=wr.take("tau_z", 100.0))
-    wr.finish()
-
-    acc = root.sub("accuracy")
-    accuracy = AccuracySpec(delta_xy_max=acc.take("delta_xy_max", 1e-4),
-                            delta_z_max=acc.take("delta_z_max", 1e-3),
-                            delta_phiz_max_deg=acc.take("delta_phiz_max_deg", 10.0))
-    acc.finish()
+    actuator = _read(root.sub("actuator"), ActuatorStiffness)
+    wrench = _read(root.sub("wrench"), Wrench)
+    accuracy = _read(root.sub("accuracy"), AccuracySpec)
 
     dex = root.sub("dexterity")
-    lc = dex.take("characteristic_length", None,
+    lc = dex.take("characteristic_length", DexterityConfig.characteristic_length,
                   kind=lambda v: None if v is None else float(v))
-    try:
-        dexterity = DexterityConfig(threshold=dex.take("threshold", 0.1),
-                                    characteristic_length=lc,
-                                    lc_search_range=(dex.take("lc_min", 1e-3),
-                                                     dex.take("lc_max", 10.0)))
-    except ValueError as exc:
-        raise ConfigError("dexterity", str(exc))
-    dex.finish()
+    lc_min, lc_max = DexterityConfig.lc_search_range
+    dexterity = _read(dex, DexterityConfig, characteristic_length=lc,
+                      lc_search_range=(dex.take("lc_min", lc_min),
+                                       dex.take("lc_max", lc_max)))
 
     ws = root.sub("workspace")
     delta_phi = math.radians(ws.take("delta_phi_deg",
                                      math.degrees(DELTA_PHI_DEFAULT)))
-    center_raw = ws.take("center", (0.0, 0.0, 0.0), kind=None)
+    center_raw = ws.take("center", CENTER_DEFAULT, kind=None)
     if not isinstance(center_raw, (list, tuple)) or len(center_raw) != 3:
         raise ConfigError("workspace.center", "expected [x_c, y_c, phi_c]")
     center = tuple(float(v) for v in center_raw)
-    bisection_tol = ws.take("bisection_tol", 1e-3)
-    gr = ws.sub("grid")
-    try:
-        grid = GridSpec(n_radial=gr.take("n_radial", 5, int),
-                        n_angular=gr.take("n_angular", 12, int),
-                        n_orientation=gr.take("n_orientation", 5, int))
-    except ValueError as exc:
-        raise ConfigError("workspace.grid", str(exc))
-    gr.finish()
+    bisection_tol = ws.take("bisection_tol", BISECTION_TOL_DEFAULT)
+    # the ring phase is a test-only knob, not a config key
+    grid = _read(ws.sub("grid"), GridSpec, angular_offset=GridSpec.angular_offset)
     ws.finish()
 
-    mg = root.sub("moga")
-    try:
-        moga = MogaConfig(
-            population=mg.take("population", 30, int),
-            generations=mg.take("generations", 200, int),
-            p_directional_crossover=mg.take("p_directional_crossover", 0.5),
-            p_selection=mg.take("p_selection", 0.05),
-            p_mutation=mg.take("p_mutation", 0.1),
-            dna_mutation_ratio=mg.take("dna_mutation_ratio", 0.05),
-            seed=mg.take("seed", 0, int),
-            doe=mg.take("doe", "sobol", str))
-    except ValueError as exc:
-        raise ConfigError("moga", str(exc))
-    mg.finish()
-
+    moga = _read(root.sub("moga"), MogaConfig)
     mode = _parse_mode(root.take("mode", None, kind=None), "mode")
-    threads = root.take("threads", 1, int)
-    output_dir = root.take("output_dir", "out", str)
+    threads = root.take("threads", RunConfig.threads, int)
+    output_dir = root.take("output_dir", RunConfig.output_dir, str)
     root.finish()
 
     ctx = EvalContext(material=material, actuator=actuator, wrench=wrench,
@@ -232,51 +215,61 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config(data)
 
 
+def _flow(keys, values) -> str:
+    return "{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, values)) + "}"
+
+
 def default_config_yaml() -> str:
-    """The full default configuration, as a documented YAML document."""
-    return """\
+    """The full default configuration, as a documented YAML document.
+
+    Every value is rendered from the defaults parse_config falls back to,
+    so the document parses back to parse_config({}).
+    """
+    b, mat, act, w = DEFAULT_BOUNDS, DEFAULT_MATERIAL, ActuatorStiffness(), Wrench()
+    acc, dex, grid, mg = AccuracySpec(), DexterityConfig(), GridSpec(), MogaConfig()
+    lc = "null" if dex.characteristic_length is None else dex.characteristic_length
+    grid_keys = ("n_radial", "n_angular", "n_orientation")
+    return f"""\
 # ppmopt run configuration; every key is optional and shown at its default.
 bounds:
-  lower: {R: 0.5, r: 0.5, L_b: 0.5, r_j: 0.0, r_p: 0.0}   # [m]
-  upper: {R: 4.0, r: 4.0, L_b: 4.0, r_j: 0.1, r_p: 0.1}   # [m]
+  lower: {_flow(_BOUND_KEYS, b.lower)}   # [m]
+  upper: {_flow(_BOUND_KEYS, b.upper)}   # [m]
 material:            # all-or-nothing override (defaults: structural steel)
-  density: 7850.0          # [kg/m^3]
-  young_modulus: 2.1e+11   # [N/m^2]
-  poisson_ratio: 0.3       # shear modulus follows unless given explicitly
+  density: {mat.density:<16}# [kg/m^3]
+  young_modulus: {mat.young_modulus} # [N/m^2]
+  poisson_ratio: {_STEEL_POISSON:<10}# shear modulus follows unless given explicitly
 actuator:
-  prismatic: 1.0e+7        # [N/m] control-loop stiffness, PRR/RPR
-  revolute: 1.0e+6         # [N*m/rad], RRR
+  prismatic: {act.prismatic:<14}# [N/m] control-loop stiffness, PRR/RPR
+  revolute: {act.revolute:<15}# [N*m/rad], RRR
 wrench:                    # service load at the platform center
-  f_x: 100.0               # [N]
-  f_y: 0.0
-  f_z: 100.0
-  tau_x: 0.0               # [N*m]
-  tau_y: 0.0
-  tau_z: 100.0
+  f_x: {w.f_x:<20}# [N]
+  f_y: {w.f_y}
+  f_z: {w.f_z}
+  tau_z: {w.tau_z:<18}# [N*m]
 accuracy:                  # allowed deflections under the wrench
-  delta_xy_max: 1.0e-4     # [m]
-  delta_z_max: 1.0e-3      # [m]
-  delta_phiz_max_deg: 10.0 # [deg]
+  delta_xy_max: {acc.delta_xy_max:<11}# [m]
+  delta_z_max: {acc.delta_z_max:<12}# [m]
+  delta_phiz_max_deg: {acc.delta_phiz_max_deg:<5}# [deg]
 dexterity:
-  threshold: 0.1           # minimum 1/kappa_F over the workspace
-  characteristic_length: null   # null = home-optimal search, else [m]
-  lc_min: 1.0e-3           # search interval [m]
-  lc_max: 10.0
+  threshold: {dex.threshold:<14}# minimum 1/kappa_F over the workspace
+  characteristic_length: {lc:<7}# null = home-optimal search, else [m]
+  lc_min: {dex.lc_search_range[0]:<17}# search interval [m]
+  lc_max: {dex.lc_search_range[1]}
 workspace:
-  delta_phi_deg: 20.0      # total rotation band of the cylinder
-  center: [0.0, 0.0, 0.0]  # (x_c [m], y_c [m], phi_c [rad])
-  bisection_tol: 1.0e-3    # [m]
-  grid: {n_radial: 5, n_angular: 12, n_orientation: 5}
+  delta_phi_deg: {math.degrees(DELTA_PHI_DEFAULT):<10}# total rotation band of the cylinder
+  center: {list(CENTER_DEFAULT)}  # (x_c [m], y_c [m], phi_c [rad])
+  bisection_tol: {BISECTION_TOL_DEFAULT:<10}# [m]
+  grid: {_flow(grid_keys, (getattr(grid, k) for k in grid_keys))}
 moga:
-  population: 30
-  generations: 200
-  p_directional_crossover: 0.5
-  p_selection: 0.05        # parent cloning
-  p_mutation: 0.1
-  dna_mutation_ratio: 0.05 # per-bit flip probability
-  seed: 0
-  doe: sobol               # sobol | latin
-mode: [PLUS, PLUS, PLUS]   # working-mode branch per leg
-threads: 1                 # parallel fitness workers; 0 = all cores
-output_dir: out
+  population: {mg.population}
+  generations: {mg.generations}
+  p_directional_crossover: {mg.p_directional_crossover}
+  p_selection: {mg.p_selection:<12}# parent cloning
+  p_mutation: {mg.p_mutation}
+  dna_mutation_ratio: {mg.dna_mutation_ratio:<5}# per-bit flip probability
+  seed: {mg.seed}
+  doe: {mg.doe:<20}# sobol | latin
+mode: [{", ".join(b.name for b in DEFAULT_MODE)}]   # working-mode branch per leg
+threads: {RunConfig.threads:<18}# parallel fitness workers; 0 = all cores
+output_dir: {RunConfig.output_dir}
 """

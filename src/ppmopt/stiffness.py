@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBeam, SingularKinetostatics, SingularStiffness
-from .kinematics import BatchIK, Pose, WorkingMode, DEFAULT_MODE, anchor_layout, ik_batch
+from .kinematics import (BatchIK, Pose, WorkingMode, DEFAULT_MODE, _masked_solve,
+                         anchor_layout, ik_batch)
 from .model import ActuatorStiffness, Architecture, DesignVector, Material
 
 DEFAULT_ACTUATOR = ActuatorStiffness()
@@ -270,15 +271,10 @@ def stiffness_batch(design: DesignVector, bik: BatchIK, material: Material,
     ok = np.ones(n, dtype=bool)
     for j_theta, k_inv, j_q in leg_models_batch(design, bik, material, actuator):
         s_theta = j_theta @ k_inv @ np.swapaxes(j_theta, 1, 2)
-        try:
-            total += _kkt_solve(s_theta, j_q)
-        except np.linalg.LinAlgError:
-            # rare: isolate failing poses so the rest of the batch survives
-            for idx in range(n):
-                try:
-                    total[idx] += _kkt_solve(s_theta[idx:idx + 1], j_q[idx:idx + 1])[0]
-                except np.linalg.LinAlgError:
-                    ok[idx] = False
+        k_leg, leg_ok = _masked_solve(_kkt_solve, s_theta, j_q)
+        total += k_leg
+        ok &= leg_ok
+        del k_leg  # one leg's (N, 6, 6) at a time bounds the peak memory
     bad = ~np.isfinite(total).all(axis=(1, 2))
     ok &= ~bad
     total[~ok] = 0.0
@@ -304,18 +300,14 @@ def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
 
     With C = K^-1: the planar index is 1/sigma_max of the 2x2 (dx, dy)
     compliance block (worst in-plane force direction), the axial index is
-    1/C_zz and the torsional index 1/C_phiz_phiz.
+    1/C_zz and the torsional index 1/C_phiz_phiz.  Raises
+    SingularStiffness where stiffness_indices_batch reports zeros.
     """
-    try:
-        c = np.linalg.inv(k)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStiffness() from exc
-    if not np.all(np.isfinite(c)):
+    k = np.asarray(k, dtype=float)[None]
+    kxy, kz, kphiz = stiffness_indices_batch(k, np.ones(1, dtype=bool))
+    if kxy[0] == 0.0:
         raise SingularStiffness()
-    sigma = np.linalg.svd(c[:2, :2], compute_uv=False)[0]
-    if sigma <= 0.0 or c[2, 2] <= 0.0 or c[5, 5] <= 0.0:
-        raise SingularStiffness()
-    return 1.0 / sigma, 1.0 / c[2, 2], 1.0 / c[5, 5]
+    return kxy[0], kz[0], kphiz[0]
 
 
 def stiffness_indices_batch(k: np.ndarray, ok: np.ndarray
@@ -329,23 +321,14 @@ def stiffness_indices_batch(k: np.ndarray, ok: np.ndarray
     kxy = np.zeros(n)
     kz = np.zeros(n)
     kphiz = np.zeros(n)
-    if not ok.any():
-        return kxy, kz, kphiz
-    c = np.full_like(k, np.nan)
-    try:
-        c[ok] = np.linalg.inv(k[ok])
-    except np.linalg.LinAlgError:
-        for idx in np.flatnonzero(ok):
-            try:
-                c[idx] = np.linalg.inv(k[idx])
-            except np.linalg.LinAlgError:
-                pass
+    rows = np.flatnonzero(ok)
+    c, good = _masked_solve(np.linalg.inv, k[rows])
     a, d = c[:, 0, 0], c[:, 1, 1]
     b = 0.5 * (c[:, 0, 1] + c[:, 1, 0])
     lam = 0.5 * (a + d) + np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
-    good = ok & np.isfinite(c).all(axis=(1, 2)) \
+    good &= np.isfinite(c).all(axis=(1, 2)) \
         & (lam > 0.0) & (c[:, 2, 2] > 0.0) & (c[:, 5, 5] > 0.0)
-    kxy[good] = 1.0 / lam[good]
-    kz[good] = 1.0 / c[good, 2, 2]
-    kphiz[good] = 1.0 / c[good, 5, 5]
+    kxy[rows[good]] = 1.0 / lam[good]
+    kz[rows[good]] = 1.0 / c[good, 2, 2]
+    kphiz[rows[good]] = 1.0 / c[good, 5, 5]
     return kxy, kz, kphiz

@@ -23,6 +23,8 @@ from .performance import (ConstraintReport, DEFAULT_CONTEXT, EvalContext,
                           characteristic_length, constraints_batch)
 
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
+CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
+BISECTION_TOL_DEFAULT = 1e-3            # [m], final bracket width on R_w
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class WorkspaceSpec:
     """A candidate regular workspace: center, rotation band, radius."""
 
     radius: float                                  # R_w [m]
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (x_c, y_c, phi_c)
+    center: tuple[float, float, float] = CENTER_DEFAULT
     delta_phi: float = DELTA_PHI_DEFAULT           # total band [rad]
 
     def __post_init__(self):
@@ -134,8 +136,8 @@ class WorkspaceResult:
 def max_regular_workspace_detail(design: DesignVector,
                                  grid: GridSpec = DEFAULT_GRID,
                                  ctx: EvalContext = DEFAULT_CONTEXT,
-                                 tol: float = 1e-3,
-                                 center: tuple[float, float, float] = (0.0, 0.0, 0.0),
+                                 tol: float = BISECTION_TOL_DEFAULT,
+                                 center: tuple[float, float, float] = CENTER_DEFAULT,
                                  delta_phi: float = DELTA_PHI_DEFAULT) -> WorkspaceResult:
     """Bisection for the largest feasible cylinder radius.
 
@@ -173,6 +175,6 @@ def max_regular_workspace_detail(design: DesignVector,
 
 def max_regular_workspace(design: DesignVector, grid: GridSpec = DEFAULT_GRID,
                           ctx: EvalContext = DEFAULT_CONTEXT,
-                          tol: float = 1e-3) -> float:
+                          tol: float = BISECTION_TOL_DEFAULT) -> float:
     """Largest regular-workspace radius of a design [m] (0 if infeasible)."""
     return max_regular_workspace_detail(design, grid, ctx, tol).radius

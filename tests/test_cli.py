@@ -8,6 +8,7 @@ import yaml
 from ppmopt.cli import main, parse_design
 from ppmopt.errors import ConfigError
 from ppmopt.model import Architecture
+from ppmopt.performance import EvalContext
 from ppmopt.runconfig import default_config_yaml, load_config, parse_config
 
 DESIGN_I_ARG = "d=1,R=1.412,r=0.319,L_b=0.620,r_j=0.026,r_p=0.023"
@@ -36,13 +37,21 @@ class TestConfig:
         assert cfg.ctx.stiffness_limits()[0] == pytest.approx(1e6)
 
     def test_empty_config_equals_defaults(self):
-        assert parse_config({}).ctx == parse_config(
-            yaml.safe_load(default_config_yaml())).ctx
+        # the whole resolved config, not just the evaluation context
+        assert parse_config({}) == parse_config(
+            yaml.safe_load(default_config_yaml()))
+        assert EvalContext() == parse_config({}).ctx
 
     def test_unknown_key_rejected_with_path(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config({"moga": {"populaton": 3}})
-        assert "moga.populaton" in str(err.value)
+        # the out-of-plane torques and the grid phase are not config keys
+        for data, path in [
+                ({"moga": {"populaton": 3}}, "moga.populaton"),
+                ({"wrench": {"tau_x": 0.0}}, "wrench.tau_x"),
+                ({"workspace": {"grid": {"angular_offset": 0.1}}},
+                 "workspace.grid.angular_offset")]:
+            with pytest.raises(ConfigError) as err:
+                parse_config(data)
+            assert path in str(err.value)
 
     def test_partial_material_rejected_with_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -157,6 +166,17 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg_path, "--out", str(again)]) == 0
         for name in ("pareto.csv", "history.csv", "fronts_by_architecture.csv"):
             assert _sha(os.path.join(out, name)) == _sha(str(again / name))
+
+    def test_exports_pinned(self, opt_run):
+        # byte-level golden pins of the three exports of the tiny config
+        out, _ = opt_run
+        assert {name: _sha(os.path.join(out, name)) for name in
+                ("pareto.csv", "history.csv", "fronts_by_architecture.csv")} == {
+            "pareto.csv": "70ddba3af811d2c539111bbb73873ac919d6ca2a1617cab790b342be4fa9b0fe",
+            "history.csv": "bebaee83fa487f178736787b7473e907db89dd023733be6a44fba3254460c521",
+            "fronts_by_architecture.csv":
+                "70ab216ebf4b0c98c3c244b91998cb14415ba8c3873a526fa63f6797d498b3e4",
+        }
 
     def test_seed_override_changes_output(self, opt_run, tmp_path):
         out, cfg_path = opt_run
