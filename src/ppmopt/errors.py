@@ -53,11 +53,13 @@ class DegenerateBeam(PpmError):
 
 
 class SingularKinetostatics(PpmError):
-    """The kinetostatic block system of a leg is rank deficient."""
+    """A leg or the platform has no finite kinetostatic stiffness: its
+    passive twists are parallel, the pose is a parallel singularity, or
+    the leg cannot reach the pose."""
 
     def __init__(self, leg: int = -1):
         self.leg = leg
-        super().__init__("kinetostatic block system is singular"
+        super().__init__("kinetostatic stiffness is singular"
                          + (f" (leg {leg})" if leg >= 0 else ""))
 
 

@@ -100,6 +100,8 @@ class Material:
 def steel(density: float = 7850.0, young_modulus: float = 210e9,
           poisson_ratio: float = 0.3) -> Material:
     """Structural steel; G follows from E and the Poisson ratio."""
+    if not poisson_ratio > -1.0:
+        raise ValueError(f"poisson_ratio must exceed -1, got {poisson_ratio}")
     return Material(density=density, young_modulus=young_modulus,
                     shear_modulus=young_modulus / (2.0 * (1.0 + poisson_ratio)))
 

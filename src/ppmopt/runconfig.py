@@ -84,8 +84,11 @@ class _Section:
         try:
             if kind is bool and not isinstance(value, bool):
                 raise ValueError
-            return kind(value)
-        except (TypeError, ValueError):
+            out = kind(value)
+            if kind is int and isinstance(value, float) and out != value:
+                raise ValueError    # int() would truncate it
+            return out
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(self._join(key),
                               f"cannot interpret {value!r} as {kind.__name__}")
 
@@ -176,7 +179,7 @@ def parse_config(data: dict | None) -> RunConfig:
     center_raw = ws.take("center", CENTER_DEFAULT, kind=None)
     if not isinstance(center_raw, (list, tuple)) or len(center_raw) != 3:
         raise ConfigError("workspace.center", "expected [x_c, y_c, phi_c]")
-    center = tuple(float(v) for v in center_raw)
+    center = tuple(ws._convert(v, "center", float) for v in center_raw)
     bisection_tol = ws.take("bisection_tol", BISECTION_TOL_DEFAULT)
     # the ring phase is a test-only knob, not a config key
     grid = _read(ws.sub("grid"), GridSpec, angular_offset=GridSpec.angular_offset)

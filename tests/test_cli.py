@@ -65,6 +65,33 @@ class TestConfig:
             parse_config({"moga": {"population": "many"}})
         assert "moga.population" in str(err.value)
 
+    def test_poisson_ratio_at_most_minus_one_rejected(self):
+        for nu in (-1.0, -1.5):
+            with pytest.raises(ConfigError) as err:
+                parse_config({"material": {"density": 7850, "young_modulus": 2.1e11,
+                                           "poisson_ratio": nu}})
+            assert "material" in str(err.value)
+
+    def test_bad_center_element_rejected_with_path(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"workspace": {"center": [0.0, "zero", 0.0]}})
+        assert "workspace.center" in str(err.value)
+
+    @pytest.mark.parametrize("data,path", [
+        ({"workspace": {"grid": {"n_radial": 3.7}}}, "workspace.grid.n_radial"),
+        ({"moga": {"population": 12.5}}, "moga.population"),
+        ({"moga": {"generations": 4.2}}, "moga.generations"),
+        ({"moga": {"seed": 11.9}}, "moga.seed"),
+        ({"moga": {"seed": float("inf")}}, "moga.seed"),
+        ({"threads": 1.5}, "threads")])
+    def test_non_integral_count_rejected(self, data, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert path in str(err.value)
+
+    def test_integral_float_count_accepted(self):
+        assert parse_config({"moga": {"population": 12.0}}).moga.population == 12
+
     def test_design_string_parsing(self):
         d = parse_design(DESIGN_I_ARG)
         assert d.architecture is Architecture.PRR
@@ -104,6 +131,15 @@ class TestEvaluate:
                      "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "material.young_modulus" in capsys.readouterr().err
+
+    def test_poisson_ratio_minus_one_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("material: {density: 7850, young_modulus: 2.1e+11, "
+                       "poisson_ratio: -1.0}\n", encoding="utf-8")
+        code = main(["evaluate", "--config", str(bad),
+                     "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "material" in capsys.readouterr().err
 
     def test_needle_design_exit_3_with_report(self, tiny_config, tmp_path):
         out = tmp_path / "needle.json"

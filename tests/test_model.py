@@ -80,6 +80,12 @@ class TestMass:
             assert cur > prev
             prev = cur
 
+    def test_steel_rejects_poisson_ratio_at_most_minus_one(self):
+        for nu in (-1.0, -2.0, float("nan")):
+            with pytest.raises(ValueError):
+                steel(poisson_ratio=nu)
+        assert steel(poisson_ratio=-0.5).shear_modulus == pytest.approx(210e9)
+
     def test_density_scaling(self):
         heavy = steel(density=2 * 7850.0)
         assert mass(DESIGN_I, heavy) == pytest.approx(2 * mass(DESIGN_I), rel=1e-12)

@@ -8,10 +8,12 @@ from conftest import DESIGN_I, sample_design, sample_pose
 from ppmopt.errors import HomeUnreachable, Unreachable
 from ppmopt.kinematics import HOME_POSE, Pose, jacobian
 from ppmopt.model import Architecture, DesignVector, Wrench
-from ppmopt.performance import (AccuracySpec, DexterityConfig, EvalContext,
+from ppmopt.performance import (AccuracySpec, BatchConstraints,
+                                DexterityConfig, EvalContext,
                                 StiffnessLimits, characteristic_length,
                                 constraints_batch, evaluate_constraints,
                                 frobenius_condition, inverse_condition)
+from ppmopt.workspace import GridSpec, WorkspaceSpec, grid_array
 
 
 class TestFrobeniusCondition:
@@ -223,3 +225,20 @@ class TestBatchScalarConsistency:
             for name in values:   # identical math, batch-shape ulp noise only
                 assert getattr(got, name) == pytest.approx(
                     getattr(single, name), rel=1e-9, abs=1e-12), name
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_probe_rows_bit_identical_to_single_poses(self, arch):
+        # a 305-pose bisection probe whose outer rings leave the reachable
+        # set: every row must equal the same pose evaluated alone, bit for bit
+        rng = np.random.default_rng(113)
+        d = sample_design(rng, arch)
+        # a fixed l_c: the aligned 3-RPR home pose is singular
+        use = EvalContext(dexterity=DexterityConfig(characteristic_length=0.7))
+        poses = grid_array(WorkspaceSpec(2.0 * d.platform_radius), GridSpec())
+        assert len(poses) == 305
+        batch = constraints_batch(d, poses, use)
+        assert 0 < (batch.ik & batch.g2).sum() < len(poses)
+        for i, row in enumerate(poses):
+            single = constraints_batch(d, row[None, :], use)
+            for name in BatchConstraints.__slots__:
+                assert getattr(single, name)[0] == getattr(batch, name)[i], name

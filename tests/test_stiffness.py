@@ -6,14 +6,16 @@ import pytest
 
 from chain_oracle import fd_screws
 from conftest import sample_design, sample_pose
+from kkt_oracle import kkt_indices, kkt_leg_stiffness, kkt_platform_stiffness
 from ppmopt.errors import DegenerateBeam, SingularStiffness
 from ppmopt.kinematics import HOME_POSE, ik_batch
 from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
                           DesignVector, Material)
-from ppmopt.stiffness import (N_SPRINGS, beam_compliance, leg_cartesian_stiffness,
+from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, N_SPRINGS, OUT_OF_PLANE,
+                              beam_compliance, leg_cartesian_stiffness,
                               leg_models_batch, leg_spring_model,
-                              platform_stiffness, stiffness_indices,
-                              stiffness_indices_batch)
+                              platform_stiffness, stiffness_batch,
+                              stiffness_indices, stiffness_indices_batch)
 
 E = DEFAULT_MATERIAL.young_modulus
 
@@ -210,11 +212,16 @@ class TestStiffnessIndices:
         with pytest.raises(SingularStiffness):
             stiffness_indices(k)
 
+    def test_coupled_matrix_rejected(self):
+        k = np.diag([2e6, 2e6, 3e5, 1e4, 1e4, 7e3])
+        k[0, 3] = k[3, 0] = 1.0
+        with pytest.raises(ValueError):
+            stiffness_indices(k)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(61)
         d = sample_design(rng, Architecture.RRR)
         poses = np.stack([sample_pose(rng, d).as_array() for _ in range(8)])
-        from ppmopt.stiffness import stiffness_batch
         k, ok = stiffness_batch(d, ik_batch(d, poses), DEFAULT_MATERIAL)
         assert ok.all()
         kxy, kz, kphiz = stiffness_indices_batch(k, ok)
@@ -237,3 +244,59 @@ class TestStiffnessIndices:
             rot6[3:, 3:] = r3
             rotated = stiffness_indices(rot6 @ k @ rot6.T)
             assert rotated == pytest.approx(ref, rel=1e-9)
+
+
+class TestKKTOracle:
+    """The closed-form planar split against the full 8x8 block reduction."""
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_platform_stiffness_and_indices(self, arch):
+        rng = np.random.default_rng(83 + int(arch))
+        for _ in range(20):
+            d = sample_design(rng, arch)
+            poses = np.stack([sample_pose(rng, d).as_array() for _ in range(4)])
+            bik = ik_batch(d, poses)
+            k, ok = stiffness_batch(d, bik, DEFAULT_MATERIAL)
+            ref = kkt_platform_stiffness(d, bik, DEFAULT_MATERIAL, DEFAULT_ACTUATOR)
+            assert ok.all()
+            for blk in (IN_PLANE, OUT_OF_PLANE):
+                got, want = k[:, blk[:, None], blk], ref[:, blk[:, None], blk]
+                scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+                assert (np.abs(got - want) <= 1e-9 * scale).all()
+            assert (k[:, IN_PLANE[:, None], OUT_OF_PLANE] == 0.0).all()
+            assert (k[:, OUT_OF_PLANE[:, None], IN_PLANE] == 0.0).all()
+            got = np.stack(stiffness_indices_batch(k, ok), axis=1)
+            want = np.stack([kkt_indices(x) for x in ref])
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_leg_stiffness(self, arch):
+        rng = np.random.default_rng(89 + int(arch))
+        for _ in range(20):
+            d = sample_design(rng, arch)
+            pose = sample_pose(rng, d)
+            for leg in range(3):
+                model = leg_spring_model(d, leg, pose, DEFAULT_MATERIAL)
+                k = leg_cartesian_stiffness(model)
+                ref = kkt_leg_stiffness(model.j_theta[None], model.k_theta_inv[None],
+                                        model.j_q[None])[0]
+                for blk in (IN_PLANE, OUT_OF_PLANE):
+                    got, want = k[np.ix_(blk, blk)], ref[np.ix_(blk, blk)]
+                    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_parallel_singularity_flagged(self):
+        # legs 1 and 2 of the middle pose made to share one line of action:
+        # two equal rows of A, so det A = 0 exactly
+        rng = np.random.default_rng(97)
+        d = sample_design(rng, Architecture.PRR)
+        poses = np.stack([sample_pose(rng, d).as_array() for _ in range(3)])
+        bik = ik_batch(d, poses)
+        for name in ("c_world", "moment", "elbow", "distal", "strut"):
+            arr = getattr(bik, name).copy()
+            arr[1, 2] = arr[1, 1]
+            setattr(bik, name, arr)
+        k, ok = stiffness_batch(d, bik, DEFAULT_MATERIAL)
+        assert ok.tolist() == [True, False, True]
+        assert (k[1] == 0.0).all()
+        for index in stiffness_indices_batch(k, ok):
+            assert index[1] == 0.0 and (index[[0, 2]] > 0.0).all()
