@@ -196,36 +196,6 @@ class BatchIK:
         """(N,) mask: all three legs reachable with valid strokes."""
         return (self.reachable & self.stroke_ok).all(axis=1)
 
-    def take(self, mask: np.ndarray) -> "BatchIK":
-        """Row subset of the batch (boolean mask or index array)."""
-        return BatchIK(self.design, self.mode, self.c_world[mask],
-                       self.moment[mask], self.q[mask], self.elbow[mask],
-                       self.distal[mask], self.strut[mask],
-                       self.reachable[mask], self.stroke_ok[mask])
-
-
-def _masked_solve(fn, *args) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a batched linear-algebra call, isolating singular rows.
-
-    fn(*args) runs once over the whole batch.  Only when it raises
-    LinAlgError is each row retried alone, so one singular member cannot
-    fail the rest; rows that still raise come back zeroed and flagged
-    False in the (N,) ok mask.  fn must return an array shaped like its
-    first argument.
-    """
-    ok = np.ones(args[0].shape[0], dtype=bool)
-    try:
-        return fn(*args), ok
-    except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(args[0])
-    for i in range(out.shape[0]):
-        try:
-            out[i] = fn(*(a[i:i + 1] for a in args))[0]
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return out, ok
-
 
 def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -292,26 +262,25 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
 
 
 def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity-loop matrices A, B of shape (N, 3, 3) for a batch."""
+    """Velocity-loop matrix A, shape (N, 3, 3), and the diagonal of B,
+    shape (N, 3): B is diagonal for every architecture (each actuator
+    drives one leg)."""
     n = bik.q.shape[0]
     d = bik.distal
     amat = np.empty((n, 3, 3))
     amat[:, :, :2] = d
     amat[:, :, 2] = np.einsum("nij,nij->ni", d, bik.moment)
 
-    bmat = np.zeros((n, 3, 3))
     arch = design.architecture
-    idx = np.arange(3)
     if arch is Architecture.RPR:
-        bmat[:, idx, idx] = 1.0
+        b = np.ones((n, 3))
     elif arch is Architecture.PRR:
-        u = anchor_layout(design).rail_directions
-        bmat[:, idx, idx] = np.einsum("nij,ij->ni", d, u)
+        b = np.einsum("nij,ij->ni", d, anchor_layout(design).rail_directions)
     else:
         lever = bik.elbow - anchor_layout(design).base_points[None, :, :]
         # d . E(lever): rate gain of the distal constraint per theta_dot.
-        bmat[:, idx, idx] = d[:, :, 1] * lever[:, :, 0] - d[:, :, 0] * lever[:, :, 1]
-    return amat, bmat
+        b = d[:, :, 1] * lever[:, :, 0] - d[:, :, 0] * lever[:, :, 1]
+    return amat, b
 
 
 def _platform_bar_angle(design: DesignVector, leg: int, phi: float) -> float:
@@ -435,5 +404,5 @@ def jacobian(design: DesignVector, pose: Pose,
     if legs is not None:
         mode = tuple(leg.branch for leg in legs)
     bik = ik_batch(design, pose.as_array()[None, :], mode)
-    amat, bmat = jacobian_batch(design, bik)
-    return JacobianPair(a_parallel=amat[0], b_serial=bmat[0])
+    amat, b = jacobian_batch(design, bik)
+    return JacobianPair(a_parallel=amat[0], b_serial=np.diag(b[0]))

@@ -11,6 +11,17 @@ the rotational twist component is scaled by a characteristic length; by
 default that length is chosen per design as the minimizer of kappa_F at
 the symmetric home pose, found by golden-section search.
 
+B is diagonal, so with J = A^-1 diag(b) = adj(A) diag(b) / det A and
+M = diag(1, 1, L) J no solve is needed:
+
+    kappa_F(M)^2 = (a + b' L^2) (c + d / L^2) / (9 det(A)^2),
+
+where a and b' are the squared norms of rows 0-1 and of row 2 of
+adj(A) diag(b), and c and d those of columns 0-1 and of column 2 of
+M^-1 diag(1, 1, L) = diag(1/b) A.  All five terms are elementwise sums
+over the legs.  A pose whose 1/kappa_F is not finite or below the float
+epsilon is singular to working precision and gets dexterity 0.
+
 The constraint stack, evaluated at a pose:
 
     g1  assembly geometry       L_b + r >= R / 2
@@ -34,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HomeUnreachable, Unreachable
-from .kinematics import (DEFAULT_MODE, HOME_POSE, Pose, WorkingMode,
-                         _masked_solve, ik_batch, jacobian_batch)
+from .kinematics import (DEFAULT_MODE, HOME_POSE, Pose, WorkingMode, ik_batch,
+                         jacobian_batch)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
                     DEFAULT_MATERIAL)
 from .stiffness import stiffness_batch, stiffness_indices_batch
@@ -54,8 +65,14 @@ class DexterityConfig:
     lc_search_range: tuple[float, float] = (1e-3, 10.0)  # [m]
 
     def __post_init__(self):
+        lo, hi = self.lc_search_range
+        lc = self.characteristic_length
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("dexterity threshold must be in (0, 1]")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError("need 0 < lc_min < lc_max < inf")
+        if lc is not None and not 0.0 < lc < math.inf:
+            raise ValueError("characteristic_length must be null or finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -127,45 +144,42 @@ def frobenius_condition(m: np.ndarray) -> float:
     return val if math.isfinite(val) else math.inf
 
 
-def _inv_kappa_batch(j: np.ndarray) -> np.ndarray:
-    """1/kappa_F for a batch of 3x3 matrices, zero where singular.
+#: The other two legs of each leg, in cyclic order (also the two other
+#: components of each vector component, for cross products).
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-    Uses tr(G^-1) = tr(adj G)/det G with G = J^T J, so no per-item
-    exception handling is needed on singular members.
+
+def _kappa_terms(amat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """det A and the terms (a, b', c, d) of the closed form, shape (5, N).
+
+    Column i of adj(A) is the cross product of rows i+1 and i+2 of A.
     """
-    g = np.swapaxes(j, -1, -2) @ j
-    tr = g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]
-    minors = (g[..., 1, 1] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 1]
-              + g[..., 0, 0] * g[..., 2, 2] - g[..., 0, 2] * g[..., 2, 0]
-              + g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0])
-    det = np.linalg.det(g)
+    w = np.moveaxis(amat, 2, 0)        # (3, N, 3): dx, dy, mz, legs last
+    dx, dy, mz = w
+    nxt, lst = w[:, :, _NEXT], w[:, :, _LAST]
+    x, y, z = nxt[_NEXT] * lst[_LAST] - nxt[_LAST] * lst[_NEXT]
+    b2 = b * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        k2 = tr * minors / det / 9.0
-        inv = 1.0 / np.sqrt(k2)
-    inv = np.where((det > 0.0) & (minors > 0.0) & (tr > 0.0), inv, 0.0)
-    return np.where(np.isfinite(inv), inv, 0.0)
+        t = np.stack([dx * x, b2 * (x * x + y * y), b2 * (z * z),
+                      (dx * dx + dy * dy) / b2, mz * mz / b2])
+    # summed over the legs term by term, as in stiffness_batch, so a pose
+    # comes out bit-identical alone and in any batch
+    return t[..., 0] + t[..., 1] + t[..., 2]
 
 
-def _forward_jacobians(design: DesignVector, bik) -> tuple[np.ndarray, np.ndarray]:
-    """J = A^-1 B per batch row plus a validity mask (False at det A = 0)."""
-    amat, bmat = jacobian_batch(design, bik)
-    j, ok = _masked_solve(np.linalg.solve, amat, bmat)
-    bad = ~np.isfinite(j).all(axis=(1, 2))
-    j[bad] = 0.0
-    return j, ok & ~bad
+def _dexterity(amat: np.ndarray, b: np.ndarray, l_c: float) -> np.ndarray:
+    """Normalized 1/kappa_F per batch row, in [0, 1].
 
-
-def _normalized(j: np.ndarray, l_c: float) -> np.ndarray:
-    jn = j.copy()
-    jn[..., 2, :] *= l_c
-    return jn
-
-
-def _dexterity(design: DesignVector, bik, l_c: float) -> np.ndarray:
-    """Normalized 1/kappa_F per batch row, in [0, 1]; 0 where det A = 0."""
-    j, ok = _forward_jacobians(design, bik)
-    inv = np.where(ok, _inv_kappa_batch(_normalized(j, l_c)), 0.0)
-    return np.clip(inv, 0.0, 1.0)
+    0 where singular to working precision: 1/kappa_F not finite or below
+    the float epsilon (det A = 0 alone misses rounded singularities).  A
+    NaN l_c (home pose unreachable) gives 0 on every row.
+    """
+    det, ta, tb, tc, td = _kappa_terms(amat, b)
+    l2 = l_c * l_c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 3.0 * np.abs(det) / np.sqrt((ta + tb * l2) * (tc + td / l2))
+    return np.where(np.isfinite(inv) & (inv >= np.finfo(float).eps),
+                    np.minimum(inv, 1.0), 0.0)
 
 
 @lru_cache(maxsize=4096)
@@ -184,14 +198,14 @@ def characteristic_length(design: DesignVector,
     bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
     if not bool(bik.ok()[0]):
         raise HomeUnreachable(f"design {design.as_tuple()}")
-    j, ok = _forward_jacobians(design, bik)
-    if not bool(ok[0]) or _inv_kappa_batch(j)[0] <= 0.0:
+    amat, b = jacobian_batch(design, bik)
+    if _dexterity(amat, b, 1.0)[0] == 0.0:
         raise HomeUnreachable("kinematic Jacobian singular at the home pose")
-    j0 = j[0]
+    _, ta, tb, tc, td = _kappa_terms(amat, b)[:, 0].tolist()
 
     def kappa(l_c: float) -> float:
-        inv = _inv_kappa_batch(_normalized(j0[None], l_c))[0]
-        return 1.0 / inv if inv > 0.0 else math.inf
+        # kappa_F^2 times the constant 9 det(A)^2: the same minimizer
+        return (ta + tb * l_c * l_c) * (tc + td / (l_c * l_c))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = ctx.dexterity.lc_search_range
@@ -225,7 +239,7 @@ def inverse_condition(design: DesignVector, pose: Pose,
     legs_ok = bik.reachable[0] & bik.stroke_ok[0]
     if not legs_ok.all():
         raise Unreachable(int(np.argmin(legs_ok)))
-    return float(_dexterity(design, bik, l_c)[0])
+    return float(_dexterity(*jacobian_batch(design, bik), l_c)[0])
 
 
 @dataclass(frozen=True)
@@ -277,7 +291,7 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
                       l_c: float | None = None) -> BatchConstraints:
     """Evaluate g1..g6 over an (N, 3) pose array.
 
-    Dexterity and stiffness are computed only on rows whose inverse
+    Dexterity and stiffness are reported only on rows whose inverse
     kinematics succeeds; other rows report zero indices.  Pass l_c when
     the characteristic length was already resolved (None triggers the
     per-design resolution and treats HomeUnreachable as zero dexterity).
@@ -296,20 +310,14 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     ik = bik.reachable.all(axis=1)
     g2 = bik.stroke_ok.all(axis=1)
     usable = ik & g2
-
-    kinv = np.zeros(n)
-    kxy = np.zeros(n)
-    kz = np.zeros(n)
-    kphiz = np.zeros(n)
-    if usable.any() and g1_flag:
-        sub = bik.take(usable)
-        if math.isfinite(l_c):
-            kinv[usable] = _dexterity(design, sub, l_c)
-        k_mat, k_ok = stiffness_batch(design, sub, ctx.material, ctx.actuator)
-        kxy_s, kz_s, kphiz_s = stiffness_indices_batch(k_mat, k_ok)
-        kxy[usable] = kxy_s
-        kz[usable] = kz_s
-        kphiz[usable] = kphiz_s
+    if g1_flag and usable.any():
+        # the kernels are elementwise: run them on every row, mask after
+        jac = jacobian_batch(design, bik)
+        kinv = np.where(usable, _dexterity(*jac, l_c), 0.0)
+        k_mat, k_ok = stiffness_batch(design, bik, jac, ctx.material, ctx.actuator)
+        kxy, kz, kphiz = stiffness_indices_batch(k_mat, k_ok & usable)
+    else:
+        kinv, kxy, kz, kphiz = np.zeros((4, n))
 
     lim_xy, lim_z, lim_phiz = ctx.stiffness_limits()
     g1 = np.full(n, g1_flag)

@@ -42,6 +42,18 @@ class RunConfig:
     threads: int = 1
     output_dir: str = "out"
 
+    def __post_init__(self):
+        # checked here, not in parse_config, so that command-line overrides
+        # applied with dataclasses.replace are checked too
+        for path, ok, rule in (
+                ("workspace.delta_phi_deg", 0.0 < self.delta_phi < math.inf,
+                 "a finite angle > 0"),
+                ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,
+                 "a finite length > 0"),
+                ("threads", self.threads >= 0, "0 (all cores) or a worker count")):
+            if not ok:
+                raise ConfigError(path, f"must be {rule}")
+
 
 class _Section:
     """A mapping being consumed key by key; leftovers are config errors."""

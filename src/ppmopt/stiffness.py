@@ -343,19 +343,21 @@ def leg_cartesian_stiffness(model: LegSpringModel) -> np.ndarray:
     return k.reshape(6, 6)
 
 
-def stiffness_batch(design: DesignVector, bik: BatchIK, material: Material,
+def stiffness_batch(design: DesignVector, bik: BatchIK,
+                    jac: tuple[np.ndarray, np.ndarray], material: Material,
                     actuator: ActuatorStiffness = DEFAULT_ACTUATOR
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate platform stiffness over a pose batch.
 
-    Returns (K, ok): K is (N, 6, 6), the sum of the leg stiffnesses,
-    assembled exactly block-diagonal; ok is False where det A = 0 or a
-    value is not finite, and those rows of K are zero.  Per-leg values
-    are (N, 3) arrays, legs on the last axis.
+    jac is jacobian_batch(design, bik): A and the diagonal of B.  Returns
+    (K, ok): K is (N, 6, 6), the sum of the leg stiffnesses, assembled
+    exactly block-diagonal; ok is False where det A = 0 or a value is not
+    finite, and those rows of K are zero.  Per-leg values are (N, 3)
+    arrays, legs on the last axis.
     """
     arch = design.architecture
     r, lb = design.platform_radius, design.link_length
-    amat, bmat = jacobian_batch(design, bik)
+    amat, b_ii = jac
     n = amat.shape[0]
     w = amat.transpose(2, 0, 1).copy()     # (3, N, 3): the w_i
     dx, dy, mz = w                         # mz: moment of w_i about P
@@ -388,7 +390,6 @@ def stiffness_batch(design: DesignVector, bik: BatchIK, material: Material,
     # along the distal link, moment mz about P); the actuator carries B_ii.
     along, across = xx * dx + xy * dy, xx * dy - xy * dx
     moment = mz + off_x * dy - off_y * dx   # about the spring origin
-    b_ii = np.diagonal(bmat, axis1=1, axis2=2)
     # Sums over springs and legs are written out term by term: a numpy
     # reduction may order its terms by batch shape, and a pose must come
     # out bit-identical alone and in any batch.
@@ -418,7 +419,8 @@ def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
     if not bool(bik.ok()[0]):
         leg = int(np.argmin((bik.reachable & bik.stroke_ok)[0]))
         raise SingularKinetostatics(leg)
-    k, ok = stiffness_batch(design, bik, material, actuator)
+    k, ok = stiffness_batch(design, bik, jacobian_batch(design, bik), material,
+                            actuator)
     if not bool(ok[0]):
         raise SingularKinetostatics()
     return k[0]

@@ -143,7 +143,10 @@ def max_regular_workspace_detail(design: DesignVector,
 
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
+    tol must be finite and > 0, or the bisection could never end.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
     try:
         l_c = characteristic_length(design, ctx)
     except HomeUnreachable:

@@ -89,6 +89,22 @@ class TestConfig:
             parse_config(data)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize("data,path", [
+        ({"workspace": {"bisection_tol": 0.0}}, "workspace.bisection_tol"),
+        ({"workspace": {"bisection_tol": float("nan")}}, "workspace.bisection_tol"),
+        ({"workspace": {"delta_phi_deg": -5.0}}, "workspace.delta_phi_deg"),
+        ({"threads": -1}, "threads"),
+        ({"dexterity": {"lc_min": 5.0, "lc_max": 1.0}}, "dexterity"),
+        ({"dexterity": {"lc_min": 0.0}}, "dexterity"),
+        ({"dexterity": {"lc_min": -1.0}}, "dexterity"),
+        ({"dexterity": {"characteristic_length": 0.0}}, "dexterity"),
+        ({"dexterity": {"characteristic_length": -0.5}}, "dexterity"),
+        ({"dexterity": {"characteristic_length": float("nan")}}, "dexterity")])
+    def test_out_of_range_value_rejected(self, data, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.path == path
+
     def test_integral_float_count_accepted(self):
         assert parse_config({"moga": {"population": 12.0}}).moga.population == 12
 
@@ -141,6 +157,14 @@ class TestEvaluate:
         assert code == 2
         assert "material" in capsys.readouterr().err
 
+    def test_negative_rotation_band_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("workspace: {delta_phi_deg: -5}\n", encoding="utf-8")
+        code = main(["evaluate", "--config", str(bad),
+                     "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "workspace.delta_phi_deg" in capsys.readouterr().err
+
     def test_needle_design_exit_3_with_report(self, tiny_config, tmp_path):
         out = tmp_path / "needle.json"
         needle = DESIGN_I_ARG.replace("r_j=0.026", "r_j=0.0001")
@@ -171,6 +195,12 @@ def opt_run(tmp_path_factory):
 
 
 class TestOptimize:
+    def test_negative_threads_flag_exit_2(self, tiny_config, tmp_path, capsys):
+        code = main(["optimize", "--config", tiny_config, "--threads", "-1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_outputs_exist(self, opt_run):
         out, _ = opt_run
         for name in ("pareto.csv", "history.csv", "fronts_by_architecture.csv",

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import sample_design, sample_pose
 from ppmopt.errors import ModeViolation, NoConvergence, Unreachable
-from ppmopt.kinematics import (Branch, HOME_POSE, Pose, _masked_solve,
-                               anchor_layout, closure_residuals, forward_refine,
-                               ik_batch, inverse_kinematics, jacobian)
+from ppmopt.kinematics import (Branch, HOME_POSE, Pose, anchor_layout,
+                               closure_residuals, forward_refine, ik_batch,
+                               inverse_kinematics, jacobian)
 from ppmopt.model import Architecture, DesignVector
 
 SQRT3 = math.sqrt(3.0)
@@ -15,26 +15,6 @@ SQRT3 = math.sqrt(3.0)
 
 def _design(arch, big_r=2.0, r=0.8, lb=1.5, rj=0.04, rp=0.05):
     return DesignVector(arch, big_r, r, lb, rj, rp)
-
-
-class TestMaskedSolve:
-    @pytest.mark.parametrize("fn", [np.linalg.solve, np.linalg.inv],
-                             ids=["solve", "inv"])
-    def test_singular_row_isolated(self, fn):
-        # the per-row fallback runs only when the batched call raises, which
-        # a zero matrix in the batch forces
-        rng = np.random.default_rng(71)
-        a = rng.normal(size=(5, 4, 4)) + 4.0 * np.eye(4)
-        args = (a, rng.normal(size=(5, 4, 4))) if fn is np.linalg.solve else (a,)
-        keep = [0, 1, 3, 4]
-        reference = fn(*(x[keep] for x in args))
-        a[2] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            fn(*args)
-        out, ok = _masked_solve(fn, *args)
-        assert ok.tolist() == [True, True, False, True, True]
-        assert (out[2] == 0.0).all()
-        assert np.array_equal(out[keep], reference)
 
 
 class TestAnchorLayout:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import DESIGN_I, sample_design, sample_pose
+from ppmopt import performance, stiffness
 from ppmopt.errors import HomeUnreachable, Unreachable
-from ppmopt.kinematics import HOME_POSE, Pose, jacobian
+from ppmopt.kinematics import HOME_POSE, Pose, jacobian, jacobian_batch
 from ppmopt.model import Architecture, DesignVector, Wrench
 from ppmopt.performance import (AccuracySpec, BatchConstraints,
                                 DexterityConfig, EvalContext,
@@ -108,16 +109,22 @@ class TestInverseCondition:
             val = inverse_condition(d, sample_pose(rng, d), use)
             assert 0.0 <= val <= 1.0
 
-    def test_matches_direct_formula(self, ctx):
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_matches_direct_formula(self, arch, ctx):
+        # the closed form against kappa_F of J = solve(A, B), row 2 scaled
         rng = np.random.default_rng(83)
-        d = sample_design(rng, Architecture.PRR)
-        l_c = characteristic_length(d, ctx)
-        pose = sample_pose(rng, d)
-        pair = jacobian(d, pose)
-        j = np.linalg.solve(pair.a_parallel, pair.b_serial)
-        j[2, :] *= l_c
-        assert inverse_condition(d, pose, ctx) == pytest.approx(
-            1.0 / frobenius_condition(j), rel=1e-9)
+        d = sample_design(rng, arch)
+        use = ctx
+        if arch is Architecture.RPR:   # the aligned 3-RPR home is singular
+            use = EvalContext(dexterity=DexterityConfig(characteristic_length=0.7))
+        l_c = characteristic_length(d, use)
+        for _ in range(50):
+            pose = sample_pose(rng, d)
+            pair = jacobian(d, pose)
+            j = np.linalg.solve(pair.a_parallel, pair.b_serial)
+            j[2, :] *= l_c
+            assert inverse_condition(d, pose, use) == pytest.approx(
+                1.0 / frobenius_condition(j), rel=1e-9)
 
     def test_unreachable_pose_propagates(self, ctx):
         with pytest.raises(Unreachable):
@@ -195,6 +202,22 @@ class TestEvaluateConstraints:
             pose = sample_pose(rng, d)
             assert (evaluate_constraints(d, pose, ctx)
                     == evaluate_constraints(d, pose, scaled))
+
+    def test_one_jacobian_per_chunk(self, ctx, monkeypatch):
+        # dexterity and stiffness share the A built once per chunk
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return jacobian_batch(*args)
+
+        for module in (performance, stiffness):
+            monkeypatch.setattr(module, "jacobian_batch", counted)
+        chunk = grid_array(WorkspaceSpec(0.1), GridSpec())[:80]
+        res = constraints_batch(DESIGN_I, chunk, ctx,
+                                l_c=characteristic_length(DESIGN_I, ctx))
+        assert res.overall.all()
+        assert len(calls) == 1
 
     def test_limits_derivation_matches_study_numbers(self):
         limits = StiffnessLimits.from_requirements(Wrench(), AccuracySpec())

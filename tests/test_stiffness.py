@@ -8,7 +8,7 @@ from chain_oracle import fd_screws
 from conftest import sample_design, sample_pose
 from kkt_oracle import kkt_indices, kkt_leg_stiffness, kkt_platform_stiffness
 from ppmopt.errors import DegenerateBeam, SingularStiffness
-from ppmopt.kinematics import HOME_POSE, ik_batch
+from ppmopt.kinematics import HOME_POSE, ik_batch, jacobian_batch
 from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
                           DesignVector, Material)
 from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, N_SPRINGS, OUT_OF_PLANE,
@@ -222,7 +222,8 @@ class TestStiffnessIndices:
         rng = np.random.default_rng(61)
         d = sample_design(rng, Architecture.RRR)
         poses = np.stack([sample_pose(rng, d).as_array() for _ in range(8)])
-        k, ok = stiffness_batch(d, ik_batch(d, poses), DEFAULT_MATERIAL)
+        bik = ik_batch(d, poses)
+        k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
         assert ok.all()
         kxy, kz, kphiz = stiffness_indices_batch(k, ok)
         for i in range(len(poses)):
@@ -256,7 +257,7 @@ class TestKKTOracle:
             d = sample_design(rng, arch)
             poses = np.stack([sample_pose(rng, d).as_array() for _ in range(4)])
             bik = ik_batch(d, poses)
-            k, ok = stiffness_batch(d, bik, DEFAULT_MATERIAL)
+            k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
             ref = kkt_platform_stiffness(d, bik, DEFAULT_MATERIAL, DEFAULT_ACTUATOR)
             assert ok.all()
             for blk in (IN_PLANE, OUT_OF_PLANE):
@@ -295,7 +296,7 @@ class TestKKTOracle:
             arr = getattr(bik, name).copy()
             arr[1, 2] = arr[1, 1]
             setattr(bik, name, arr)
-        k, ok = stiffness_batch(d, bik, DEFAULT_MATERIAL)
+        k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
         assert ok.tolist() == [True, False, True]
         assert (k[1] == 0.0).all()
         for index in stiffness_indices_batch(k, ok):

@@ -119,17 +119,23 @@ class TestMaxRegularWorkspace:
         assert res.radius == 0.0
         assert math.isnan(res.characteristic_length)
 
+    def test_nan_bisection_tol_rejected(self, ctx):
+        # a zero or negative tol would never end the bisection loop
+        with pytest.raises(ValueError):
+            max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx, tol=math.nan)
+
     def test_upper_radius_brackets_reach(self):
         assert upper_radius(DESIGN_I) > 2.0   # far beyond any real workspace
 
     def test_stiffness_positive_definite_on_feasible_grid(self, ctx):
         import numpy as np
-        from ppmopt.kinematics import ik_batch
+        from ppmopt.kinematics import ik_batch, jacobian_batch
         from ppmopt.stiffness import stiffness_batch
         res = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx)
         pts = grid_array(WorkspaceSpec(res.radius), DEFAULT_GRID)
-        k, ok = stiffness_batch(DESIGN_I, ik_batch(DESIGN_I, pts), ctx.material,
-                                ctx.actuator)
+        bik = ik_batch(DESIGN_I, pts)
+        k, ok = stiffness_batch(DESIGN_I, bik, jacobian_batch(DESIGN_I, bik),
+                                ctx.material, ctx.actuator)
         assert ok.all()
         eig = np.linalg.eigvalsh(0.5 * (k + np.swapaxes(k, 1, 2)))
         assert eig.min() > 0
