@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector, mass,
@@ -146,6 +145,10 @@ def genome_key(genome: np.ndarray) -> bytes:
 def doe_genomes(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS) -> list[np.ndarray]:
     """Initial population: low-discrepancy samples of the continuous box
     with the architecture gene stratified round-robin over {1, 2, 3}."""
+    # imported here: scipy.stats takes most of the start-up time of every
+    # command and pool worker, and only the DOE needs it
+    from scipy.stats import qmc
+
     n = cfg.population
     if cfg.doe == "sobol":
         sampler = qmc.Sobol(d=N_VARS, scramble=True, seed=cfg.seed)
@@ -437,6 +440,8 @@ class _Evaluator:
     def __init__(self, bounds, grid, ctx, tol, threads: int):
         self.bounds, self.grid, self.ctx, self.tol = bounds, grid, ctx, tol
         self.cache: dict[bytes, Evaluation] = {}
+        if threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
         n_workers = (os.cpu_count() or 1) if threads == 0 else threads
         self.pool = (ProcessPoolExecutor(max_workers=n_workers)
                      if n_workers > 1 else None)

@@ -11,6 +11,7 @@ function of the design vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,11 @@ class WorkspaceSpec:
     delta_phi: float = DELTA_PHI_DEFAULT           # total band [rad]
 
     def __post_init__(self):
-        if self.radius < 0.0 or self.delta_phi <= 0.0:
-            raise ValueError("workspace radius must be >= 0 and band > 0")
+        # written so that NaN fails both tests
+        if not (0.0 <= self.radius < math.inf and 0.0 < self.delta_phi < math.inf):
+            raise ValueError("workspace radius must be finite and >= 0, band "
+                             f"finite and > 0; got radius {self.radius}, "
+                             f"band {self.delta_phi}")
 
 
 @dataclass(frozen=True)
@@ -61,31 +65,47 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
+                 delta_phi: float) -> tuple[np.ndarray, ...]:
+    """The radius-independent part of a grid, as read-only arrays: the
+    (n_orientation, 3) center block, the orientation band, the ring
+    numbers 1..n_radial as a column, and cos / sin of the ring angles."""
+    xc, yc, pc = center
+    phis = np.linspace(pc - delta_phi / 2.0, pc + delta_phi / 2.0,
+                       grid.n_orientation)
+    block = np.column_stack([np.full(grid.n_orientation, xc),
+                             np.full(grid.n_orientation, yc), phis])
+    ang = (grid.angular_offset
+           + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular)
+    k = np.arange(1, grid.n_radial + 1, dtype=float)[:, None]
+    arrays = (block, phis, k, np.cos(ang), np.sin(ang))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
-    """Grid poses as an (N, 3) array.
+    """Grid poses as a fresh (N, 3) array.
 
     Ordering is radial-major: the center at every orientation first, then
     each ring from the smallest radius outward, each position swept over
     the orientation band.  A zero radius yields only the center block.
+    Ring k of n_radial sits at radius * k / n_radial.
     """
-    xc, yc, pc = spec.center
-    phis = np.linspace(pc - spec.delta_phi / 2.0, pc + spec.delta_phi / 2.0,
-                       grid.n_orientation)
-    blocks = [np.column_stack([np.full(grid.n_orientation, xc),
-                               np.full(grid.n_orientation, yc), phis])]
-    if spec.radius > 0.0:
-        radii = spec.radius * np.arange(1, grid.n_radial + 1) / grid.n_radial
-        ang = (grid.angular_offset
-               + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular)
-        for rad in radii:
-            xs = xc + rad * np.cos(ang)
-            ys = yc + rad * np.sin(ang)
-            ring = np.empty((grid.n_angular * grid.n_orientation, 3))
-            ring[:, 0] = np.repeat(xs, grid.n_orientation)
-            ring[:, 1] = np.repeat(ys, grid.n_orientation)
-            ring[:, 2] = np.tile(phis, grid.n_angular)
-            blocks.append(ring)
-    return np.concatenate(blocks, axis=0)
+    block, phis, k, cos, sin = _grid_layout(grid, spec.center, spec.delta_phi)
+    if spec.radius == 0.0:
+        return block.copy()
+    xc, yc, _ = spec.center
+    n_o = grid.n_orientation
+    rad = spec.radius * k / grid.n_radial
+    out = np.empty((n_o * (1 + grid.n_radial * grid.n_angular), 3))
+    out[:n_o] = block
+    rings = out[n_o:].reshape(grid.n_radial, grid.n_angular, n_o, 3)
+    rings[..., 0] = (xc + rad * cos)[..., None]
+    rings[..., 1] = (yc + rad * sin)[..., None]
+    rings[..., 2] = phis
+    return out
 
 
 def grid_points(spec: WorkspaceSpec, grid: GridSpec) -> list[Pose]:
@@ -96,21 +116,21 @@ def grid_points(spec: WorkspaceSpec, grid: GridSpec) -> list[Pose]:
 def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        grid: GridSpec = DEFAULT_GRID,
                        ctx: EvalContext = DEFAULT_CONTEXT,
-                       l_c: float | None = None, chunk: int = 80
+                       l_c: float | None = None
                        ) -> tuple[bool, Pose | None, ConstraintReport | None]:
     """Check every grid pose of the cylinder against g1..g6.
 
-    Returns (feasible, first failing pose, its report); evaluation stops
-    at the first failing chunk, so hopeless designs exit early.
+    Returns (feasible, first failing pose in grid order, its report).  The
+    whole grid goes to one constraints_batch call: its rows do not depend
+    on their batch, so the first failing row is the same as in a
+    pose-by-pose scan.
     """
     points = grid_array(spec, grid)
-    for start in range(0, points.shape[0], chunk):
-        block = points[start:start + chunk]
-        res = constraints_batch(design, block, ctx, l_c=l_c)
-        bad = np.flatnonzero(~res.overall)
-        if bad.size:
-            idx = int(bad[0])
-            return False, Pose(*block[idx]), res.report(idx)
+    res = constraints_batch(design, points, ctx, l_c=l_c)
+    bad = np.flatnonzero(~res.overall)
+    if bad.size:
+        idx = int(bad[0])
+        return False, Pose(*points[idx]), res.report(idx)
     return True, None, None
 
 

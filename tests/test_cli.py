@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -116,6 +118,21 @@ class TestConfig:
             parse_design("d=1,R=1.0")
         with pytest.raises(ConfigError):
             parse_design(DESIGN_I_ARG + ",bogus=1")
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is only needed for the DOE, and importing it takes most
+    # of the start-up time of every command
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ppmopt.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestPrintDefaults:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt.model import Architecture, DEFAULT_BOUNDS, DesignVector
@@ -95,6 +96,17 @@ class TestEvaluateGenome:
         a = evaluate_genome(genome, WIDE_BOUNDS)
         b = evaluate_genome(genome, WIDE_BOUNDS)
         assert (a.mass, a.r_w, a.feasible) == (b.mass, b.r_w, b.feasible)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, (1 << N_BITS) - 1))
+    @example(0)
+    @example((1 << N_BITS) - 1)
+    def test_any_genome_scores_finite(self, bits):
+        genome = np.array([(bits >> i) & 1 for i in range(N_BITS)],
+                          dtype=np.uint8)
+        ev = evaluate_genome(genome)
+        assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
+        assert ev.r_w >= 0.0 and ev.feasible == (ev.r_w > 0.0)
 
 
 class TestParetoFilter:
@@ -192,6 +204,10 @@ class TestEvolve:
         other = evolve(dataclasses.replace(TINY, seed=4))
         assert [e.key for e in other.archive.entries] != \
             [e.key for e in tiny_run.archive.entries]
+
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            evolve(MogaConfig(population=6, generations=2, seed=3), threads=-3)
 
 
 class TestPerArchitectureFronts:

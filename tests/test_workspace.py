@@ -5,11 +5,40 @@ import numpy as np
 import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III
-from ppmopt.performance import DexterityConfig, EvalContext
+from ppmopt import workspace
+from ppmopt.kinematics import Pose
+from ppmopt.performance import (DexterityConfig, EvalContext,
+                                characteristic_length, constraints_batch)
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
                               grid_points, max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
                               workspace_feasible)
+
+
+def _grid_array_loop(spec, grid):
+    """The ring-by-ring construction grid_array replaced: its oracle."""
+    xc, yc, pc = spec.center
+    phis = np.linspace(pc - spec.delta_phi / 2.0, pc + spec.delta_phi / 2.0,
+                       grid.n_orientation)
+    blocks = [np.column_stack([np.full(grid.n_orientation, xc),
+                               np.full(grid.n_orientation, yc), phis])]
+    if spec.radius > 0.0:
+        radii = spec.radius * np.arange(1, grid.n_radial + 1) / grid.n_radial
+        ang = (grid.angular_offset
+               + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular)
+        for rad in radii:
+            xs = xc + rad * np.cos(ang)
+            ys = yc + rad * np.sin(ang)
+            ring = np.empty((grid.n_angular * grid.n_orientation, 3))
+            ring[:, 0] = np.repeat(xs, grid.n_orientation)
+            ring[:, 1] = np.repeat(ys, grid.n_orientation)
+            ring[:, 2] = np.tile(phis, grid.n_angular)
+            blocks.append(ring)
+    return np.concatenate(blocks, axis=0)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestGridPoints:
@@ -44,6 +73,54 @@ class TestGridPoints:
         assert (np.diff(radii[2:]) >= -1e-12).all()
 
 
+class TestGridArray:
+    @pytest.mark.parametrize("spec, grid", [
+        (WorkspaceSpec(0.5), DEFAULT_GRID),
+        (WorkspaceSpec(0.3), GridSpec(n_radial=1)),
+        (WorkspaceSpec(0.7, center=(0.2, -0.1, 0.05)),
+         GridSpec(angular_offset=0.1)),
+        (WorkspaceSpec(0.0, center=(0.3, 0.4, -0.2)), DEFAULT_GRID),
+        (WorkspaceSpec(1.3, center=(-1.1, 0.6, 0.4), delta_phi=0.7),
+         GridSpec(4, 7, 3, angular_offset=2.5)),
+    ], ids=["default", "one-ring", "offset-center", "radius-0", "mixed"])
+    def test_bytes_equal_loop_oracle(self, spec, grid):
+        assert _same_bytes(grid_array(spec, grid), _grid_array_loop(spec, grid))
+
+    def test_random_grids_bytes_equal_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            grid = GridSpec(int(rng.integers(1, 9)), int(rng.integers(2, 25)),
+                            int(rng.integers(2, 10)),
+                            float(rng.uniform(-4.0, 4.0)))
+            radius = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0))
+            spec = WorkspaceSpec(radius, tuple(rng.uniform(-2.0, 2.0, 3)),
+                                 float(rng.uniform(1e-3, 2.0 * math.pi)))
+            assert _same_bytes(grid_array(spec, grid),
+                               _grid_array_loop(spec, grid))
+
+    @pytest.mark.parametrize("radius", [0.0, 0.4])
+    def test_mutating_a_grid_leaves_the_next_intact(self, radius):
+        spec = WorkspaceSpec(radius, center=(0.1, 0.2, 0.3))
+        first = grid_array(spec, DEFAULT_GRID)
+        expected = first.copy()
+        first[:] = 7.0
+        assert _same_bytes(grid_array(spec, DEFAULT_GRID), expected)
+
+
+class TestWorkspaceSpec:
+    @pytest.mark.parametrize("radius, delta_phi", [
+        (math.nan, 0.3), (-0.1, 0.3), (math.inf, 0.3), (0.0, math.nan),
+        (0.0, math.inf), (0.0, 0.0), (0.2, -0.3)])
+    def test_invalid_spec_rejected(self, radius, delta_phi):
+        with pytest.raises(ValueError, match="band"):
+            WorkspaceSpec(radius, delta_phi=delta_phi)
+
+    def test_nan_band_rejected_by_search(self, ctx):
+        with pytest.raises(ValueError, match="band"):
+            max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                         delta_phi=math.nan)
+
+
 class TestWorkspaceFeasible:
     def test_degenerate_cylinder_feasible(self, ctx):
         ok, pose, report = workspace_feasible(DESIGN_I, WorkspaceSpec(0.0),
@@ -65,6 +142,41 @@ class TestWorkspaceFeasible:
         first_bad = flags.index(False) if False in flags else len(flags)
         assert all(flags[:first_bad])
         assert not any(flags[first_bad:])
+
+    def test_limiting_pose_is_first_failing_row(self, ctx):
+        # at this radius only the outer ring leaves the feasible set
+        spec = WorkspaceSpec(0.23)
+        points = grid_array(spec, DEFAULT_GRID)
+        l_c = characteristic_length(DESIGN_I, ctx)
+        rows = [constraints_batch(DESIGN_I, row[None, :], ctx, l_c=l_c).report(0)
+                for row in points]
+        bad = [i for i, r in enumerate(rows) if not r.overall]
+        outer = len(points) - DEFAULT_GRID.n_angular * DEFAULT_GRID.n_orientation
+        assert bad and min(bad) >= outer
+        ok, pose, report = workspace_feasible(DESIGN_I, spec, DEFAULT_GRID, ctx,
+                                              l_c=l_c)
+        assert not ok
+        assert pose == Pose(*points[bad[0]])
+        assert report == rows[bad[0]]
+
+    def test_one_constraints_batch_call_per_probe(self, ctx, monkeypatch):
+        probes, batches = [], []
+        feasible, batch = workspace.workspace_feasible, workspace.constraints_batch
+
+        def counted_feasible(*args, **kwargs):
+            probes.append(args[1].radius)
+            return feasible(*args, **kwargs)
+
+        def counted_batch(*args, **kwargs):
+            batches.append(len(args[1]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
+        monkeypatch.setattr(workspace, "constraints_batch", counted_batch)
+        res = max_regular_workspace_detail(DESIGN_II, DEFAULT_GRID, ctx)
+        assert res.radius > 0.0 and len(probes) > 10
+        assert len(batches) == len(probes)
+        assert batches == [5] + [305] * (len(probes) - 1)
 
 
 class TestMaxRegularWorkspace:
