@@ -71,6 +71,14 @@ class HomeUnreachable(PpmError):
     """The symmetric home pose is outside the manipulator workspace."""
 
 
+class InvalidValue(PpmError, ValueError):
+    """A physical parameter outside its domain; carries the field name."""
+
+    def __init__(self, field: str, rule: str, value: float):
+        self.field = field
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+
+
 class ConfigError(PpmError):
     """Run configuration file is malformed; carries the offending key path."""
 

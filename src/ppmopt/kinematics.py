@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,6 +282,37 @@ def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.n
         # d . E(lever): rate gain of the distal constraint per theta_dot.
         b = d[:, :, 1] * lever[:, :, 0] - d[:, :, 0] * lever[:, :, 1]
     return amat, b
+
+
+class Adjugate(NamedTuple):
+    """adj(A) and det A over a batch: A^-1 = adj(A) / det A.
+
+    x, y and z (N, 3) are the rows of adj(A), legs on the last axis:
+    column i is the cross product of rows i+1 and i+2 of A, i.e. of the
+    unit wrenches of the other two legs.  det A (N,) sums the legs term
+    by term, so a pose comes out bit-identical alone and in any batch.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    det: np.ndarray
+
+
+#: The other two legs of each leg, in cyclic order (also the two other
+#: components of each vector component, for cross products).
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def adjugate_batch(amat: np.ndarray) -> Adjugate:
+    """Adjugate and determinant of the (N, 3, 3) velocity-loop matrices."""
+    w = amat.transpose(2, 0, 1).copy()   # dx, dy, mz, legs last
+    nxt, lst = w[..., _NEXT], w[..., _LAST]
+    x = nxt[1] * lst[2] - nxt[2] * lst[1]
+    y = nxt[2] * lst[0] - nxt[0] * lst[2]
+    z = nxt[0] * lst[1] - nxt[1] * lst[0]
+    t = w[0] * x
+    return Adjugate(x, y, z, t[:, 0] + t[:, 1] + t[:, 2])
 
 
 def _platform_bar_angle(design: DesignVector, leg: int, phi: float) -> float:

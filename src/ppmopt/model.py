@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import DegenerateSection, OutOfBounds
+from .errors import DegenerateSection, InvalidValue, OutOfBounds
 
 
 class Architecture(IntEnum):
@@ -84,6 +84,16 @@ DEFAULT_BOUNDS = Bounds(lower=(0.5, 0.5, 0.5, 0.0, 0.0),
                         upper=(4.0, 4.0, 4.0, 0.1, 0.1))
 
 
+def check_finite(obj, names: tuple[str, ...], positive: bool = True) -> None:
+    """Raise InvalidValue for the first named field of obj that is not
+    finite, or with positive not > 0 either.  NaN fails both tests."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (0.0 if positive else -math.inf) < value < math.inf:
+            raise InvalidValue(name, "finite and > 0" if positive else "finite",
+                               value)
+
+
 @dataclass(frozen=True)
 class Material:
     """Homogeneous isotropic link material."""
@@ -93,8 +103,7 @@ class Material:
     shear_modulus: float  # G  [N/m^2]
 
     def __post_init__(self):
-        if min(self.density, self.young_modulus, self.shear_modulus) <= 0:
-            raise ValueError("material constants must be strictly positive")
+        check_finite(self, ("density", "young_modulus", "shear_modulus"))
 
 
 def steel(density: float = 7850.0, young_modulus: float = 210e9,
@@ -120,6 +129,9 @@ class ActuatorStiffness:
     prismatic: float = 1.0e7  # [N/m]
     revolute: float = 1.0e6   # [N*m/rad]
 
+    def __post_init__(self):
+        check_finite(self, ("prismatic", "revolute"))
+
     def for_architecture(self, arch: Architecture) -> float:
         return self.prismatic if arch.actuator_is_prismatic else self.revolute
 
@@ -132,6 +144,9 @@ class Wrench:
     f_y: float = 0.0     # [N]
     f_z: float = 100.0   # [N]
     tau_z: float = 100.0 # [N*m]
+
+    def __post_init__(self):
+        check_finite(self, ("f_x", "f_y", "f_z", "tau_z"), positive=False)
 
     @property
     def f_xy(self) -> float:

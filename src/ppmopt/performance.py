@@ -21,6 +21,10 @@ adj(A) diag(b), and c and d those of columns 0-1 and of column 2 of
 M^-1 diag(1, 1, L) = diag(1/b) A.  All five terms are elementwise sums
 over the legs.  A pose whose 1/kappa_F is not finite or below the float
 epsilon is singular to working precision and gets dexterity 0.
+constraints_batch builds adj(A) and det A once per call
+(kinematics.adjugate_batch) and hands the same adjugate to the stiffness
+indices, which read the in-plane compliance adj(A) diag(c) adj(A)^T /
+det(A)^2 from it (see stiffness).
 
 The constraint stack, evaluated at a pose:
 
@@ -28,8 +32,8 @@ The constraint stack, evaluated at a pose:
     g2  joint travel            architecture-specific stroke / reach limits
     g3  dexterity               1/kappa_F(J) >= threshold (default 0.1)
     g4  planar stiffness        k_xy  >= |F_xy| / max planar deflection
-    g5  axial stiffness         k_z   >= F_z / max axial deflection
-    g6  torsional stiffness     k_phiz >= tau_z / max rotational deflection
+    g5  axial stiffness         k_z   >= |F_z| / max axial deflection
+    g6  torsional stiffness     k_phiz >= |tau_z| / max rotational deflection
 
 With the default 100 N / 100 N*m service wrench and the default accuracy
 budget the stiffness thresholds come to 1e6 N/m, 1e5 N/m and
@@ -45,10 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HomeUnreachable, Unreachable
-from .kinematics import (DEFAULT_MODE, HOME_POSE, Pose, WorkingMode, ik_batch,
-                         jacobian_batch)
+from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, Pose, WorkingMode,
+                         adjugate_batch, ik_batch, jacobian_batch)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
-                    DEFAULT_MATERIAL)
+                    DEFAULT_MATERIAL, check_finite)
 from .stiffness import stiffness_batch, stiffness_indices_batch
 
 
@@ -88,6 +92,9 @@ class AccuracySpec:
     delta_z_max: float = 1e-3          # [m]
     delta_phiz_max_deg: float = 10.0   # [deg]
 
+    def __post_init__(self):
+        check_finite(self, ("delta_xy_max", "delta_z_max", "delta_phiz_max_deg"))
+
 
 @dataclass(frozen=True)
 class StiffnessLimits:
@@ -95,7 +102,8 @@ class StiffnessLimits:
 
     Derived once from the service wrench and the accuracy budget (see
     from_requirements); afterwards the wrench in a report is informative
-    only, so rescaling it never flips a constraint flag.
+    only, so rescaling it never flips a constraint flag.  A deflection
+    bound applies to magnitudes, so the sign of a load does not matter.
     """
 
     k_xy: float    # [N/m]
@@ -106,8 +114,8 @@ class StiffnessLimits:
     def from_requirements(wrench: Wrench, accuracy: AccuracySpec) -> "StiffnessLimits":
         return StiffnessLimits(
             k_xy=wrench.f_xy / accuracy.delta_xy_max,
-            k_z=wrench.f_z / accuracy.delta_z_max,
-            k_phiz=wrench.tau_z / math.radians(accuracy.delta_phiz_max_deg))
+            k_z=abs(wrench.f_z) / accuracy.delta_z_max,
+            k_phiz=abs(wrench.tau_z) / math.radians(accuracy.delta_phiz_max_deg))
 
 
 @dataclass(frozen=True)
@@ -144,40 +152,35 @@ def frobenius_condition(m: np.ndarray) -> float:
     return val if math.isfinite(val) else math.inf
 
 
-#: The other two legs of each leg, in cyclic order (also the two other
-#: components of each vector component, for cross products).
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _kappa_terms(amat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """det A and the terms (a, b', c, d) of the closed form, shape (5, N).
-
-    Column i of adj(A) is the cross product of rows i+1 and i+2 of A.
-    """
-    w = np.moveaxis(amat, 2, 0)        # (3, N, 3): dx, dy, mz, legs last
-    dx, dy, mz = w
-    nxt, lst = w[:, :, _NEXT], w[:, :, _LAST]
-    x, y, z = nxt[_NEXT] * lst[_LAST] - nxt[_LAST] * lst[_NEXT]
+def _kappa_terms(amat: np.ndarray, b: np.ndarray, adj: Adjugate) -> np.ndarray:
+    """The terms (a, b', c, d) of the closed form, shape (4, N)."""
+    dx, dy, mz = amat.transpose(2, 0, 1)
+    x, y, z = adj.x, adj.y, adj.z
     b2 = b * b
+    t = np.empty((4,) + b.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.stack([dx * x, b2 * (x * x + y * y), b2 * (z * z),
-                      (dx * dx + dy * dy) / b2, mz * mz / b2])
-    # summed over the legs term by term, as in stiffness_batch, so a pose
-    # comes out bit-identical alone and in any batch
+        np.multiply(b2, x * x + y * y, out=t[0])
+        np.multiply(b2, z * z, out=t[1])
+        np.divide(dx * dx + dy * dy, b2, out=t[2])
+        np.divide(mz * mz, b2, out=t[3])
+    # summed over the legs term by term, as everywhere on the batch path,
+    # so a pose comes out bit-identical alone and in any batch
     return t[..., 0] + t[..., 1] + t[..., 2]
 
 
-def _dexterity(amat: np.ndarray, b: np.ndarray, l_c: float) -> np.ndarray:
+def _dexterity(amat: np.ndarray, b: np.ndarray, adj: Adjugate,
+               l_c: float) -> np.ndarray:
     """Normalized 1/kappa_F per batch row, in [0, 1].
 
-    0 where singular to working precision: 1/kappa_F not finite or below
-    the float epsilon (det A = 0 alone misses rounded singularities).  A
-    NaN l_c (home pose unreachable) gives 0 on every row.
+    adj is adjugate_batch(amat).  0 where singular to working precision:
+    1/kappa_F not finite or below the float epsilon (det A = 0 alone
+    misses rounded singularities).  A NaN l_c (home pose unreachable)
+    gives 0 on every row.
     """
-    det, ta, tb, tc, td = _kappa_terms(amat, b)
+    ta, tb, tc, td = _kappa_terms(amat, b, adj)
     l2 = l_c * l_c
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 3.0 * np.abs(det) / np.sqrt((ta + tb * l2) * (tc + td / l2))
+        inv = 3.0 * np.abs(adj.det) / np.sqrt((ta + tb * l2) * (tc + td / l2))
     return np.where(np.isfinite(inv) & (inv >= np.finfo(float).eps),
                     np.minimum(inv, 1.0), 0.0)
 
@@ -199,9 +202,10 @@ def characteristic_length(design: DesignVector,
     if not bool(bik.ok()[0]):
         raise HomeUnreachable(f"design {design.as_tuple()}")
     amat, b = jacobian_batch(design, bik)
-    if _dexterity(amat, b, 1.0)[0] == 0.0:
+    adj = adjugate_batch(amat)
+    if _dexterity(amat, b, adj, 1.0)[0] == 0.0:
         raise HomeUnreachable("kinematic Jacobian singular at the home pose")
-    _, ta, tb, tc, td = _kappa_terms(amat, b)[:, 0].tolist()
+    ta, tb, tc, td = _kappa_terms(amat, b, adj)[:, 0].tolist()
 
     def kappa(l_c: float) -> float:
         # kappa_F^2 times the constant 9 det(A)^2: the same minimizer
@@ -239,7 +243,8 @@ def inverse_condition(design: DesignVector, pose: Pose,
     legs_ok = bik.reachable[0] & bik.stroke_ok[0]
     if not legs_ok.all():
         raise Unreachable(int(np.argmin(legs_ok)))
-    return float(_dexterity(*jacobian_batch(design, bik), l_c)[0])
+    amat, b = jacobian_batch(design, bik)
+    return float(_dexterity(amat, b, adjugate_batch(amat), l_c)[0])
 
 
 @dataclass(frozen=True)
@@ -312,10 +317,13 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     usable = ik & g2
     if g1_flag and usable.any():
         # the kernels are elementwise: run them on every row, mask after
+        # one adjugate of A serves 1/kappa_F and the in-plane compliance
         jac = jacobian_batch(design, bik)
-        kinv = np.where(usable, _dexterity(*jac, l_c), 0.0)
-        k_mat, k_ok = stiffness_batch(design, bik, jac, ctx.material, ctx.actuator)
-        kxy, kz, kphiz = stiffness_indices_batch(k_mat, k_ok & usable)
+        adj = adjugate_batch(jac[0])
+        kinv = np.where(usable, _dexterity(*jac, adj, l_c), 0.0)
+        legs, legs_ok = stiffness_batch(design, bik, jac, ctx.material,
+                                        ctx.actuator)
+        kxy, kz, kphiz = stiffness_indices_batch(legs, adj, legs_ok & usable)
     else:
         kinv, kxy, kz, kphiz = np.zeros((4, n))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidValue
 from .kinematics import Branch, DEFAULT_MODE, WorkingMode
 from .model import (ActuatorStiffness, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
                     Material, Wrench, steel)
@@ -105,6 +105,14 @@ class _Section:
                               f"cannot interpret {value!r} as {kind.__name__}")
 
 
+def _rejected(sec: _Section, exc: ValueError) -> ConfigError:
+    """The ConfigError for a value the section's dataclass rejected, at
+    the key path of the field when the error names one."""
+    if isinstance(exc, InvalidValue):
+        return ConfigError(sec._join(exc.field), str(exc))
+    return ConfigError(sec.path, str(exc))
+
+
 def _read(sec: _Section, cls, **given):
     """Build the dataclass cls from a section whose keys are its field names.
 
@@ -117,7 +125,7 @@ def _read(sec: _Section, cls, **given):
     try:
         obj = cls(**values, **given)
     except ValueError as exc:
-        raise ConfigError(sec.path, str(exc))
+        raise _rejected(sec, exc)
     sec.finish()
     return obj
 
@@ -150,7 +158,7 @@ def _parse_material(sec: _Section) -> Material:
                 else Material(density=density, young_modulus=young,
                               shear_modulus=shear))
     except ValueError as exc:
-        raise ConfigError(sec.path, str(exc))
+        raise _rejected(sec, exc)
 
 
 def _parse_mode(value, path: str) -> WorkingMode:

@@ -27,27 +27,39 @@ i of the parallel Jacobian A.  The leg is a rank-1 spring along w_i,
 
 where S = J_th K_th^-1 J_th^T is the leg's spring compliance at P and c_i
 adds up what each spring sees of the load w_i: the actuator the serial
-Jacobian entry B_ii, every link a force at its tip (and the platform bar
-also the moment of w_i about P).  Summed over the legs,
+Jacobian entry B_ii, every link a force through its tip (so the distal
+link only stretches), the platform bar that force and the moment of w_i
+about P.  Summed over the legs,
 
     K_in = A^T diag(1/c) A,          C_in = A^-1 diag(c) A^-T,
 
 singular exactly where A is (parallel singularities).  Out of plane no
-passive joint gives way, so K_out = sum_i S_out,i^-1.  Both blocks are
-closed-form 3x3 algebra, evaluated elementwise over poses and legs; no
-6x6 product or block system is formed.
+passive joint gives way, so K_out = sum_i S_out,i^-1.
+
+The stiffness indices are read in compliance form.  With
+A^-1 = adj(A) / det A,
+
+    C_in = adj(A) diag(c) adj(A)^T / det(A)^2,
+
+so each in-plane compliance entry is one sum over the legs, taken with
+the adjugate the dexterity uses (kinematics.adjugate_batch), and the
+axial index is det(K_out) / adj(K_out)_zz.  No stiffness block is
+inverted and no 6x6 K is formed on the constraint path; stiffness_matrix
+assembles the public K from the same leg terms.  Everything is
+closed-form 3x3 algebra, evaluated elementwise over poses and legs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateBeam, SingularKinetostatics, SingularStiffness
-from .kinematics import (BatchIK, Pose, WorkingMode, DEFAULT_MODE, anchor_layout,
-                         ik_batch, jacobian_batch)
+from .kinematics import (Adjugate, BatchIK, Pose, WorkingMode, DEFAULT_MODE,
+                         adjugate_batch, anchor_layout, ik_batch, jacobian_batch)
 from .model import ActuatorStiffness, Architecture, DesignVector, Material
 
 DEFAULT_ACTUATOR = ActuatorStiffness()
@@ -260,64 +272,47 @@ def leg_spring_model(design: DesignVector, leg: int, pose: Pose,
     return LegSpringModel(k_theta_inv=k_inv[0], j_theta=j_theta[0], j_q=j_q[0])
 
 
-#: Unique entries (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
-#: whose products a*b - c*d give its adjugate, in the same order.
-_ADJ = np.array([[3, 5, 4, 4], [2, 4, 1, 5], [1, 4, 2, 3],
-                 [0, 5, 2, 2], [1, 2, 0, 4], [0, 3, 1, 1]]).T
-
-
-def _sym3_inv(s: np.ndarray) -> np.ndarray:
-    """Inverses of symmetric 3x3 matrices, adjugate over determinant.
-
-    The unique entries (00, 01, 02, 11, 12, 22) run along the first axis
-    of s and of the result.
-    """
-    adj = s[_ADJ[0]] * s[_ADJ[1]] - s[_ADJ[2]] * s[_ADJ[3]]
-    return adj / (s[0] * adj[0] + s[1] * adj[1] + s[2] * adj[2])
-
-
-def _tip_compliance(beam: BeamTerms, along, across, moment):
-    """In-plane compliance a beam spring shows to a unit leg load.
-
-    along/across: force components along and across the beam axis;
-    moment: its moment about the spring origin.
-    """
-    return (along * along * beam.axial + across * across * beam.bend
-            + 2.0 * across * moment * beam.couple + moment * moment * beam.tilt)
-
-
-def _out_of_plane_compliance(beam: BeamTerms, xx, xy, ox, oy) -> np.ndarray:
-    """Out-of-plane compliance of beam springs seen at P.
-
-    The unique entries of G C G^T in (dz, dphi_x, dphi_y) along the first
-    axis: C is the beam's (z, phi_x, phi_y) tip block, G maps the spring
-    deflection to the platform twist at P.  (xx, xy) is the beam axis,
-    (ox, oy) the offset from the spring origin to P.
-    """
-    a = xx * oy - xy * ox        # dz at P per rotation about the beam axis
-    b = -(xx * ox + xy * oy)     # dz at P per rotation about the normal
-    u = a * beam.torsion
-    v = b * beam.tilt - beam.couple
-    return np.stack([beam.bend + a * u + b * (v - beam.couple),
-                     xx * u - xy * v, xy * u + xx * v,
-                     xx * xx * beam.torsion + xy * xy * beam.tilt,
-                     xx * xy * (beam.torsion - beam.tilt),
-                     xy * xy * beam.torsion + xx * xx * beam.tilt])
-
-
 #: Row, column and row-major position of each unique entry (00, 01, 02,
 #: 11, 12, 22) of a symmetric 3x3 matrix, and the unique entry behind
 #: each row-major entry.
 _UPPER_ROW, _UPPER_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
 _UPPER = 3 * _UPPER_ROW + _UPPER_COL
 _SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-#: Row-major flat positions in K of the in-plane, then out-of-plane block,
-#: and the row of stiffness_batch's 12 unique entries each one copies.
-_BLOCKS = np.concatenate([(6 * IN_PLANE[:, None] + IN_PLANE).ravel(),
-                          (6 * OUT_OF_PLANE[:, None] + OUT_OF_PLANE).ravel()])
-_BLOCK_SOURCE = np.concatenate([_SYM, _SYM + 6])
-#: Upper triangles of both blocks, interleaved (in, out) entry by entry.
-_BLOCK_UPPER = np.stack([_BLOCKS[:9][_UPPER], _BLOCKS[9:][_UPPER]], axis=1).ravel()
+
+
+def _sym3_adj(s):
+    """Adjugates and determinants of symmetric 3x3 matrices.
+
+    s holds the unique entries (00, 01, 02, 11, 12, 22), as a sequence
+    or along the first axis of an array; the adjugate comes back as a
+    tuple in the same order.  The inverse is adjugate / determinant.
+    """
+    s00, s01, s02, s11, s12, s22 = s
+    adj = (s11 * s22 - s12 * s12, s02 * s12 - s01 * s22, s01 * s12 - s02 * s11,
+           s00 * s22 - s02 * s02, s01 * s02 - s00 * s12, s00 * s11 - s01 * s01)
+    return adj, s00 * adj[0] + s01 * adj[1] + s02 * adj[2]
+
+
+def _out_of_plane_compliance(beam: BeamTerms, xx, xy, a, b) -> np.ndarray:
+    """Out-of-plane compliance of a beam spring seen at P.
+
+    The unique entries of G C G^T in (dz, dphi_x, dphi_y), along the
+    first axis: C is the beam's (z, phi_x, phi_y) tip block, G maps the
+    spring deflection to the platform twist at P.  (xx, xy) is the unit
+    beam axis; a and b are the dz at P per unit rotation about the beam
+    axis and about its in-plane normal, o_y xx - o_x xy and
+    -(o_x xx + o_y xy) for the offset o from the spring origin to P.
+    """
+    u = a * beam.torsion
+    v = b * beam.tilt - beam.couple
+    s = np.empty((6,) + xx.shape)     # filled in place: no stacking copy
+    np.add(beam.bend + a * u, b * (v - beam.couple), out=s[0])
+    np.subtract(xx * u, xy * v, out=s[1])
+    np.add(xy * u, xx * v, out=s[2])
+    np.add(xx * xx * beam.torsion, xy * xy * beam.tilt, out=s[3])
+    np.multiply(xx * xy, beam.torsion - beam.tilt, out=s[4])
+    np.add(xy * xy * beam.torsion, xx * xx * beam.tilt, out=s[5])
+    return s
 
 
 def leg_cartesian_stiffness(model: LegSpringModel) -> np.ndarray:
@@ -334,96 +329,174 @@ def leg_cartesian_stiffness(model: LegSpringModel) -> np.ndarray:
     q = model.j_q[IN_PLANE]
     w = np.cross(q[:, 0], q[:, 1])
     c = w @ s[np.ix_(IN_PLANE, IN_PLANE)] @ w
-    k = np.zeros(36)
+    adj, det = _sym3_adj(s[np.ix_(OUT_OF_PLANE, OUT_OF_PLANE)].ravel()[_UPPER])
+    k = np.zeros((6, 6))
     with np.errstate(divide="ignore", invalid="ignore"):
-        k[_BLOCKS[:9]] = np.outer(w, w).ravel() / c
-        k[_BLOCKS[9:]] = _sym3_inv(s.ravel()[_BLOCKS[9:][_UPPER]])[_SYM]
+        k[np.ix_(IN_PLANE, IN_PLANE)] = np.outer(w, w) / c
+        k[np.ix_(OUT_OF_PLANE, OUT_OF_PLANE)] = (np.array(adj) / det)[_SYM].reshape(3, 3)
     if not (c > 0.0 and np.isfinite(k).all()):
         raise SingularKinetostatics()
-    return k.reshape(6, 6)
+    return k
+
+
+class LegTerms(NamedTuple):
+    """The leg springs over a pose batch, as the platform sees them.
+
+    c (N, 3), legs on the last axis: each leg's in-plane compliance
+    c_i = w_i^T S_in,i w_i along its unit wrench w_i (row i of A).
+    k_out (6, N): unique entries (00, 01, 02, 11, 12, 22) of the
+    out-of-plane stiffness K_out = sum_i S_out,i^-1 in (dz, dphi_x,
+    dphi_y).
+    """
+
+    c: np.ndarray
+    k_out: np.ndarray
+
+
+@lru_cache(maxsize=4096)
+def _fixed_beams(design: DesignVector, material: Material
+                 ) -> tuple[BeamTerms, BeamTerms]:
+    """Beam terms of the platform bar and of a constant-length link.
+
+    The link terms serve the PRR link and both RRR links; the RPR strut
+    flexes over its current extension instead.
+    """
+    return (_beam_terms(design.platform_radius, design.platform_section_radius,
+                        material),
+            _beam_terms(design.link_length, design.leg_section_radius, material))
 
 
 def stiffness_batch(design: DesignVector, bik: BatchIK,
                     jac: tuple[np.ndarray, np.ndarray], material: Material,
                     actuator: ActuatorStiffness = DEFAULT_ACTUATOR
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate platform stiffness over a pose batch.
+                    ) -> tuple[LegTerms, np.ndarray]:
+    """The leg springs over a pose batch: (LegTerms, ok).
 
-    jac is jacobian_batch(design, bik): A and the diagonal of B.  Returns
-    (K, ok): K is (N, 6, 6), the sum of the leg stiffnesses, assembled
-    exactly block-diagonal; ok is False where det A = 0 or a value is not
-    finite, and those rows of K are zero.  Per-leg values are (N, 3)
-    arrays, legs on the last axis.
+    jac is jacobian_batch(design, bik): A and the diagonal of B.  ok is
+    False where a leg term is not finite.  stiffness_indices_batch turns
+    the terms into the indices, stiffness_matrix into the 6x6 K.
     """
     arch = design.architecture
-    r, lb = design.platform_radius, design.link_length
+    r = design.platform_radius
     amat, b_ii = jac
-    n = amat.shape[0]
-    w = amat.transpose(2, 0, 1).copy()     # (3, N, 3): the w_i
-    dx, dy, mz = w                         # mz: moment of w_i about P
-
-    # The beam springs of each leg, stacked on a leading axis: the platform
-    # bar (spring at P, axis C_i -> P), the distal link (spring at C_i,
-    # axis along w_i) and, for the RRR, the proximal link (spring at B_i),
-    # each with its axis and its offset to P.
-    ox, oy = -bik.moment[..., 1], bik.moment[..., 0]     # C_i -> P
-    zero = np.zeros_like(ox)
-    xx, xy, off_x, off_y = [ox / r, dx], [oy / r, dy], [zero, ox], [zero, oy]
-    lengths = np.array([r, lb])[:, None, None]
-    radii = [design.platform_section_radius, design.leg_section_radius]
+    dx, dy, mz = amat.transpose(2, 0, 1).copy()   # w_i; mz: its moment about P
+    ox, oy = -bik.moment[..., 1], bik.moment[..., 0]     # o_i = P - C_i
+    od = ox * dx + oy * dy
+    bar, link = _fixed_beams(design, material)
     if arch is Architecture.RPR:   # the strut flexes over its extension
-        lengths = np.array([np.full_like(zero, r), bik.strut])
-    elif arch is Architecture.RRR:
-        base = anchor_layout(design).base_points
-        px, py = np.moveaxis((bik.elbow - base) / lb, -1, 0)
-        cx, cy = np.moveaxis(bik.c_world - bik.elbow, -1, 0)
-        xx.append(px)
-        xy.append(py)
-        off_x.append(ox + cx)
-        off_y.append(oy + cy)
-        lengths = np.array([r, lb, lb])[:, None, None]
-        radii.append(design.leg_section_radius)
-    xx, xy, off_x, off_y = map(np.array, (xx, xy, off_x, off_y))
-    beam = _beam_terms(lengths, np.array(radii)[:, None, None], material)
+        link = _beam_terms(bik.strut, design.leg_section_radius, material)
 
-    # In plane every beam spring carries the unit leg wrench w_i (force
-    # along the distal link, moment mz about P); the actuator carries B_ii.
-    along, across = xx * dx + xy * dy, xx * dy - xy * dx
-    moment = mz + off_x * dy - off_y * dx   # about the spring origin
-    # Sums over springs and legs are written out term by term: a numpy
-    # reduction may order its terms by batch shape, and a pose must come
-    # out bit-identical alone and in any batch.
+    # In plane each spring carries the unit leg wrench w_i.  The actuator
+    # sees B_ii of it.  The platform bar (spring at P, axis o_i / r) sees
+    # the force o_i.d_i / r along it, -mz / r across it and the moment mz.
+    # The distal link carries w_i as a force along itself through its tip
+    # C_i, so it only stretches.  The force also runs through the tip B_i
+    # of the RRR proximal link, at an angle to that link's axis.
     c = (b_ii * b_ii / actuator.for_architecture(arch)
-         + sum(_tip_compliance(beam, along, across, moment)))
-    s_out = sum(_out_of_plane_compliance(beam, xx, xy, off_x, off_y).swapaxes(0, 1))
+         + od * od * (bar.axial / (r * r))
+         + mz * mz * (bar.bend / (r * r) - 2.0 * bar.couple / r + bar.tilt)
+         + link.axial)
+    # Out of plane, spring by spring: the bar at P, and the distal link at
+    # C_i, whose offset o_i to P gives a = mz and b = -o_i.d_i.  Sums over
+    # springs and legs are written out term by term: a numpy reduction
+    # may order its terms by batch shape, and a pose must come out
+    # bit-identical alone and in any batch.
+    s_out = _out_of_plane_compliance(bar, ox / r, oy / r, 0.0, 0.0)
+    s_out += _out_of_plane_compliance(link, dx, dy, mz, -od)
+    if arch is Architecture.RRR:
+        base = anchor_layout(design).base_points
+        px, py = ((bik.elbow - base) / design.link_length).transpose(2, 0, 1)
+        along, across = px * dx + py * dy, px * dy - py * dx
+        c = c + along * along * link.axial + across * across * link.bend
+        qx, qy = (bik.c_world - bik.elbow).transpose(2, 0, 1)
+        qx, qy = ox + qx, oy + qy                          # P - B_i
+        s_out += _out_of_plane_compliance(link, px, py, px * qy - py * qx,
+                                          -(px * qx + py * qy))
+    adj, det = _sym3_adj(s_out)
+    k_leg = np.array(adj)
+    k_leg /= det                 # each leg's S_out^-1
+    k_out = k_leg[..., 0] + k_leg[..., 1] + k_leg[..., 2]
+    # a sum is finite only where every term is (an overflow flags it too)
+    ok = np.isfinite(c[:, 0] + c[:, 1] + c[:, 2] + k_out.sum(axis=0))
+    return LegTerms(c, k_out), ok
 
-    # Unique entries of K_in = sum_i w_i w_i^T / c_i and K_out, per leg,
-    # then summed over the legs.
-    e = np.concatenate([(w / c)[_UPPER_ROW] * w[_UPPER_COL], _sym3_inv(s_out)])
-    e = e[..., 0] + e[..., 1] + e[..., 2]
-    det_a = (dx[:, 0] * (dy[:, 1] * mz[:, 2] - dy[:, 2] * mz[:, 1])
-             + dx[:, 1] * (dy[:, 2] * mz[:, 0] - dy[:, 0] * mz[:, 2])
-             + dx[:, 2] * (dy[:, 0] * mz[:, 1] - dy[:, 1] * mz[:, 0]))
-    ok = (det_a != 0.0) & np.isfinite(e).all(axis=0)
-    e[:, ~ok] = 0.0
-    total = np.zeros((36, n))   # entry-major, so each entry is one row copy
-    total[_BLOCKS] = e[_BLOCK_SOURCE]
-    return total.T.reshape(n, 6, 6), ok
+
+def stiffness_indices_batch(legs: LegTerms, adj: Adjugate, ok: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k_xy, k_z, k_phiz) per pose from the leg terms; zero where not ok.
+
+    adj is adjugate_batch(A).  In plane the compliance is
+    C_in = A^-1 diag(c) A^-T = adj(A) diag(c) adj(A)^T / det(A)^2, so
+    each entry is one sum over the legs and no stiffness is inverted; a
+    pose with det A = 0 gets all three indices 0.
+    """
+    c = legs.c
+    xc = adj.x * c
+    s = np.empty((4,) + c.shape)
+    np.multiply(xc, adj.x, out=s[0])
+    np.multiply(xc, adj.y, out=s[1])
+    np.multiply(adj.y * c, adj.y, out=s[2])
+    np.multiply(adj.z * adj.z, c, out=s[3])
+    return _indices(adj.det * adj.det, s[..., 0] + s[..., 1] + s[..., 2],
+                    legs.k_out, ok)
+
+
+def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices from the compliance C_in = s / scale and K_out.
+
+    s holds the (xx, xy, yy, phi_z phi_z) entries of C_in times scale > 0.
+    The planar index is 1/sigma_max of the 2x2 (dx, dy) block of C_in
+    (the worst in-plane force direction; the block is symmetric PSD, so
+    sigma_max is its largest eigenvalue), the torsional index
+    1/C_phiz_phiz and the axial index 1/C_zz = det(K_out) / adj(K_out)_zz.
+    Entries not ok, not finite or not positive come back as zero.
+    """
+    sxx, sxy, syy, szz = s
+    adj, det = _sym3_adj(k_out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
+        out = np.array([scale / lam, det / adj[0], scale / szz])
+    good = ok & ((out > 0.0) & (out < np.inf)).all(axis=0)
+    return tuple(np.where(good, out, 0.0))
+
+
+def stiffness_matrix(amat: np.ndarray, legs: LegTerms) -> np.ndarray:
+    """Platform stiffness K (N, 6, 6) from A and the leg terms.
+
+    K_in = A^T diag(1/c) A on (dx, dy, dphi_z) and K_out on (dz, dphi_x,
+    dphi_y), summed over the legs term by term; nothing couples the two
+    blocks.  K_in is singular where A is: rows with det A = 0 come back
+    zero, so stiffness_indices rejects them.
+    """
+    n = amat.shape[0]
+    w = amat.transpose(2, 0, 1)
+    k_in = (w / legs.c)[_UPPER_ROW] * w[_UPPER_COL]
+    k = np.zeros((n, 6, 6))
+    k[:, IN_PLANE[:, None], IN_PLANE] = (
+        k_in[..., 0] + k_in[..., 1] + k_in[..., 2])[_SYM].T.reshape(n, 3, 3)
+    k[:, OUT_OF_PLANE[:, None], OUT_OF_PLANE] = legs.k_out[_SYM].T.reshape(n, 3, 3)
+    k[adjugate_batch(amat).det == 0.0] = 0.0
+    return k
 
 
 def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
                        actuator: ActuatorStiffness = DEFAULT_ACTUATOR,
                        mode: WorkingMode = DEFAULT_MODE) -> np.ndarray:
-    """6x6 Cartesian stiffness of the platform: the sum over the legs."""
+    """6x6 Cartesian stiffness of the platform: the sum over the legs.
+
+    Raises SingularKinetostatics where the pose is unreachable, det A = 0
+    or a leg term is not finite.
+    """
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     if not bool(bik.ok()[0]):
         leg = int(np.argmin((bik.reachable & bik.stroke_ok)[0]))
         raise SingularKinetostatics(leg)
-    k, ok = stiffness_batch(design, bik, jacobian_batch(design, bik), material,
-                            actuator)
-    if not bool(ok[0]):
+    jac = jacobian_batch(design, bik)
+    legs, ok = stiffness_batch(design, bik, jac, material, actuator)
+    k = stiffness_matrix(jac[0], legs)[0]
+    if not (bool(ok[0]) and k.any()):
         raise SingularKinetostatics()
-    return k[0]
+    return k
 
 
 def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
@@ -433,8 +506,9 @@ def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
     compliance block (worst in-plane force direction), the axial index is
     1/C_zz and the torsional index 1/C_phiz_phiz.  K must be block-diagonal
     between (dx, dy, dphi_z) and (dz, dphi_x, dphi_y), as every planar
-    design's is: ValueError otherwise.  Raises SingularStiffness where
-    stiffness_indices_batch reports zeros.
+    design's is: ValueError otherwise.  The in-plane compliance is taken
+    as adj(K_in) / det(K_in), the form stiffness_indices_batch uses with
+    adj(A).  Raises SingularStiffness where that form gives zeros.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (6, 6):
@@ -442,27 +516,10 @@ def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
     if (k[np.ix_(IN_PLANE, OUT_OF_PLANE)] != 0.0).any() \
             or (k[np.ix_(OUT_OF_PLANE, IN_PLANE)] != 0.0).any():
         raise ValueError("stiffness couples in-plane and out-of-plane motion")
-    kxy, kz, kphiz = stiffness_indices_batch(k[None], np.ones(1, dtype=bool))
+    k_in, k_out = (k[np.ix_(blk, blk)].reshape(9, 1)[_UPPER]
+                   for blk in (IN_PLANE, OUT_OF_PLANE))
+    adj, det = _sym3_adj(k_in)
+    kxy, kz, kphiz = _indices(det, (adj[0], adj[1], adj[3], adj[5]), k_out, True)
     if kxy[0] == 0.0:
         raise SingularStiffness()
     return kxy[0], kz[0], kphiz[0]
-
-
-def stiffness_indices_batch(k: np.ndarray, ok: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized indices; entries flagged not-ok come back as zero.
-
-    Reads only the upper triangles of the two diagonal 3x3 blocks of K
-    (stiffness_batch builds no coupling and a symmetric K) and inverts
-    both in closed form.  The compliance blocks are symmetric PSD, so
-    sigma_max of the 2x2 (dx, dy) block is its largest eigenvalue.
-    """
-    n = k.shape[0]
-    upper = np.reshape(k, (n, 36)).T[_BLOCK_UPPER].reshape(6, 2, n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c, c_out = _sym3_inv(upper).transpose(1, 0, 2)
-        lam = 0.5 * (c[0] + c[3]) + np.sqrt(0.25 * (c[0] - c[3]) ** 2 + c[1] * c[1])
-        out = 1.0 / np.array([lam, c_out[0], c[5]])
-    good = ok & (np.isfinite(out) & (out > 0.0)).all(axis=0)
-    out[:, ~good] = 0.0
-    return tuple(out)

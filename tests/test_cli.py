@@ -107,6 +107,35 @@ class TestConfig:
             parse_config(data)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("data,path", [
+        ({"actuator": {"prismatic": 0}}, "actuator.prismatic"),
+        ({"actuator": {"revolute": float("nan")}}, "actuator.revolute"),
+        ({"actuator": {"prismatic": -1e7}}, "actuator.prismatic"),
+        ({"material": {"density": 7850, "young_modulus": float("nan")}},
+         "material.young_modulus"),
+        ({"material": {"density": 7850, "young_modulus": 2.1e11,
+                       "shear_modulus": 0.0}}, "material.shear_modulus"),
+        ({"accuracy": {"delta_xy_max": 0}}, "accuracy.delta_xy_max"),
+        ({"accuracy": {"delta_z_max": -1e-3}}, "accuracy.delta_z_max"),
+        ({"accuracy": {"delta_phiz_max_deg": float("nan")}},
+         "accuracy.delta_phiz_max_deg"),
+        ({"wrench": {"f_z": float("nan")}}, "wrench.f_z")],
+        ids=["actuator-zero", "actuator-nan", "actuator-negative",
+             "modulus-nan", "shear-zero", "budget-zero", "budget-negative",
+             "budget-nan", "wrench-nan"])
+    def test_invalid_physics_rejected_with_key_path(self, data, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.path == path
+
+    def test_nan_modulus_in_yaml_rejected(self, tmp_path):
+        path = tmp_path / "nan.yaml"
+        path.write_text("material: {density: 7850, young_modulus: .nan}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.path == "material.young_modulus"
+
     def test_integral_float_count_accepted(self):
         assert parse_config({"moga": {"population": 12.0}}).moga.population == 12
 

@@ -3,9 +3,13 @@ import math
 import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, REPORTED, WIDE_BOUNDS
-from ppmopt.errors import DegenerateSection, OutOfBounds
-from ppmopt.model import (Architecture, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
-                          DesignVector, link_mass, mass, steel, validate)
+from ppmopt.errors import DegenerateSection, InvalidValue, OutOfBounds
+from ppmopt.model import (ActuatorStiffness, Architecture, Bounds, DEFAULT_BOUNDS,
+                          DEFAULT_MATERIAL, DesignVector, Material, Wrench,
+                          link_mass, mass, steel, validate)
+from ppmopt.performance import AccuracySpec
+
+NAN = float("nan")
 
 
 class TestValidate:
@@ -89,3 +93,37 @@ class TestMass:
     def test_density_scaling(self):
         heavy = steel(density=2 * 7850.0)
         assert mass(DESIGN_I, heavy) == pytest.approx(2 * mass(DESIGN_I), rel=1e-12)
+
+
+class TestPhysicalParameters:
+    # zero, negative, NaN and infinite values alike; several once got
+    # past validation: a zero or NaN stiffness or modulus zeroed R_w, a
+    # zero budget divided by zero, a negative budget flipped the sign of
+    # its limit and a NaN made every limit NaN
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ActuatorStiffness(prismatic=0.0), "prismatic"),
+        (lambda: ActuatorStiffness(revolute=NAN), "revolute"),
+        (lambda: ActuatorStiffness(prismatic=-1e7), "prismatic"),
+        (lambda: ActuatorStiffness(revolute=math.inf), "revolute"),
+        (lambda: Material(7850.0, NAN, 80e9), "young_modulus"),
+        (lambda: Material(0.0, 210e9, 80e9), "density"),
+        (lambda: Material(7850.0, 210e9, -1.0), "shear_modulus"),
+        (lambda: steel(young_modulus=NAN), "young_modulus"),
+        (lambda: AccuracySpec(delta_xy_max=0.0), "delta_xy_max"),
+        (lambda: AccuracySpec(delta_z_max=-1e-3), "delta_z_max"),
+        (lambda: AccuracySpec(delta_phiz_max_deg=NAN), "delta_phiz_max_deg"),
+        (lambda: Wrench(f_x=NAN), "f_x"),
+        (lambda: Wrench(tau_z=math.inf), "tau_z"),
+    ], ids=["actuator-zero", "actuator-nan", "actuator-negative",
+            "actuator-inf", "modulus-nan", "density-zero", "shear-negative",
+            "steel-modulus-nan", "budget-zero", "budget-negative",
+            "budget-nan", "wrench-nan", "wrench-inf"])
+    def test_rejected_with_field(self, make, field):
+        with pytest.raises(InvalidValue) as err:
+            make()
+        assert err.value.field == field
+        assert isinstance(err.value, ValueError)
+
+    def test_signed_and_zero_loads_accepted(self):
+        # a wrench is a load, not a magnitude: any finite value is valid
+        assert Wrench(f_x=-100.0, f_y=0.0, f_z=-100.0, tau_z=0.0).f_xy == 100.0

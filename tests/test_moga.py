@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -107,6 +108,22 @@ class TestEvaluateGenome:
         ev = evaluate_genome(genome)
         assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
         assert ev.r_w >= 0.0 and ev.feasible == (ev.r_w > 0.0)
+
+    @pytest.mark.parametrize("arch_code", range(4))
+    def test_box_corner_genomes_score_finite(self, arch_code):
+        # every corner of the default box (each gene 0 or GENE_MAX) under
+        # each 2-bit architecture code: zero sections, the shortest and
+        # longest links, the smallest and largest triangles
+        lo, hi = DEFAULT_BOUNDS.lower, DEFAULT_BOUNDS.upper
+        for corner in itertools.product(*zip(lo, hi)):
+            genome = encode(DesignVector(Architecture.PRR, *corner))
+            genome[:2] = (arch_code >> 1) & 1, arch_code & 1
+            design = decode(genome)
+            assert design.as_tuple()[1:] == corner
+            assert design.architecture == Architecture(arch_code % 3 + 1)
+            ev = evaluate_genome(genome)
+            assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
+            assert ev.r_w >= 0.0 and ev.feasible == (ev.r_w > 0.0)
 
 
 class TestParetoFilter:

@@ -225,6 +225,13 @@ class TestEvaluateConstraints:
         assert limits.k_z == pytest.approx(1e5, rel=1e-12)
         assert limits.k_phiz == pytest.approx(10.0 / (math.pi / 180.0), rel=1e-12)
 
+    def test_negated_load_gives_same_limits(self):
+        # a deflection bound applies to magnitudes: a load pointing the
+        # other way must not switch its constraint off
+        ref = StiffnessLimits.from_requirements(Wrench(), AccuracySpec())
+        flipped = Wrench(f_x=-100.0, f_y=0.0, f_z=-100.0, tau_z=-100.0)
+        assert StiffnessLimits.from_requirements(flipped, AccuracySpec()) == ref
+
 
 class TestBatchScalarConsistency:
     @pytest.mark.parametrize("arch", list(Architecture))
@@ -252,7 +259,8 @@ class TestBatchScalarConsistency:
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_probe_rows_bit_identical_to_single_poses(self, arch):
         # a 305-pose bisection probe whose outer rings leave the reachable
-        # set: every row must equal the same pose evaluated alone, bit for bit
+        # set: every row must equal the same pose evaluated alone, or in a
+        # batch of any other size, bit for bit
         rng = np.random.default_rng(113)
         d = sample_design(rng, arch)
         # a fixed l_c: the aligned 3-RPR home pose is singular
@@ -261,7 +269,10 @@ class TestBatchScalarConsistency:
         assert len(poses) == 305
         batch = constraints_batch(d, poses, use)
         assert 0 < (batch.ik & batch.g2).sum() < len(poses)
-        for i, row in enumerate(poses):
-            single = constraints_batch(d, row[None, :], use)
-            for name in BatchConstraints.__slots__:
-                assert getattr(single, name)[0] == getattr(batch, name)[i], name
+        for size in (1, 2, 3, 7, 80):
+            for start in range(0, len(poses), size):
+                part = constraints_batch(d, poses[start:start + size], use)
+                for name in BatchConstraints.__slots__:
+                    got = getattr(part, name)
+                    want = getattr(batch, name)[start:start + size]
+                    assert got.tobytes() == want.tobytes(), (size, start, name)

@@ -8,14 +8,16 @@ from chain_oracle import fd_screws
 from conftest import sample_design, sample_pose
 from kkt_oracle import kkt_indices, kkt_leg_stiffness, kkt_platform_stiffness
 from ppmopt.errors import DegenerateBeam, SingularStiffness
-from ppmopt.kinematics import HOME_POSE, ik_batch, jacobian_batch
+from ppmopt.kinematics import HOME_POSE, Pose, adjugate_batch, ik_batch, jacobian_batch
 from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
                           DesignVector, Material)
+from ppmopt.performance import DexterityConfig, EvalContext, constraints_batch
 from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, N_SPRINGS, OUT_OF_PLANE,
                               beam_compliance, leg_cartesian_stiffness,
                               leg_models_batch, leg_spring_model,
                               platform_stiffness, stiffness_batch,
-                              stiffness_indices, stiffness_indices_batch)
+                              stiffness_indices, stiffness_indices_batch,
+                              stiffness_matrix)
 
 E = DEFAULT_MATERIAL.young_modulus
 
@@ -223,9 +225,11 @@ class TestStiffnessIndices:
         d = sample_design(rng, Architecture.RRR)
         poses = np.stack([sample_pose(rng, d).as_array() for _ in range(8)])
         bik = ik_batch(d, poses)
-        k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
+        amat, b = jacobian_batch(d, bik)
+        legs, ok = stiffness_batch(d, bik, (amat, b), DEFAULT_MATERIAL)
         assert ok.all()
-        kxy, kz, kphiz = stiffness_indices_batch(k, ok)
+        kxy, kz, kphiz = stiffness_indices_batch(legs, adjugate_batch(amat), ok)
+        k = stiffness_matrix(amat, legs)
         for i in range(len(poses)):
             sx, sz, sp = stiffness_indices(k[i])
             assert kxy[i] == pytest.approx(sx, rel=1e-9)
@@ -257,7 +261,9 @@ class TestKKTOracle:
             d = sample_design(rng, arch)
             poses = np.stack([sample_pose(rng, d).as_array() for _ in range(4)])
             bik = ik_batch(d, poses)
-            k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
+            amat, b = jacobian_batch(d, bik)
+            legs, ok = stiffness_batch(d, bik, (amat, b), DEFAULT_MATERIAL)
+            k = stiffness_matrix(amat, legs)
             ref = kkt_platform_stiffness(d, bik, DEFAULT_MATERIAL, DEFAULT_ACTUATOR)
             assert ok.all()
             for blk in (IN_PLANE, OUT_OF_PLANE):
@@ -266,7 +272,8 @@ class TestKKTOracle:
                 assert (np.abs(got - want) <= 1e-9 * scale).all()
             assert (k[:, IN_PLANE[:, None], OUT_OF_PLANE] == 0.0).all()
             assert (k[:, OUT_OF_PLANE[:, None], IN_PLANE] == 0.0).all()
-            got = np.stack(stiffness_indices_batch(k, ok), axis=1)
+            got = np.stack(stiffness_indices_batch(legs, adjugate_batch(amat), ok),
+                           axis=1)
             want = np.stack([kkt_indices(x) for x in ref])
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -287,17 +294,104 @@ class TestKKTOracle:
 
     def test_parallel_singularity_flagged(self):
         # legs 1 and 2 of the middle pose made to share one line of action:
-        # two equal rows of A, so det A = 0 exactly
+        # two equal rows of A, so det A = 0 exactly, while every leg spring
+        # stays finite; all three indices of that pose come back 0
         rng = np.random.default_rng(97)
-        d = sample_design(rng, Architecture.PRR)
-        poses = np.stack([sample_pose(rng, d).as_array() for _ in range(3)])
-        bik = ik_batch(d, poses)
-        for name in ("c_world", "moment", "elbow", "distal", "strut"):
-            arr = getattr(bik, name).copy()
-            arr[1, 2] = arr[1, 1]
-            setattr(bik, name, arr)
-        k, ok = stiffness_batch(d, bik, jacobian_batch(d, bik), DEFAULT_MATERIAL)
-        assert ok.tolist() == [True, False, True]
-        assert (k[1] == 0.0).all()
-        for index in stiffness_indices_batch(k, ok):
-            assert index[1] == 0.0 and (index[[0, 2]] > 0.0).all()
+        for arch in Architecture:
+            d = sample_design(rng, arch)
+            poses = np.stack([sample_pose(rng, d).as_array() for _ in range(3)])
+            bik = ik_batch(d, poses)
+            for name in ("c_world", "moment", "elbow", "distal", "strut"):
+                arr = getattr(bik, name).copy()
+                arr[1, 2] = arr[1, 1]
+                setattr(bik, name, arr)
+            amat, b = jacobian_batch(d, bik)
+            adj = adjugate_batch(amat)
+            assert (adj.det == 0.0).tolist() == [False, True, False]
+            legs, ok = stiffness_batch(d, bik, (amat, b), DEFAULT_MATERIAL)
+            assert ok.all()
+            for index in stiffness_indices_batch(legs, adj, ok):
+                assert index[1] == 0.0 and (index[[0, 2]] > 0.0).all()
+            k = stiffness_matrix(amat, legs)
+            assert (k[1] == 0.0).all() and k[[0, 2]].any(axis=(1, 2)).all()
+            with pytest.raises(SingularStiffness):
+                stiffness_indices(k[1])
+
+
+def _near_singular_poses(design, rng, offsets=(1e-2, 3e-3, 1e-3)):
+    """Poses the given phi offsets short of a det A = 0 crossing.
+
+    Scans phi over a full turn at a random (x, y) near the center and
+    bisects the first sign change of det A between reachable poses; None
+    when a few such scans find no reachable crossing.  Closer in than the
+    default offsets, the oracles' own inverses of K lose digits (the
+    float epsilon times its condition number) faster than the compliance
+    form does.
+    """
+    for _ in range(10):
+        x, y = rng.normal(0.0, 0.1 * design.platform_radius, 2)
+        phi = np.linspace(-math.pi, math.pi, 721)
+        grid = np.column_stack([np.full_like(phi, x), np.full_like(phi, y), phi])
+        bik = ik_batch(design, grid)
+        det = adjugate_batch(jacobian_batch(design, bik)[0]).det
+        ok = bik.ok()
+        cross = np.nonzero(ok[:-1] & ok[1:] & (np.sign(det[:-1]) != np.sign(det[1:])))[0]
+        if cross.size == 0:
+            continue
+        lo, hi = phi[cross[0]], phi[cross[0] + 1]
+        sign = np.sign(det[cross[0]])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            bik = ik_batch(design, np.array([[x, y, mid]]))
+            if np.sign(adjugate_batch(jacobian_batch(design, bik)[0]).det[0]) == sign:
+                lo = mid
+            else:
+                hi = mid
+        poses = np.array([[x, y, lo - off] for off in offsets])
+        if ik_batch(design, poses).ok().all():
+            return poses
+    return None
+
+
+class TestConstraintPath:
+    """Indices as constraints_batch computes them, in compliance form."""
+
+    # a fixed l_c: the aligned 3-RPR home pose is singular
+    CTX = EvalContext(dexterity=DexterityConfig(characteristic_length=0.7))
+
+    def _cases(self, rng, arch, n=5):
+        """n designs with 5 random and 3 near-singular poses each."""
+        for _ in range(20 * n):
+            d = sample_design(rng, arch)
+            near = _near_singular_poses(d, rng)
+            if near is not None:
+                yield d, np.concatenate([np.stack([sample_pose(rng, d).as_array()
+                                                   for _ in range(5)]), near])
+                n -= 1
+                if n == 0:
+                    return
+        raise AssertionError("too few designs with a parallel singularity")
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_indices_match_kkt_oracle(self, arch):
+        rng = np.random.default_rng(131 + int(arch))
+        for d, poses in self._cases(rng, arch):
+            res = constraints_batch(d, poses, self.CTX)
+            assert (res.ik & res.g2).all()
+            assert res.kinv[-1] < 0.05   # near-singular indeed
+            ref = kkt_platform_stiffness(d, ik_batch(d, poses), DEFAULT_MATERIAL,
+                                         DEFAULT_ACTUATOR)
+            want = np.stack([kkt_indices(k) for k in ref])
+            got = np.column_stack([res.kxy, res.kz, res.kphiz])
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_indices_match_platform_stiffness(self, arch):
+        rng = np.random.default_rng(137 + int(arch))
+        for d, poses in self._cases(rng, arch):
+            res = constraints_batch(d, poses, self.CTX)
+            for i, row in enumerate(poses):
+                want = stiffness_indices(platform_stiffness(
+                    d, Pose(*row), DEFAULT_MATERIAL))
+                got = (res.kxy[i], res.kz[i], res.kphiz[i])
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

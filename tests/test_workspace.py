@@ -242,13 +242,14 @@ class TestMaxRegularWorkspace:
     def test_stiffness_positive_definite_on_feasible_grid(self, ctx):
         import numpy as np
         from ppmopt.kinematics import ik_batch, jacobian_batch
-        from ppmopt.stiffness import stiffness_batch
+        from ppmopt.stiffness import stiffness_batch, stiffness_matrix
         res = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx)
         pts = grid_array(WorkspaceSpec(res.radius), DEFAULT_GRID)
         bik = ik_batch(DESIGN_I, pts)
-        k, ok = stiffness_batch(DESIGN_I, bik, jacobian_batch(DESIGN_I, bik),
-                                ctx.material, ctx.actuator)
+        jac = jacobian_batch(DESIGN_I, bik)
+        legs, ok = stiffness_batch(DESIGN_I, bik, jac, ctx.material, ctx.actuator)
         assert ok.all()
+        k = stiffness_matrix(jac[0], legs)
         eig = np.linalg.eigvalsh(0.5 * (k + np.swapaxes(k, 1, 2)))
         assert eig.min() > 0
 
