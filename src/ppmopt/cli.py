@@ -31,7 +31,7 @@ from .kinematics import HOME_POSE
 from .model import Architecture, DesignVector, mass, validate
 from .performance import constraints_batch
 from .runconfig import RunConfig, default_config_yaml, load_config
-from .workspace import WorkspaceSpec, grid_array, max_regular_workspace_detail
+from .workspace import max_regular_workspace_detail
 
 PARETO_HEADER = ["d", "R", "r", "L_b", "r_j", "r_p", "mass_kg", "R_w_m",
                  "L_c_m", "seed"]
@@ -68,10 +68,9 @@ def parse_design(text: str) -> DesignVector:
     missing = [k for k in _DESIGN_KEYS if k not in fields]
     if missing:
         raise ConfigError(f"design.{missing[0]}", "missing design variable")
-    try:
-        arch = Architecture(int(fields["d"]))
-    except ValueError:
+    if fields["d"] not in (1.0, 2.0, 3.0):
         raise ConfigError("design.d", "architecture must be 1, 2 or 3")
+    arch = Architecture(int(fields["d"]))
     return DesignVector(arch, fields["R"], fields["r"], fields["L_b"],
                         fields["r_j"], fields["r_p"])
 
@@ -117,8 +116,8 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
                                   "k_z": float(home.kz[0]),
                                   "k_phiz": float(home.kphiz[0])},
         }
-        spec = WorkspaceSpec(res.radius, cfg.center, cfg.delta_phi)
-        grid_res = constraints_batch(design, grid_array(spec, cfg.grid), cfg.ctx)
+        # the search already scored the grid at R_w, with the same l_c
+        grid_res = res.scores
         doc["workspace"] = {
             "feasible": feasible,
             "min_inverse_condition": float(grid_res.kinv.min()),

@@ -291,6 +291,14 @@ def geometry_ok(design: DesignVector) -> bool:
     return design.link_length + design.platform_radius >= design.base_radius / 2.0
 
 
+def reach_ok(design: DesignVector, poses: np.ndarray,
+             ctx: EvalContext = DEFAULT_CONTEXT) -> np.ndarray:
+    """(N,) mask of the poses constraints_batch can score: every leg
+    solvable and within its stroke (its ik & g2).  A False row fails
+    overall, so a pose set holding one is infeasible without the kernels."""
+    return ik_batch(design, poses, ctx.mode).ok()
+
+
 def constraints_batch(design: DesignVector, poses: np.ndarray,
                       ctx: EvalContext = DEFAULT_CONTEXT,
                       l_c: float | None = None) -> BatchConstraints:

@@ -46,6 +46,8 @@ class RunConfig:
         # checked here, not in parse_config, so that command-line overrides
         # applied with dataclasses.replace are checked too
         for path, ok, rule in (
+                ("workspace.center", all(math.isfinite(v) for v in self.center),
+                 "three finite numbers"),
                 ("workspace.delta_phi_deg", 0.0 < self.delta_phi < math.inf,
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,

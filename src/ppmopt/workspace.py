@@ -7,6 +7,17 @@ and a single fixed working mode.  Feasibility is checked on a
 deterministic grid (center poses first, then rings radial-major), and the
 maximal radius is found by bisection, which makes R_w a deterministic
 function of the design vector.
+
+Each bisection probe at a radius > 0 first solves the inverse kinematics
+of its outer ring only.  A ring pose that is unreachable or past a stroke
+limit fails every constraint check, so such a probe fails without the
+Jacobian, dexterity and stiffness kernels; the verdict is the one the
+full grid gives.  Other probes score their whole grid in one
+constraints_batch call.  When the final failing radius was decided by
+this reach gate, its grid is scored once after the search, so the
+limiting pose and report are those of the first failing grid row, as
+without the gate.  The result also carries the scores of the grid at R_w
+itself, which the search has already computed.
 """
 
 from __future__ import annotations
@@ -14,14 +25,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HomeUnreachable
 from .kinematics import Pose
 from .model import Architecture, DesignVector
-from .performance import (ConstraintReport, DEFAULT_CONTEXT, EvalContext,
-                          characteristic_length, constraints_batch)
+from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
+                          EvalContext, characteristic_length, constraints_batch,
+                          reach_ok)
 
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
@@ -42,6 +55,8 @@ class WorkspaceSpec:
             raise ValueError("workspace radius must be finite and >= 0, band "
                              f"finite and > 0; got radius {self.radius}, "
                              f"band {self.delta_phi}")
+        if not all(math.isfinite(v) for v in self.center):
+            raise ValueError(f"workspace center must be finite; got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -113,16 +128,25 @@ def grid_points(spec: WorkspaceSpec, grid: GridSpec) -> list[Pose]:
     return [Pose(*row) for row in grid_array(spec, grid)]
 
 
+class Probe(NamedTuple):
+    """Outcome of one cylinder check: the verdict, the first failing pose
+    in grid order and its report (None when feasible), and the scores of
+    every grid row."""
+
+    feasible: bool
+    pose: Pose | None
+    report: ConstraintReport | None
+    scores: BatchConstraints
+
+
 def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        grid: GridSpec = DEFAULT_GRID,
                        ctx: EvalContext = DEFAULT_CONTEXT,
-                       l_c: float | None = None
-                       ) -> tuple[bool, Pose | None, ConstraintReport | None]:
+                       l_c: float | None = None) -> Probe:
     """Check every grid pose of the cylinder against g1..g6.
 
-    Returns (feasible, first failing pose in grid order, its report).  The
-    whole grid goes to one constraints_batch call: its rows do not depend
-    on their batch, so the first failing row is the same as in a
+    The whole grid goes to one constraints_batch call: its rows do not
+    depend on their batch, so the first failing row is the same as in a
     pose-by-pose scan.
     """
     points = grid_array(spec, grid)
@@ -130,8 +154,8 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
     bad = np.flatnonzero(~res.overall)
     if bad.size:
         idx = int(bad[0])
-        return False, Pose(*points[idx]), res.report(idx)
-    return True, None, None
+        return Probe(False, Pose(*points[idx]), res.report(idx), res)
+    return Probe(True, None, None, res)
 
 
 def upper_radius(design: DesignVector) -> float:
@@ -151,6 +175,7 @@ class WorkspaceResult:
     limiting_pose: Pose | None
     limiting_report: ConstraintReport | None
     characteristic_length: float
+    scores: BatchConstraints    # constraints_batch of the grid at radius
 
 
 def max_regular_workspace_detail(design: DesignVector,
@@ -163,7 +188,9 @@ def max_regular_workspace_detail(design: DesignVector,
 
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
-    tol must be finite and > 0, or the bisection could never end.
+    Probes above radius 0 pass the outer-ring reach gate first (see the
+    module docstring).  tol must be finite and > 0, or the bisection
+    could never end.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
@@ -171,29 +198,36 @@ def max_regular_workspace_detail(design: DesignVector,
         l_c = characteristic_length(design, ctx)
     except HomeUnreachable:
         l_c = math.nan
+    n_ring = grid.n_angular * grid.n_orientation
 
-    def probe(radius: float):
+    def score(radius: float) -> Probe:
         return workspace_feasible(design, WorkspaceSpec(radius, center, delta_phi),
                                   grid, ctx, l_c=l_c)
 
-    feasible, pose, report = probe(0.0)
-    if not feasible:
-        return WorkspaceResult(0.0, pose, report, l_c)
+    def probe(radius: float) -> Probe | None:
+        """score(radius), or None when the reach gate fails the probe."""
+        ring = grid_array(WorkspaceSpec(radius, center, delta_phi), grid)[-n_ring:]
+        return score(radius) if reach_ok(design, ring, ctx).all() else None
+
+    # radius 0 is never gated: the GA reads violations from its report
+    at_lo = score(0.0)
+    if not at_lo.feasible:
+        return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c, at_lo.scores)
 
     lo, hi = 0.0, upper_radius(design)
-    feasible, pose, report = probe(hi)
-    if feasible:
-        return WorkspaceResult(hi, None, None, l_c)
-    limiting = (pose, report)
+    at_hi = probe(hi)
+    if at_hi is not None and at_hi.feasible:
+        return WorkspaceResult(hi, None, None, l_c, at_hi.scores)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        feasible, pose, report = probe(mid)
-        if feasible:
-            lo = mid
+        res = probe(mid)
+        if res is not None and res.feasible:
+            lo, at_lo = mid, res
         else:
-            hi = mid
-            limiting = (pose, report)
-    return WorkspaceResult(lo, limiting[0], limiting[1], l_c)
+            hi, at_hi = mid, res
+    if at_hi is None:
+        at_hi = score(hi)
+    return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores)
 
 
 def max_regular_workspace(design: DesignVector, grid: GridSpec = DEFAULT_GRID,

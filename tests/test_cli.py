@@ -136,6 +136,14 @@ class TestConfig:
             load_config(str(path))
         assert err.value.path == "material.young_modulus"
 
+    @pytest.mark.parametrize("center", [[float("nan"), 0.0, 0.0],
+                                        [float("inf"), 0.0, 0.0],
+                                        [0.0, 0.0, float("-inf")]])
+    def test_non_finite_center_rejected_with_path(self, center):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"workspace": {"center": center}})
+        assert err.value.path == "workspace.center"
+
     def test_integral_float_count_accepted(self):
         assert parse_config({"moga": {"population": 12.0}}).moga.population == 12
 
@@ -147,6 +155,16 @@ class TestConfig:
             parse_design("d=1,R=1.0")
         with pytest.raises(ConfigError):
             parse_design(DESIGN_I_ARG + ",bogus=1")
+
+    @pytest.mark.parametrize("code", ["1.7", "inf", "nan", "0", "4"])
+    def test_bad_architecture_code_rejected(self, code):
+        with pytest.raises(ConfigError) as err:
+            parse_design(DESIGN_I_ARG.replace("d=1", f"d={code}"))
+        assert err.value.path == "design.d"
+
+    def test_integral_float_architecture_code_accepted(self):
+        d = parse_design(DESIGN_I_ARG.replace("d=1", "d=2.0"))
+        assert d.architecture is Architecture.RPR
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -210,6 +228,22 @@ class TestEvaluate:
                      "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "workspace.delta_phi_deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("center", [".nan", ".inf"])
+    def test_non_finite_center_exit_2(self, tmp_path, capsys, center):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"workspace: {{center: [{center}, 0, 0]}}\n",
+                       encoding="utf-8")
+        code = main(["evaluate", "--config", str(bad),
+                     "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "workspace.center" in capsys.readouterr().err
+
+    def test_bad_architecture_code_exit_2(self, tmp_path, capsys):
+        code = main(["evaluate", "--design", DESIGN_I_ARG.replace("d=1", "d=inf"),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "design.d" in capsys.readouterr().err
 
     def test_needle_design_exit_3_with_report(self, tiny_config, tmp_path):
         out = tmp_path / "needle.json"

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DESIGN_I, DESIGN_II, DESIGN_III
+from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design
 from ppmopt import workspace
+from ppmopt.errors import HomeUnreachable
 from ppmopt.kinematics import Pose
+from ppmopt.model import Architecture
 from ppmopt.performance import (DexterityConfig, EvalContext,
-                                characteristic_length, constraints_batch)
+                                characteristic_length, constraints_batch,
+                                reach_ok)
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
                               grid_points, max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
@@ -115,6 +118,13 @@ class TestWorkspaceSpec:
         with pytest.raises(ValueError, match="band"):
             WorkspaceSpec(radius, delta_phi=delta_phi)
 
+    @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0),
+                                        (math.inf, 0.0, 0.0),
+                                        (0.0, 0.0, -math.inf)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center"):
+            WorkspaceSpec(0.1, center=center)
+
     def test_nan_band_rejected_by_search(self, ctx):
         with pytest.raises(ValueError, match="band"):
             max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
@@ -123,13 +133,13 @@ class TestWorkspaceSpec:
 
 class TestWorkspaceFeasible:
     def test_degenerate_cylinder_feasible(self, ctx):
-        ok, pose, report = workspace_feasible(DESIGN_I, WorkspaceSpec(0.0),
-                                              DEFAULT_GRID, ctx)
+        ok, pose, report, _ = workspace_feasible(DESIGN_I, WorkspaceSpec(0.0),
+                                                 DEFAULT_GRID, ctx)
         assert ok and pose is None and report is None
 
     def test_oversized_cylinder_infeasible(self, ctx):
-        ok, pose, report = workspace_feasible(DESIGN_I, WorkspaceSpec(2.0),
-                                              DEFAULT_GRID, ctx)
+        ok, pose, report, _ = workspace_feasible(DESIGN_I, WorkspaceSpec(2.0),
+                                                 DEFAULT_GRID, ctx)
         assert not ok
         assert pose is not None and report is not None
         assert not report.overall
@@ -153,30 +163,125 @@ class TestWorkspaceFeasible:
         bad = [i for i, r in enumerate(rows) if not r.overall]
         outer = len(points) - DEFAULT_GRID.n_angular * DEFAULT_GRID.n_orientation
         assert bad and min(bad) >= outer
-        ok, pose, report = workspace_feasible(DESIGN_I, spec, DEFAULT_GRID, ctx,
-                                              l_c=l_c)
+        ok, pose, report, _ = workspace_feasible(DESIGN_I, spec, DEFAULT_GRID,
+                                                 ctx, l_c=l_c)
         assert not ok
         assert pose == Pose(*points[bad[0]])
         assert report == rows[bad[0]]
 
-    def test_one_constraints_batch_call_per_probe(self, ctx, monkeypatch):
-        probes, batches = [], []
-        feasible, batch = workspace.workspace_feasible, workspace.constraints_batch
+    def test_kernel_calls_per_probe(self, ctx, monkeypatch):
+        # Design III's final failing radius is decided by the reach gate
+        events = []
+        feasible, batch, gate = (workspace.workspace_feasible,
+                                 workspace.constraints_batch, workspace.reach_ok)
 
         def counted_feasible(*args, **kwargs):
-            probes.append(args[1].radius)
+            events.append(("probe", args[1].radius))
             return feasible(*args, **kwargs)
 
         def counted_batch(*args, **kwargs):
-            batches.append(len(args[1]))
+            events.append(("batch", len(args[1])))
             return batch(*args, **kwargs)
+
+        def counted_gate(*args, **kwargs):
+            ok = gate(*args, **kwargs)
+            events.append(("gate", bool(ok.all())))
+            return ok
 
         monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
         monkeypatch.setattr(workspace, "constraints_batch", counted_batch)
-        res = max_regular_workspace_detail(DESIGN_II, DEFAULT_GRID, ctx)
-        assert res.radius > 0.0 and len(probes) > 10
-        assert len(batches) == len(probes)
-        assert batches == [5] + [305] * (len(probes) - 1)
+        monkeypatch.setattr(workspace, "reach_ok", counted_gate)
+        tol = 1e-3
+        res = max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, ctx, tol=tol)
+        assert res.radius > 0.0
+        # every kernel call is one probe's whole grid: the center block
+        # first, then full grids
+        kinds = [kind for kind, _ in events]
+        batches = [n for kind, n in events if kind == "batch"]
+        assert kinds.count("probe") == len(batches)
+        assert all(kinds[i + 1] == "batch" for i, k in enumerate(kinds)
+                   if k == "probe")
+        assert batches == [5] + [305] * (len(batches) - 1)
+        # a passing gate leads to its probe, a failing one to no kernel
+        # call, except the one canonical re-score of the final radius
+        gates = [ok for kind, ok in events if kind == "gate"]
+        assert 0 < gates.count(False) < len(gates)
+        assert events[:2] == [("probe", 0.0), ("batch", 5)]
+        *body, last_gate, (kind, radius), _ = events[2:]
+        for now, after in zip(body, body[1:] + [last_gate]):
+            if now[0] == "gate":
+                assert (after[0] == "probe") == now[1]
+        assert last_gate == ("gate", False) and kind == "probe"
+        assert res.radius < radius <= res.radius + tol
+        assert len(batches) == 2 + gates.count(True)
+
+
+def _ungated_search(design, ctx, center, tol=workspace.BISECTION_TOL_DEFAULT,
+                    grid=DEFAULT_GRID):
+    """The bisection without the reach gate, every probe scoring its whole
+    grid: the reference the gated search must reproduce.  Returns (R_w,
+    limiting pose, its report, final failing radius)."""
+    try:
+        l_c = characteristic_length(design, ctx)
+    except HomeUnreachable:
+        l_c = math.nan
+
+    def probe(radius):
+        points = grid_array(WorkspaceSpec(radius, center), grid)
+        res = constraints_batch(design, points, ctx, l_c=l_c)
+        bad = np.flatnonzero(~res.overall)
+        if bad.size:
+            return False, Pose(*points[bad[0]]), res.report(int(bad[0]))
+        return True, None, None
+
+    ok, pose, report = probe(0.0)
+    if not ok:
+        return 0.0, pose, report, 0.0
+    lo, hi = 0.0, upper_radius(design)
+    ok, pose, report = probe(hi)
+    if ok:
+        return hi, None, None, hi
+    limiting = (pose, report)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        ok, pose, report = probe(mid)
+        if ok:
+            lo = mid
+        else:
+            hi, limiting = mid, (pose, report)
+    return lo, limiting[0], limiting[1], hi
+
+
+def _reach_gate_fails(design, ctx, center, radius, grid=DEFAULT_GRID):
+    ring = grid_array(WorkspaceSpec(radius, center), grid)
+    return not reach_ok(design, ring[-grid.n_angular * grid.n_orientation:],
+                        ctx).all()
+
+
+def test_reach_gate_matches_ungated_search(ctx):
+    rng = np.random.default_rng(3)
+    archs = list(Architecture)
+    cases = [(d, workspace.CENTER_DEFAULT) for d in (DESIGN_I, DESIGN_II, DESIGN_III)]
+    cases += [(sample_design(rng, archs[i % 3]),
+               ((0.0, 0.0, 0.0), (0.05, -0.03, 0.2))[i // 3 % 2])
+              for i in range(30)]
+    gated_final = reached = 0
+    for design, center in cases:
+        res = max_regular_workspace_detail(design, DEFAULT_GRID, ctx, center=center)
+        r_w, pose, report, hi = _ungated_search(design, ctx, center)
+        assert repr(res.radius) == repr(r_w)
+        assert repr(res.limiting_pose) == repr(pose)
+        assert repr(res.limiting_report) == repr(report)
+        fresh = constraints_batch(
+            design, grid_array(WorkspaceSpec(r_w, center), DEFAULT_GRID), ctx)
+        for name in fresh.__slots__:
+            assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
+        if r_w > 0.0:
+            reached += 1
+            gated_final += pose is not None and _reach_gate_fails(
+                design, ctx, center, hi)
+    # the sample exercises both the search and the canonical re-score
+    assert reached >= 10 and gated_final >= 2
 
 
 class TestMaxRegularWorkspace:
