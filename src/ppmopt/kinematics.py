@@ -164,6 +164,7 @@ class BatchIK:
 
     Arrays are shaped (N, 3) or (N, 3, 2) with legs on the second axis:
 
+    poses       the (N, 3) pose array solved
     c_world     platform anchors C_i in the base frame
     moment      E * (C_i - p): the 90-degree-rotated platform vectors that
                 multiply phi_dot in every velocity loop
@@ -177,13 +178,14 @@ class BatchIK:
     stroke_ok   the g2 stroke/reach inequality for each leg
     """
 
-    __slots__ = ("design", "mode", "c_world", "moment", "q", "elbow",
-                 "distal", "strut", "reachable", "stroke_ok")
+    __slots__ = ("design", "mode", "poses", "c_world", "moment", "q",
+                 "elbow", "distal", "strut", "reachable", "stroke_ok")
 
-    def __init__(self, design, mode, c_world, moment, q, elbow, distal,
-                 strut, reachable, stroke_ok):
+    def __init__(self, design, mode, poses, c_world, moment, q, elbow,
+                 distal, strut, reachable, stroke_ok):
         self.design = design
         self.mode = mode
+        self.poses = poses
         self.c_world = c_world
         self.moment = moment
         self.q = q
@@ -195,7 +197,8 @@ class BatchIK:
 
     def ok(self) -> np.ndarray:
         """(N,) mask: all three legs reachable with valid strokes."""
-        return (self.reachable & self.stroke_ok).all(axis=1)
+        m = self.reachable & self.stroke_ok
+        return m[:, 0] & m[:, 1] & m[:, 2]
 
 
 def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
@@ -205,10 +208,15 @@ def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
     px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
     cphi, sphi = np.cos(phi), np.sin(phi)
     cp = layout.platform_points                      # (3, 2), platform frame
-    rx = cp[:, 0] * cphi[:, None] - cp[:, 1] * sphi[:, None]
-    ry = cp[:, 0] * sphi[:, None] + cp[:, 1] * cphi[:, None]
-    c_world = np.stack([px[:, None] + rx, py[:, None] + ry], axis=2)
-    return c_world, np.stack([-ry, rx], axis=2)
+    c_world = np.empty((poses.shape[0], 3, 2))
+    moment = np.empty_like(c_world)
+    rx, ry = moment[..., 1], moment[..., 0]          # moment = (-ry, rx)
+    np.subtract(cp[:, 0] * cphi[:, None], cp[:, 1] * sphi[:, None], out=rx)
+    np.add(cp[:, 0] * sphi[:, None], cp[:, 1] * cphi[:, None], out=ry)
+    np.add(px[:, None], rx, out=c_world[..., 0])
+    np.add(py[:, None], ry, out=c_world[..., 1])
+    np.negative(ry, out=ry)
+    return c_world, moment
 
 
 def ik_batch(design: DesignVector, poses: np.ndarray,
@@ -223,10 +231,11 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
 
     a = layout.leg_origins()                         # (3, 2)
     w = c_world - a[None, :, :]
+    wx, wy = w[..., 0], w[..., 1]
     sign = np.array([b.value for b in mode], dtype=float)
 
     if arch is Architecture.RPR:
-        rho = np.linalg.norm(w, axis=2)
+        rho = np.sqrt(wx * wx + wy * wy)
         safe = np.maximum(rho, 1e-300)
         distal = w / safe[:, :, None]
         reachable = (rho >= lb / 2.0) & (rho <= lb)
@@ -236,8 +245,8 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         strut = rho
     elif arch is Architecture.PRR:
         u = layout.rail_directions
-        s = np.einsum("nij,ij->ni", w, u)
-        h2 = np.einsum("nij,nij->ni", w, w) - s * s
+        s = wx * u[:, 0] + wy * u[:, 1]
+        h2 = wx * wx + wy * wy - s * s
         disc = lb * lb - h2
         reachable = disc >= 0.0
         q = s + sign[None, :] * np.sqrt(np.maximum(disc, 0.0))
@@ -246,20 +255,22 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         stroke_ok = (q > 0.0) & (q < layout.rail_length)
         strut = np.full_like(q, lb)
     else:  # RRR: two equal links of length lb
-        dist = np.linalg.norm(w, axis=2)
+        dist = np.sqrt(wx * wx + wy * wy)
         reachable = (dist <= 2.0 * lb) & (dist > 1e-12)
         half = np.clip(dist / (2.0 * lb), -1.0, 1.0)
         spread = np.arccos(half)
-        alpha = np.arctan2(w[:, :, 1], w[:, :, 0])
+        alpha = np.arctan2(wy, wx)
         q = alpha + sign[None, :] * spread
-        elbow = a[None, :, :] + lb * np.stack([np.cos(q), np.sin(q)], axis=2)
+        elbow = np.empty((n, 3, 2))
+        np.add(a[:, 0], lb * np.cos(q), out=elbow[..., 0])
+        np.add(a[:, 1], lb * np.sin(q), out=elbow[..., 1])
         distal = (c_world - elbow) / lb
         stroke_ok = reachable
         strut = np.full_like(q, lb)
 
-    return BatchIK(design=design, mode=mode, c_world=c_world, moment=moment,
-                   q=q, elbow=elbow, distal=distal, strut=strut,
-                   reachable=reachable, stroke_ok=stroke_ok)
+    return BatchIK(design=design, mode=mode, poses=poses, c_world=c_world,
+                   moment=moment, q=q, elbow=elbow, distal=distal,
+                   strut=strut, reachable=reachable, stroke_ok=stroke_ok)
 
 
 def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.ndarray]:
@@ -268,19 +279,21 @@ def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.n
     drives one leg)."""
     n = bik.q.shape[0]
     d = bik.distal
+    dx, dy = d[..., 0], d[..., 1]
     amat = np.empty((n, 3, 3))
     amat[:, :, :2] = d
-    amat[:, :, 2] = np.einsum("nij,nij->ni", d, bik.moment)
+    amat[:, :, 2] = dx * bik.moment[..., 0] + dy * bik.moment[..., 1]
 
     arch = design.architecture
     if arch is Architecture.RPR:
         b = np.ones((n, 3))
     elif arch is Architecture.PRR:
-        b = np.einsum("nij,ij->ni", d, anchor_layout(design).rail_directions)
+        u = anchor_layout(design).rail_directions
+        b = dx * u[:, 0] + dy * u[:, 1]
     else:
         lever = bik.elbow - anchor_layout(design).base_points[None, :, :]
         # d . E(lever): rate gain of the distal constraint per theta_dot.
-        b = d[:, :, 1] * lever[:, :, 0] - d[:, :, 0] * lever[:, :, 1]
+        b = dy * lever[:, :, 0] - dx * lever[:, :, 1]
     return amat, b
 
 

@@ -49,8 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HomeUnreachable, Unreachable
-from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, Pose, WorkingMode,
-                         adjugate_batch, ik_batch, jacobian_batch)
+from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, BatchIK, Pose,
+                         WorkingMode, adjugate_batch, ik_batch, jacobian_batch)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
                     DEFAULT_MATERIAL, check_finite)
 from .stiffness import stiffness_batch, stiffness_indices_batch
@@ -291,23 +291,18 @@ def geometry_ok(design: DesignVector) -> bool:
     return design.link_length + design.platform_radius >= design.base_radius / 2.0
 
 
-def reach_ok(design: DesignVector, poses: np.ndarray,
-             ctx: EvalContext = DEFAULT_CONTEXT) -> np.ndarray:
-    """(N,) mask of the poses constraints_batch can score: every leg
-    solvable and within its stroke (its ik & g2).  A False row fails
-    overall, so a pose set holding one is infeasible without the kernels."""
-    return ik_batch(design, poses, ctx.mode).ok()
-
-
 def constraints_batch(design: DesignVector, poses: np.ndarray,
                       ctx: EvalContext = DEFAULT_CONTEXT,
-                      l_c: float | None = None) -> BatchConstraints:
+                      l_c: float | None = None,
+                      bik: BatchIK | None = None) -> BatchConstraints:
     """Evaluate g1..g6 over an (N, 3) pose array.
 
     Dexterity and stiffness are reported only on rows whose inverse
-    kinematics succeeds; other rows report zero indices.  Pass l_c when
-    the characteristic length was already resolved (None triggers the
-    per-design resolution and treats HomeUnreachable as zero dexterity).
+    kinematics succeeds (bik.ok(), which is ik & g2); other rows report
+    zero indices.  Pass l_c when the characteristic length was already
+    resolved (None triggers the per-design resolution and treats
+    HomeUnreachable as zero dexterity), and bik when ik_batch(design,
+    poses, ctx.mode) was already solved.
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
     n = poses.shape[0]
@@ -319,9 +314,10 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
         except HomeUnreachable:
             l_c = math.nan
 
-    bik = ik_batch(design, poses, ctx.mode)
-    ik = bik.reachable.all(axis=1)
-    g2 = bik.stroke_ok.all(axis=1)
+    if bik is None:
+        bik = ik_batch(design, poses, ctx.mode)
+    r, s = bik.reachable, bik.stroke_ok
+    ik, g2 = r[:, 0] & r[:, 1] & r[:, 2], s[:, 0] & s[:, 1] & s[:, 2]
     usable = ik & g2
     if g1_flag and usable.any():
         # the kernels are elementwise: run them on every row, mask after

@@ -8,33 +8,35 @@ deterministic grid (center poses first, then rings radial-major), and the
 maximal radius is found by bisection, which makes R_w a deterministic
 function of the design vector.
 
-Each bisection probe at a radius > 0 first solves the inverse kinematics
-of its outer ring only.  A ring pose that is unreachable or past a stroke
-limit fails every constraint check, so such a probe fails without the
-Jacobian, dexterity and stiffness kernels; the verdict is the one the
-full grid gives.  Other probes score their whole grid in one
-constraints_batch call.  When the final failing radius was decided by
-this reach gate, its grid is scored once after the search, so the
-limiting pose and report are those of the first failing grid row, as
-without the gate.  The result also carries the scores of the grid at R_w
-itself, which the search has already computed.
+Each bisection probe at a radius > 0 builds its grid once and solves the
+inverse kinematics of every grid pose once.  A pose that is unreachable
+or past a stroke limit fails every constraint check, so a probe holding
+one fails without the Jacobian, dexterity and stiffness kernels; the
+verdict is the one the kernels would give.  Other probes hand that same
+solution to one constraints_batch call over the whole grid.  When the
+final failing radius was decided by this reach gate, its grid is scored
+once after the search, so the limiting pose and report are those of the
+first failing grid row, as without the gate.  The result also carries
+the scores of the grid at R_w itself, which the search has already
+computed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HomeUnreachable
-from .kinematics import Pose
-from .model import Architecture, DesignVector
+from . import performance
+from .errors import HomeUnreachable, InvalidValue
+from .kinematics import BatchIK, Pose
+from .model import Architecture, DesignVector, check_finite
 from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
-                          EvalContext, characteristic_length, constraints_batch,
-                          reach_ok)
+                          EvalContext, characteristic_length, constraints_batch)
 
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
@@ -55,8 +57,8 @@ class WorkspaceSpec:
             raise ValueError("workspace radius must be finite and >= 0, band "
                              f"finite and > 0; got radius {self.radius}, "
                              f"band {self.delta_phi}")
-        if not all(math.isfinite(v) for v in self.center):
-            raise ValueError(f"workspace center must be finite; got {self.center}")
+        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
+            raise InvalidValue("center", "three finite numbers", self.center)
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,11 @@ class GridSpec:
     angular_offset: float = 0.0   # [rad]
 
     def __post_init__(self):
-        if self.n_radial < 1 or self.n_angular < 2 or self.n_orientation < 2:
-            raise ValueError("grid too coarse: need n_radial>=1, others >=2")
+        for name, least in (("n_radial", 1), ("n_angular", 2), ("n_orientation", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise InvalidValue(name, f"an integer >= {least}", value)
+        check_finite(self, ("angular_offset",), positive=False)
 
 
 DEFAULT_GRID = GridSpec()
@@ -142,15 +147,17 @@ class Probe(NamedTuple):
 def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        grid: GridSpec = DEFAULT_GRID,
                        ctx: EvalContext = DEFAULT_CONTEXT,
-                       l_c: float | None = None) -> Probe:
+                       l_c: float | None = None,
+                       bik: BatchIK | None = None) -> Probe:
     """Check every grid pose of the cylinder against g1..g6.
 
     The whole grid goes to one constraints_batch call: its rows do not
     depend on their batch, so the first failing row is the same as in a
-    pose-by-pose scan.
+    pose-by-pose scan.  bik, when given, is ik_batch of the grid
+    (grid_array(spec, grid)) under ctx.mode; its poses are then the grid.
     """
-    points = grid_array(spec, grid)
-    res = constraints_batch(design, points, ctx, l_c=l_c)
+    points = grid_array(spec, grid) if bik is None else bik.poses
+    res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik)
     bad = np.flatnonzero(~res.overall)
     if bad.size:
         idx = int(bad[0])
@@ -188,9 +195,9 @@ def max_regular_workspace_detail(design: DesignVector,
 
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
-    Probes above radius 0 pass the outer-ring reach gate first (see the
-    module docstring).  tol must be finite and > 0, or the bisection
-    could never end.
+    Probes above radius 0 pass the reach gate on their grid's inverse
+    kinematics first (see the module docstring).  tol must be finite and
+    > 0, or the bisection could never end.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
@@ -198,7 +205,6 @@ def max_regular_workspace_detail(design: DesignVector,
         l_c = characteristic_length(design, ctx)
     except HomeUnreachable:
         l_c = math.nan
-    n_ring = grid.n_angular * grid.n_orientation
 
     def score(radius: float) -> Probe:
         return workspace_feasible(design, WorkspaceSpec(radius, center, delta_phi),
@@ -206,8 +212,12 @@ def max_regular_workspace_detail(design: DesignVector,
 
     def probe(radius: float) -> Probe | None:
         """score(radius), or None when the reach gate fails the probe."""
-        ring = grid_array(WorkspaceSpec(radius, center, delta_phi), grid)[-n_ring:]
-        return score(radius) if reach_ok(design, ring, ctx).all() else None
+        spec = WorkspaceSpec(radius, center, delta_phi)
+        # performance's ik_batch: the lookup the kernels' own IK goes through
+        bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
+        if not bik.ok().all():
+            return None
+        return workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
 
     # radius 0 is never gated: the GA reads violations from its report
     at_lo = score(0.0)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import sample_design, sample_pose
+from test_workspace import _same_bytes
 from ppmopt.errors import ModeViolation, NoConvergence, Unreachable
-from ppmopt.kinematics import (Branch, HOME_POSE, Pose, anchor_layout,
-                               closure_residuals, forward_refine, ik_batch,
-                               inverse_kinematics, jacobian)
+from ppmopt.kinematics import (DEFAULT_MODE, Branch, HOME_POSE, Pose,
+                               anchor_layout, closure_residuals, forward_refine,
+                               ik_batch, inverse_kinematics, jacobian,
+                               jacobian_batch)
 from ppmopt.model import Architecture, DesignVector
 
 SQRT3 = math.sqrt(3.0)
@@ -238,3 +240,121 @@ class TestWorkingModeContinuity:
                 jump = np.abs(q[k] - q[k - 1])
                 swap = np.abs(other[k] - q[k - 1])
                 assert (jump <= swap + 1e-12).all()
+
+
+def _platform_anchors_stack(layout, poses):
+    """The np.stack construction _platform_anchors replaced: its oracle."""
+    px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    cp = layout.platform_points
+    rx = cp[:, 0] * cphi[:, None] - cp[:, 1] * sphi[:, None]
+    ry = cp[:, 0] * sphi[:, None] + cp[:, 1] * cphi[:, None]
+    c_world = np.stack([px[:, None] + rx, py[:, None] + ry], axis=2)
+    return c_world, np.stack([-ry, rx], axis=2)
+
+
+def _ik_batch_einsum(design, poses, mode):
+    """The einsum / norm / stack ik_batch replaced: its oracle, as a dict
+    of BatchIK fields."""
+    layout = anchor_layout(design)
+    arch = design.architecture
+    lb = design.link_length
+    n = poses.shape[0]
+    c_world, moment = _platform_anchors_stack(layout, poses)
+    a = layout.leg_origins()
+    w = c_world - a[None, :, :]
+    sign = np.array([b.value for b in mode], dtype=float)
+    if arch is Architecture.RPR:
+        rho = np.linalg.norm(w, axis=2)
+        distal = w / np.maximum(rho, 1e-300)[:, :, None]
+        reachable = (rho >= lb / 2.0) & (rho <= lb)
+        stroke_ok = reachable
+        elbow = np.broadcast_to(a, (n, 3, 2))
+        q = strut = rho
+    elif arch is Architecture.PRR:
+        u = layout.rail_directions
+        s = np.einsum("nij,ij->ni", w, u)
+        disc = lb * lb - (np.einsum("nij,nij->ni", w, w) - s * s)
+        reachable = disc >= 0.0
+        q = s + sign[None, :] * np.sqrt(np.maximum(disc, 0.0))
+        elbow = a[None, :, :] + q[:, :, None] * u[None, :, :]
+        distal = (c_world - elbow) / lb
+        stroke_ok = (q > 0.0) & (q < layout.rail_length)
+        strut = np.full_like(q, lb)
+    else:
+        dist = np.linalg.norm(w, axis=2)
+        reachable = (dist <= 2.0 * lb) & (dist > 1e-12)
+        spread = np.arccos(np.clip(dist / (2.0 * lb), -1.0, 1.0))
+        q = np.arctan2(w[:, :, 1], w[:, :, 0]) + sign[None, :] * spread
+        elbow = a[None, :, :] + lb * np.stack([np.cos(q), np.sin(q)], axis=2)
+        distal = (c_world - elbow) / lb
+        stroke_ok = reachable
+        strut = np.full_like(q, lb)
+    return dict(c_world=c_world, moment=moment, q=q, elbow=elbow,
+                distal=distal, strut=strut, reachable=reachable,
+                stroke_ok=stroke_ok)
+
+
+def _jacobian_batch_einsum(design, ik):
+    """The einsum jacobian_batch replaced: its oracle, on oracle fields."""
+    d = ik["distal"]
+    amat = np.empty((d.shape[0], 3, 3))
+    amat[:, :, :2] = d
+    amat[:, :, 2] = np.einsum("nij,nij->ni", d, ik["moment"])
+    if design.architecture is Architecture.RPR:
+        b = np.ones(d.shape[:2])
+    elif design.architecture is Architecture.PRR:
+        b = np.einsum("nij,ij->ni", d, anchor_layout(design).rail_directions)
+    else:
+        lever = ik["elbow"] - anchor_layout(design).base_points[None, :, :]
+        b = d[:, :, 1] * lever[:, :, 0] - d[:, :, 0] * lever[:, :, 1]
+    return amat, b
+
+
+def _assert_bytes_equal_oracle(design, poses, mode):
+    bik = ik_batch(design, poses, mode)
+    ref = _ik_batch_einsum(design, poses, mode)
+    assert _same_bytes(bik.poses, poses)
+    for name, value in ref.items():
+        assert _same_bytes(getattr(bik, name), value), name
+    ok = (ref["reachable"] & ref["stroke_ok"]).all(axis=1)
+    assert _same_bytes(bik.ok(), ok)
+    for got, want in zip(jacobian_batch(design, bik),
+                         _jacobian_batch_einsum(design, ref)):
+        assert _same_bytes(got, want)
+    return ok
+
+
+MIXED_MODE = (Branch.PLUS, Branch.MINUS, Branch.PLUS)
+
+
+class TestBatchOracle:
+    """ik_batch and jacobian_batch give, byte for byte, what their
+    einsum / norm / stack forms gave."""
+
+    @pytest.mark.parametrize("mode", [DEFAULT_MODE, MIXED_MODE])
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_bytes_equal_oracle(self, arch, mode):
+        rng = np.random.default_rng(41 + arch.value)
+        for n in (1, 5, 60, 305, 8649):
+            design = sample_design(rng, arch)
+            # near home, where some poses reach and others do not
+            scale = 0.6 * design.base_radius
+            poses = np.column_stack([rng.uniform(-scale, scale, (n, 2)),
+                                     rng.uniform(-1.0, 1.0, n)])
+            ok = _assert_bytes_equal_oracle(design, poses, mode)
+            if n >= 60:
+                assert 0 < ok.sum() < n
+
+    @pytest.mark.parametrize("mode", [DEFAULT_MODE, MIXED_MODE])
+    @pytest.mark.parametrize("arch", [Architecture.RPR, Architecture.RRR])
+    def test_coincident_anchors_bytes_equal_oracle(self, arch, mode):
+        # with r = R every C_i sits on its A_i at home: rho = 0 for the
+        # RPR, anchor distance 0 for the RRR
+        design = _design(arch, big_r=1.0, r=1.0, lb=1.2)
+        rng = np.random.default_rng(7)
+        poses = np.vstack([np.zeros((1, 3)), rng.uniform(-0.3, 0.3, (4, 3))])
+        bik = ik_batch(design, poses, mode)
+        w = bik.c_world[0] - anchor_layout(design).base_points
+        assert not w.any() and not bik.reachable[0].any()
+        _assert_bytes_equal_oracle(design, poses, mode)

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design
-from ppmopt import workspace
-from ppmopt.errors import HomeUnreachable
-from ppmopt.kinematics import Pose
+from ppmopt import performance, workspace
+from ppmopt.errors import HomeUnreachable, InvalidValue
+from ppmopt.kinematics import Pose, ik_batch
 from ppmopt.model import Architecture
 from ppmopt.performance import (DexterityConfig, EvalContext,
-                                characteristic_length, constraints_batch,
-                                reach_ok)
+                                characteristic_length, constraints_batch)
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
                               grid_points, max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
@@ -130,6 +129,36 @@ class TestWorkspaceSpec:
             max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
                                          delta_phi=math.nan)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_center_of_wrong_length_rejected(self, center, ctx):
+        with pytest.raises(InvalidValue, match="center") as exc:
+            WorkspaceSpec(0.1, center=center)
+        assert exc.value.field == "center"
+        with pytest.raises(InvalidValue, match="center"):
+            max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                         center=center)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"angular_offset": math.nan}, "angular_offset"),
+        ({"angular_offset": math.inf}, "angular_offset"),
+        ({"angular_offset": -math.inf}, "angular_offset"),
+        ({"n_radial": 2.5}, "n_radial"),
+        ({"n_radial": 0}, "n_radial"),
+        ({"n_angular": 12.0}, "n_angular"),
+        ({"n_angular": 1}, "n_angular"),
+        ({"n_orientation": 1}, "n_orientation"),
+        ({"n_orientation": "5"}, "n_orientation")])
+    def test_bad_value_rejected_naming_its_field(self, kwargs, field):
+        with pytest.raises(InvalidValue, match=field) as exc:
+            GridSpec(**kwargs)
+        assert exc.value.field == field
+
+    def test_numpy_integers_accepted(self):
+        grid = GridSpec(np.int64(3), np.int32(4), np.int64(2))
+        assert grid_array(WorkspaceSpec(0.5), grid).shape == (2 * (1 + 3 * 4), 3)
+
 
 class TestWorkspaceFeasible:
     def test_degenerate_cylinder_feasible(self, ctx):
@@ -169,11 +198,14 @@ class TestWorkspaceFeasible:
         assert pose == Pose(*points[bad[0]])
         assert report == rows[bad[0]]
 
-    def test_kernel_calls_per_probe(self, ctx, monkeypatch):
-        # Design III's final failing radius is decided by the reach gate
+    def test_one_ik_per_probe(self, ctx, monkeypatch):
+        # Design III's final failing radius is decided by the reach gate;
+        # its l_c is resolved (and its home IK solved) before counting
+        characteristic_length(DESIGN_III, ctx)
         events = []
-        feasible, batch, gate = (workspace.workspace_feasible,
-                                 workspace.constraints_batch, workspace.reach_ok)
+        feasible, batch, ik = (workspace.workspace_feasible,
+                               workspace.constraints_batch,
+                               performance.ik_batch)
 
         def counted_feasible(*args, **kwargs):
             events.append(("probe", args[1].radius))
@@ -183,36 +215,39 @@ class TestWorkspaceFeasible:
             events.append(("batch", len(args[1])))
             return batch(*args, **kwargs)
 
-        def counted_gate(*args, **kwargs):
-            ok = gate(*args, **kwargs)
-            events.append(("gate", bool(ok.all())))
-            return ok
+        def counted_ik(*args, **kwargs):
+            bik = ik(*args, **kwargs)
+            events.append(("ik", len(args[1]), bool(bik.ok().all())))
+            return bik
 
         monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
         monkeypatch.setattr(workspace, "constraints_batch", counted_batch)
-        monkeypatch.setattr(workspace, "reach_ok", counted_gate)
+        monkeypatch.setattr(performance, "ik_batch", counted_ik)
         tol = 1e-3
         res = max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, ctx, tol=tol)
         assert res.radius > 0.0
         # every kernel call is one probe's whole grid: the center block
         # first, then full grids
-        kinds = [kind for kind, _ in events]
-        batches = [n for kind, n in events if kind == "batch"]
-        assert kinds.count("probe") == len(batches)
-        assert all(kinds[i + 1] == "batch" for i, k in enumerate(kinds)
-                   if k == "probe")
+        batches = [e[1] for e in events if e[0] == "batch"]
+        assert sum(e[0] == "probe" for e in events) == len(batches)
         assert batches == [5] + [305] * (len(batches) - 1)
-        # a passing gate leads to its probe, a failing one to no kernel
-        # call, except the one canonical re-score of the final radius
-        gates = [ok for kind, ok in events if kind == "gate"]
-        assert 0 < gates.count(False) < len(gates)
-        assert events[:2] == [("probe", 0.0), ("batch", 5)]
-        *body, last_gate, (kind, radius), _ = events[2:]
-        for now, after in zip(body, body[1:] + [last_gate]):
-            if now[0] == "gate":
-                assert (after[0] == "probe") == now[1]
-        assert last_gate == ("gate", False) and kind == "probe"
-        assert res.radius < radius <= res.radius + tol
+        # the ungated radius-0 probe solves its IK inside its kernel call
+        assert events[:3] == [("probe", 0.0), ("batch", 5), ("ik", 5, True)]
+        # then one IK per probe on its full grid: a failing gate makes no
+        # kernel call, a passing one hands its IK to its probe's call
+        rest, gates = events[3:], []
+        while rest[0][0] == "ik":
+            (_, n, ok), rest = rest[0], rest[1:]
+            assert n == 305
+            gates.append(ok)
+            if ok:
+                assert rest[0][0] == "probe" and rest[1] == ("batch", 305)
+                rest = rest[2:]
+        assert not gates[-1] and 0 < gates.count(False) < len(gates)
+        # one canonical call comes last, at the gated final radius
+        (kind, radius), last_batch, last_ik = rest
+        assert kind == "probe" and res.radius < radius <= res.radius + tol
+        assert last_batch == ("batch", 305) and last_ik == ("ik", 305, False)
         assert len(batches) == 2 + gates.count(True)
 
 
@@ -253,9 +288,8 @@ def _ungated_search(design, ctx, center, tol=workspace.BISECTION_TOL_DEFAULT,
 
 
 def _reach_gate_fails(design, ctx, center, radius, grid=DEFAULT_GRID):
-    ring = grid_array(WorkspaceSpec(radius, center), grid)
-    return not reach_ok(design, ring[-grid.n_angular * grid.n_orientation:],
-                        ctx).all()
+    points = grid_array(WorkspaceSpec(radius, center), grid)
+    return not ik_batch(design, points, ctx.mode).ok().all()
 
 
 def test_reach_gate_matches_ungated_search(ctx):
