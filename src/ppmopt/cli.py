@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -28,22 +29,20 @@ import sys
 from . import moga
 from .errors import ConfigError, PpmError
 from .kinematics import HOME_POSE
-from .model import Architecture, DesignVector, mass, validate
+from .model import SHORT_NAMES, Architecture, DesignVector, mass, validate
 from .performance import constraints_batch
-from .runconfig import RunConfig, default_config_yaml, load_config
+from .runconfig import GRID_KEYS, RunConfig, default_config_yaml, load_config
 from .workspace import max_regular_workspace_detail
 
-PARETO_HEADER = ["d", "R", "r", "L_b", "r_j", "r_p", "mass_kg", "R_w_m",
-                 "L_c_m", "seed"]
-SWEEP_HEADER = ["R_w_m", "R", "r", "L_b", "r_j", "r_p"]
+_DESIGN_KEYS = ("d", *SHORT_NAMES)
+PARETO_HEADER = [*_DESIGN_KEYS, "mass_kg", "R_w_m", "L_c_m", "seed"]
+SWEEP_HEADER = ["R_w_m", *SHORT_NAMES]
 
 #: Provenance note embedded in every optimize run manifest.
 OPTIMIZER_NOTE = ("reconstructed MOGA: roulette over directional crossover "
                   "0.5 / selection-copy 0.05 / bit mutation 0.1 / one-point "
                   "crossover 0.35, feasibility-first binary tournament, "
                   "elitist non-dominated archive")
-
-_DESIGN_KEYS = ("d", "R", "r", "L_b", "r_j", "r_p")
 
 
 def _num(v: float) -> str:
@@ -71,13 +70,11 @@ def parse_design(text: str) -> DesignVector:
     if fields["d"] not in (1.0, 2.0, 3.0):
         raise ConfigError("design.d", "architecture must be 1, 2 or 3")
     arch = Architecture(int(fields["d"]))
-    return DesignVector(arch, fields["R"], fields["r"], fields["L_b"],
-                        fields["r_j"], fields["r_p"])
+    return DesignVector(arch, *(fields[k] for k in SHORT_NAMES))
 
 
 def _design_row(design: DesignVector) -> dict:
-    d, big_r, r, lb, rj, rp = design.as_tuple()
-    return {"d": d, "R": big_r, "r": r, "L_b": lb, "r_j": rj, "r_p": rp}
+    return dict(zip(_DESIGN_KEYS, design.as_tuple()))
 
 
 def _report_dict(report) -> dict | None:
@@ -92,16 +89,15 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
         "stiffness_thresholds": dict(zip(("k_xy", "k_z", "k_phiz"),
                                          cfg.ctx.stiffness_limits())),
         "dexterity_threshold": cfg.ctx.dexterity.threshold,
+        "mass_kg": mass(design, cfg.ctx.material),
     }
     feasible = False
     try:
         validate(design, cfg.bounds)
     except PpmError as exc:
         doc["error"] = str(exc)
-        doc["mass_kg"] = mass(design, cfg.ctx.material)
     else:
         doc["error"] = None
-        doc["mass_kg"] = mass(design, cfg.ctx.material)
         res = max_regular_workspace_detail(design, cfg.grid, cfg.ctx,
                                            cfg.bisection_tol, cfg.center,
                                            cfg.delta_phi)
@@ -148,22 +144,19 @@ def _write_text(path: str, content: str):
 def _pareto_rows(entries, seed: int) -> list[list[str]]:
     rows = []
     for e in entries:
-        d, big_r, r, lb, rj, rp = e.design.as_tuple()
+        d, *x = e.design.as_tuple()
         lc = e.characteristic_length
-        rows.append([str(d), _num(big_r), _num(r), _num(lb), _num(rj),
-                     _num(rp), _num(e.mass), _num(e.r_w),
+        rows.append([str(d), *map(_num, x), _num(e.mass), _num(e.r_w),
                      ("nan" if math.isnan(lc) else _num(lc)), str(seed)])
     return rows
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
@@ -175,8 +168,8 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 
     result = moga.evolve(cfg.moga, cfg.bounds, cfg.grid, cfg.ctx,
                          cfg.bisection_tol, threads=cfg.threads,
-                         progress=progress)
-    os.makedirs(out_dir, exist_ok=True)
+                         progress=progress, center=cfg.center,
+                         delta_phi=cfg.delta_phi)
 
     _write_csv(os.path.join(out_dir, "pareto.csv"), PARETO_HEADER,
                _pareto_rows(result.archive.entries, cfg.moga.seed))
@@ -200,6 +193,12 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         "doe": cfg.moga.doe,
         "optimizer": OPTIMIZER_NOTE,
         "working_mode": [b.name for b in cfg.ctx.mode],
+        "workspace": {
+            "center": list(cfg.center),
+            "delta_phi_deg": math.degrees(cfg.delta_phi),
+            "bisection_tol": cfg.bisection_tol,
+            "grid": {k: getattr(cfg.grid, k) for k in GRID_KEYS},
+        },
         "archive_size": len(result.archive),
         "n_feasible_total": int(sum(e.feasible for e in result.evaluations)),
     }
@@ -241,8 +240,7 @@ def cmd_sweep(source: str, arch: Architecture, out_path: str) -> int:
         print(f"front for {arch.name} is empty", file=sys.stderr)
         return 5
     rows.sort(key=lambda r: float(r["R_w_m"]))
-    out_rows = [[row["R_w_m"], row["R"], row["r"], row["L_b"], row["r_j"],
-                 row["r_p"]] for row in rows]
+    out_rows = [[row[k] for k in SWEEP_HEADER] for row in rows]
     _write_csv(out_path, SWEEP_HEADER, out_rows)
     print(f"{len(out_rows)} front designs written to {out_path}")
     return 0

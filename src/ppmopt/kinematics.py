@@ -159,7 +159,7 @@ def anchor_layout(design: DesignVector) -> AnchorLayout:
                         rail_length=SQRT3 * design.base_radius)
 
 
-class BatchIK:
+class BatchIK(NamedTuple):
     """Leg coordinates for a batch of poses, one architecture.
 
     Arrays are shaped (N, 3) or (N, 3, 2) with legs on the second axis:
@@ -168,32 +168,24 @@ class BatchIK:
     c_world     platform anchors C_i in the base frame
     moment      E * (C_i - p): the 90-degree-rotated platform vectors that
                 multiply phi_dot in every velocity loop
-    q           actuated coordinates (rho or theta)
+    q           actuated coordinates (rho or theta); for the RPR, rho is
+                also the strut length |C_i - A_i| that flexes
     elbow       intermediate joint point B_i (PRR foot / RRR elbow; for
                 the RPR this is A_i, the proximal joint)
     distal      unit vector along the distal link, foot/strut to C_i
-    strut       current strut length |C_i - A_i| (RPR flexible length)
     reachable   the branch root exists and joint limits hold (per spec's
                 unreachability definition for each architecture)
     stroke_ok   the g2 stroke/reach inequality for each leg
     """
 
-    __slots__ = ("design", "mode", "poses", "c_world", "moment", "q",
-                 "elbow", "distal", "strut", "reachable", "stroke_ok")
-
-    def __init__(self, design, mode, poses, c_world, moment, q, elbow,
-                 distal, strut, reachable, stroke_ok):
-        self.design = design
-        self.mode = mode
-        self.poses = poses
-        self.c_world = c_world
-        self.moment = moment
-        self.q = q
-        self.elbow = elbow
-        self.distal = distal
-        self.strut = strut
-        self.reachable = reachable
-        self.stroke_ok = stroke_ok
+    poses: np.ndarray
+    c_world: np.ndarray
+    moment: np.ndarray
+    q: np.ndarray
+    elbow: np.ndarray
+    distal: np.ndarray
+    reachable: np.ndarray
+    stroke_ok: np.ndarray
 
     def ok(self) -> np.ndarray:
         """(N,) mask: all three legs reachable with valid strokes."""
@@ -242,7 +234,6 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         stroke_ok = reachable
         elbow = np.broadcast_to(a, (n, 3, 2))
         q = rho
-        strut = rho
     elif arch is Architecture.PRR:
         u = layout.rail_directions
         s = wx * u[:, 0] + wy * u[:, 1]
@@ -253,7 +244,6 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         elbow = a[None, :, :] + q[:, :, None] * u[None, :, :]
         distal = (c_world - elbow) / lb
         stroke_ok = (q > 0.0) & (q < layout.rail_length)
-        strut = np.full_like(q, lb)
     else:  # RRR: two equal links of length lb
         dist = np.sqrt(wx * wx + wy * wy)
         reachable = (dist <= 2.0 * lb) & (dist > 1e-12)
@@ -266,11 +256,9 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         np.add(a[:, 1], lb * np.sin(q), out=elbow[..., 1])
         distal = (c_world - elbow) / lb
         stroke_ok = reachable
-        strut = np.full_like(q, lb)
 
-    return BatchIK(design=design, mode=mode, poses=poses, c_world=c_world,
-                   moment=moment, q=q, elbow=elbow, distal=distal,
-                   strut=strut, reachable=reachable, stroke_ok=stroke_ok)
+    return BatchIK(poses, c_world, moment, q, elbow, distal, reachable,
+                   stroke_ok)
 
 
 def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.ndarray]:

@@ -58,12 +58,11 @@ class DesignVector:
                 self.platform_section_radius)
 
 
-# Continuous variables in the order they appear in the design vector after d.
+# Continuous variables in the order they appear in the design vector after
+# d, and their short names (config keys, CSV columns) in the same order.
 CONTINUOUS_FIELDS = ("base_radius", "platform_radius", "link_length",
                      "leg_section_radius", "platform_section_radius")
-SHORT_NAMES = {"base_radius": "R", "platform_radius": "r",
-               "link_length": "L_b", "leg_section_radius": "r_j",
-               "platform_section_radius": "r_p"}
+SHORT_NAMES = ("R", "r", "L_b", "r_j", "r_p")
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,10 @@ def validate(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> DesignVec
     rejected even when the box allows it: a zero section has infinite
     compliance and can never satisfy the stiffness constraints.
     """
-    vals = [getattr(design, f) for f in CONTINUOUS_FIELDS]
-    for name, v, lo, hi in zip(CONTINUOUS_FIELDS, vals, bounds.lower, bounds.upper):
+    for name, v, lo, hi in zip(SHORT_NAMES, design.as_tuple()[1:],
+                               bounds.lower, bounds.upper):
         if not math.isfinite(v) or v < lo or v > hi:
-            raise OutOfBounds(SHORT_NAMES[name], v, lo, hi)
+            raise OutOfBounds(name, v, lo, hi)
     if design.leg_section_radius <= 0.0:
         raise DegenerateSection("r_j")
     if design.platform_section_radius <= 0.0:

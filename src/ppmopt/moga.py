@@ -34,7 +34,8 @@ from .errors import PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector, mass,
                     validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
-from .workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID, GridSpec,
+from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT, DEFAULT_GRID,
+                        DELTA_PHI_DEFAULT, GridSpec,
                         max_regular_workspace_detail)
 
 GENE_BITS = 16
@@ -199,8 +200,11 @@ def _count_violations(report: ConstraintReport | None) -> int:
 def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
                     grid: GridSpec = DEFAULT_GRID,
                     ctx: EvalContext = DEFAULT_CONTEXT,
-                    tol: float = BISECTION_TOL_DEFAULT) -> Evaluation:
-    """Decode and score one genome; every failure folds into infeasibility."""
+                    tol: float = BISECTION_TOL_DEFAULT,
+                    center: tuple[float, float, float] = CENTER_DEFAULT,
+                    delta_phi: float = DELTA_PHI_DEFAULT) -> Evaluation:
+    """Decode and score one genome over the workspace cylinder at center
+    with rotation band delta_phi; every failure folds into infeasibility."""
     design = decode(genome, bounds)
     m = mass(design, ctx.material)
     key = genome_key(genome)
@@ -209,7 +213,8 @@ def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
     except PpmError:
         return Evaluation(design, m, 0.0, False, None, math.nan, key,
                           violations=9)
-    res = max_regular_workspace_detail(design, grid, ctx, tol)
+    res = max_regular_workspace_detail(design, grid, ctx, tol, center,
+                                       delta_phi)
     feasible = bool(res.radius > 0.0)
     return Evaluation(design, m, float(res.radius), feasible,
                       res.limiting_report, float(res.characteristic_length),
@@ -234,10 +239,6 @@ class ParetoArchive:
 
     def __len__(self):
         return len(self.entries)
-
-    def objectives(self) -> np.ndarray:
-        """(n, 2) array of (mass, r_w)."""
-        return np.array([[e.mass, e.r_w] for e in self.entries]).reshape(-1, 2)
 
 
 def pareto_filter(points: list[Evaluation]) -> ParetoArchive:
@@ -422,16 +423,18 @@ class MogaResult:
 
 
 def _eval_worker(args) -> Evaluation:
-    packed, bounds, grid, ctx, tol = args
-    genome = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:N_BITS]
-    return evaluate_genome(genome, bounds, grid, ctx, tol)
+    key, search = args
+    return evaluate_genome(_unpack(key), *search)
 
 
 class _Evaluator:
-    """Deduplicating evaluator with optional process parallelism."""
+    """Deduplicating evaluator with optional process parallelism.
 
-    def __init__(self, bounds, grid, ctx, tol, threads: int):
-        self.bounds, self.grid, self.ctx, self.tol = bounds, grid, ctx, tol
+    search holds evaluate_genome's arguments after the genome.
+    """
+
+    def __init__(self, search: tuple, threads: int):
+        self.search = search
         self.cache: dict[bytes, Evaluation] = {}
         if threads < 0:
             raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
@@ -448,14 +451,12 @@ class _Evaluator:
                 seen.add(key)
                 fresh.append((key, g))
         if self.pool is not None and len(fresh) > 1:
-            args = [(key, self.bounds, self.grid, self.ctx, self.tol)
-                    for key, _ in fresh]
+            args = [(key, self.search) for key, _ in fresh]
             for (key, _), ev in zip(fresh, self.pool.map(_eval_worker, args)):
                 self.cache[key] = ev
         else:
             for key, g in fresh:
-                self.cache[key] = evaluate_genome(g, self.bounds, self.grid,
-                                                  self.ctx, self.tol)
+                self.cache[key] = evaluate_genome(g, *self.search)
         return [self.cache[genome_key(g)] for g in genomes]
 
     def close(self):
@@ -466,16 +467,20 @@ class _Evaluator:
 def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
            grid: GridSpec = DEFAULT_GRID, ctx: EvalContext = DEFAULT_CONTEXT,
            tol: float = BISECTION_TOL_DEFAULT, threads: int = 1,
-           progress=None) -> MogaResult:
+           progress=None, *,
+           center: tuple[float, float, float] = CENTER_DEFAULT,
+           delta_phi: float = DELTA_PHI_DEFAULT) -> MogaResult:
     """Run the full optimization: DOE generation plus evolution steps.
 
-    Total budget is exactly population x generations scored slots (the DOE
-    counts as generation 0).  Identical (cfg, bounds, grid, ctx) inputs
-    reproduce identical results bit-for-bit, with any thread count.
-    progress, when given, is called with each generation's stats.
+    Every genome is scored over the workspace cylinder at center with
+    rotation band delta_phi.  Total budget is exactly population x
+    generations scored slots (the DOE counts as generation 0).  Identical
+    inputs reproduce identical results bit-for-bit, with any thread
+    count.  progress, when given, is called with each generation's stats.
     """
     rng = np.random.default_rng(cfg.seed)
-    evaluator = _Evaluator(bounds, grid, ctx, tol, threads)
+    evaluator = _Evaluator((bounds, grid, ctx, tol, center, delta_phi),
+                           threads)
     try:
         genomes = doe_genomes(cfg, bounds)
         evals = evaluator(genomes)

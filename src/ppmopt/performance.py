@@ -101,9 +101,9 @@ class StiffnessLimits:
     """Minimum stiffness indices g4..g6 compare against.
 
     Derived once from the service wrench and the accuracy budget (see
-    from_requirements); afterwards the wrench in a report is informative
-    only, so rescaling it never flips a constraint flag.  A deflection
-    bound applies to magnitudes, so the sign of a load does not matter.
+    from_requirements); the limits are all the constraints read of the
+    wrench.  A deflection bound applies to magnitudes, so the sign of a
+    load does not matter.
     """
 
     k_xy: float    # [N/m]
@@ -124,7 +124,6 @@ class EvalContext:
 
     material: Material = DEFAULT_MATERIAL
     actuator: ActuatorStiffness = ActuatorStiffness()
-    wrench: Wrench = Wrench()
     limits: StiffnessLimits = StiffnessLimits.from_requirements(Wrench(),
                                                                 AccuracySpec())
     dexterity: DexterityConfig = DexterityConfig()

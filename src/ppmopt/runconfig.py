@@ -17,15 +17,16 @@ import yaml
 from .errors import ConfigError, InvalidValue
 from .kinematics import Branch, DEFAULT_MODE, WorkingMode
 from .model import (ActuatorStiffness, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
-                    Material, Wrench, steel)
+                    SHORT_NAMES, Material, Wrench, steel)
 from .moga import MogaConfig
 from .performance import (AccuracySpec, DexterityConfig, EvalContext,
                           StiffnessLimits)
 from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT,
                         DELTA_PHI_DEFAULT, GridSpec)
 
-_BOUND_KEYS = ("R", "r", "L_b", "r_j", "r_p")
 _STEEL_POISSON = inspect.signature(steel).parameters["poisson_ratio"].default
+#: The workspace.grid keys: the GridSpec fields but the test-only ring phase.
+GRID_KEYS = ("n_radial", "n_angular", "n_orientation")
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def _read(sec: _Section, cls, **given):
 def _parse_bounds(sec: _Section) -> Bounds:
     lower_sec = sec.sub("lower")
     upper_sec = sec.sub("upper")
-    lower = tuple(lower_sec.take(k, d) for k, d in zip(_BOUND_KEYS, DEFAULT_BOUNDS.lower))
-    upper = tuple(upper_sec.take(k, d) for k, d in zip(_BOUND_KEYS, DEFAULT_BOUNDS.upper))
+    lower = tuple(lower_sec.take(k, d) for k, d in zip(SHORT_NAMES, DEFAULT_BOUNDS.lower))
+    upper = tuple(upper_sec.take(k, d) for k, d in zip(SHORT_NAMES, DEFAULT_BOUNDS.upper))
     lower_sec.finish()
     upper_sec.finish()
     sec.finish()
@@ -213,7 +214,7 @@ def parse_config(data: dict | None) -> RunConfig:
     output_dir = root.take("output_dir", RunConfig.output_dir, str)
     root.finish()
 
-    ctx = EvalContext(material=material, actuator=actuator, wrench=wrench,
+    ctx = EvalContext(material=material, actuator=actuator,
                       limits=StiffnessLimits.from_requirements(wrench, accuracy),
                       dexterity=dexterity, mode=mode)
     return RunConfig(bounds=bounds, ctx=ctx, grid=grid, moga=moga,
@@ -253,12 +254,11 @@ def default_config_yaml() -> str:
     b, mat, act, w = DEFAULT_BOUNDS, DEFAULT_MATERIAL, ActuatorStiffness(), Wrench()
     acc, dex, grid, mg = AccuracySpec(), DexterityConfig(), GridSpec(), MogaConfig()
     lc = "null" if dex.characteristic_length is None else dex.characteristic_length
-    grid_keys = ("n_radial", "n_angular", "n_orientation")
     return f"""\
 # ppmopt run configuration; every key is optional and shown at its default.
 bounds:
-  lower: {_flow(_BOUND_KEYS, b.lower)}   # [m]
-  upper: {_flow(_BOUND_KEYS, b.upper)}   # [m]
+  lower: {_flow(SHORT_NAMES, b.lower)}   # [m]
+  upper: {_flow(SHORT_NAMES, b.upper)}   # [m]
 material:            # all-or-nothing override (defaults: structural steel)
   density: {mat.density:<16}# [kg/m^3]
   young_modulus: {mat.young_modulus} # [N/m^2]
@@ -284,7 +284,7 @@ workspace:
   delta_phi_deg: {math.degrees(DELTA_PHI_DEFAULT):<10}# total rotation band of the cylinder
   center: {list(CENTER_DEFAULT)}  # (x_c [m], y_c [m], phi_c [rad])
   bisection_tol: {BISECTION_TOL_DEFAULT:<10}# [m]
-  grid: {_flow(grid_keys, (getattr(grid, k) for k in grid_keys))}
+  grid: {_flow(GRID_KEYS, (getattr(grid, k) for k in GRID_KEYS))}
 moga:
   population: {mg.population}
   generations: {mg.generations}

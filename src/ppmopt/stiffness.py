@@ -199,8 +199,8 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     ox, oy = -bik.moment[..., 1], bik.moment[..., 0]     # o_i = P - C_i
     od = ox * dx + oy * dy
     bar, link = _fixed_beams(design, material)
-    if arch is Architecture.RPR:   # the strut flexes over its extension
-        link = _beam_terms(bik.strut, design.leg_section_radius, material)
+    if arch is Architecture.RPR:   # the strut flexes over its extension q
+        link = _beam_terms(bik.q, design.leg_section_radius, material)
 
     # In plane each spring carries the unit leg wrench w_i.  The actuator
     # sees B_ii of it.  The platform bar (spring at P, axis o_i / r) sees

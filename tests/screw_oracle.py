@@ -104,9 +104,9 @@ def leg_models_batch(design, bik, material, actuator=DEFAULT_ACTUATOR):
             k_inv = _block_diag(n, [k_act, link_c, c_pf])
             j_q = np.stack([_revolute_z_column(p - bik.elbow[:, i, :]), tip_q], axis=2)
         elif arch is Architecture.RPR:
-            # the strut flexes over its current extension
+            # the strut flexes over its current extension q
             strut_c = np.array([beam_compliance(s, design.leg_section_radius, material)
-                                for s in bik.strut[:, i]])
+                                for s in bik.q[:, i]])
             act_col = np.zeros((n, 6))
             act_col[:, :2] = bik.distal[:, i, :]
             j_theta = np.concatenate([link_cols, act_col[:, :, None], pf_cols], axis=2)

@@ -338,6 +338,25 @@ class TestOptimize:
         assert doc["seed"] == 11
         assert doc["total_evaluations"] == 48
         assert "directional crossover" in doc["optimizer"]
+        assert doc["workspace"] == {
+            "center": [0.0, 0.0, 0.0], "delta_phi_deg": 20.0,
+            "bisection_tol": 1e-3,
+            "grid": {"n_radial": 5, "n_angular": 12, "n_orientation": 5}}
+
+    def test_rotated_center_changes_front(self, opt_run, tmp_path):
+        # optimize searches the configured cylinder, not the default one
+        # (this one still leaves a non-empty archive)
+        out, _ = opt_run
+        cfg = tmp_path / "rotated.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {**TINY_CFG, "workspace": {"center": [0.0, 0.0, -0.3]}}),
+            encoding="utf-8")
+        rotated = tmp_path / "rotated"
+        assert main(["optimize", "--config", str(cfg), "--out", str(rotated)]) == 0
+        assert _sha(os.path.join(out, "pareto.csv")) != \
+            _sha(str(rotated / "pareto.csv"))
+        doc = json.loads((rotated / "run.json").read_text())
+        assert doc["workspace"]["center"] == [0.0, 0.0, -0.3]
 
     def test_empty_archive_exit_4(self, tmp_path):
         # a hair-thin section cap makes every design fail the stiffness

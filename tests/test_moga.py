@@ -12,6 +12,9 @@ from ppmopt.moga import (GENE_MAX, Evaluation, MogaConfig, N_BITS, decode,
                          doe_genomes, dominates, encode, evaluate_genome, evolve,
                          hypervolume, pareto_filter,
                          per_architecture_fronts, sobol_doe)
+from ppmopt.performance import DEFAULT_CONTEXT
+from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
+                              max_regular_workspace_detail)
 
 TINY = MogaConfig(population=12, generations=5, seed=3)
 
@@ -216,6 +219,21 @@ class TestEvolve:
             [e.key for e in tiny_run.archive.entries]
         assert [h.hypervolume for h in parallel.history] == \
             [h.hypervolume for h in tiny_run.history]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rotated_center_scores_configured_cylinder(self, tiny_run, threads):
+        # every genome is scored over the cylinder the run was given,
+        # serially and in the worker pool
+        center, delta_phi = (0.0, 0.0, 0.3), math.radians(10.0)
+        result = evolve(TINY, threads=threads, center=center,
+                        delta_phi=delta_phi)
+        assert len(result.archive) > 0
+        for e in result.archive.entries:
+            assert e.r_w == max_regular_workspace_detail(
+                e.design, DEFAULT_GRID, DEFAULT_CONTEXT, BISECTION_TOL_DEFAULT,
+                center, delta_phi).radius
+        assert [e.r_w for e in result.evaluations] != \
+            [e.r_w for e in tiny_run.evaluations]
 
     def test_seed_changes_outcome(self, tiny_run):
         other = evolve(dataclasses.replace(TINY, seed=4))

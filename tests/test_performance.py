@@ -193,16 +193,6 @@ class TestEvaluateConstraints:
             if evaluate_constraints(d, pose, tight).overall:
                 assert evaluate_constraints(d, pose, ctx).overall
 
-    def test_report_wrench_scaling_does_not_flip_flags(self, ctx):
-        scaled = dataclasses.replace(ctx, wrench=Wrench(f_x=1e4, f_z=1e4,
-                                                        tau_z=1e4))
-        rng = np.random.default_rng(107)
-        d = sample_design(rng, Architecture.PRR)
-        for _ in range(10):
-            pose = sample_pose(rng, d)
-            assert (evaluate_constraints(d, pose, ctx)
-                    == evaluate_constraints(d, pose, scaled))
-
     def test_one_jacobian_per_chunk(self, ctx, monkeypatch):
         # dexterity and stiffness share the A built once per chunk
         calls = []

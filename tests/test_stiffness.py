@@ -304,10 +304,10 @@ class TestKKTOracle:
             d = sample_design(rng, arch)
             poses = np.stack([sample_pose(rng, d).as_array() for _ in range(3)])
             bik = ik_batch(d, poses)
-            for name in ("c_world", "moment", "elbow", "distal", "strut"):
+            for name in ("c_world", "moment", "elbow", "distal", "q"):
                 arr = getattr(bik, name).copy()
                 arr[1, 2] = arr[1, 1]
-                setattr(bik, name, arr)
+                bik = bik._replace(**{name: arr})
             amat, b = jacobian_batch(d, bik)
             adj = adjugate_batch(amat)
             assert (adj.det == 0.0).tolist() == [False, True, False]
