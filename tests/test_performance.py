@@ -1,14 +1,15 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import DESIGN_I, sample_design, sample_pose
+from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design, sample_pose
 from ppmopt import performance, stiffness
-from ppmopt.errors import HomeUnreachable, Unreachable
+from ppmopt.errors import HomeUnreachable, SingularKinetostatics, Unreachable
 from ppmopt.kinematics import HOME_POSE, Pose, jacobian, jacobian_batch
-from ppmopt.model import Architecture, DesignVector, Wrench
+from ppmopt.model import DEFAULT_MATERIAL, Architecture, DesignVector, Wrench
 from ppmopt.performance import (AccuracySpec, BatchConstraints,
                                 DexterityConfig, EvalContext,
                                 StiffnessLimits, characteristic_length,
@@ -266,3 +267,51 @@ class TestBatchScalarConsistency:
                     got = getattr(part, name)
                     want = getattr(batch, name)[start:start + size]
                     assert got.tobytes() == want.tobytes(), (size, start, name)
+
+
+#: sha256 of every BatchConstraints field, in __slots__ order, and of the
+#: platform stiffness K at a few poses, over _pinned_cases() (see below).
+KERNEL_DIGEST = "dcb3a5fe75a749d2101dd04cf4bbf055113e59825827d2ec4f3f7e251be5815b"
+
+
+def _pinned_cases():
+    """Designs I-III and two seeded designs of each architecture, each
+    over 5-, 305- and 8649-pose grids at two centers, with l_c resolved
+    and fixed at 0.7."""
+    rng = np.random.default_rng(131)
+    designs = [DESIGN_I, DESIGN_II, DESIGN_III] + [
+        sample_design(rng, arch) for arch in Architecture for _ in range(2)]
+    grids = ((0.0, GridSpec()), (0.8, GridSpec()), (0.8, GridSpec(20, 48, 9)))
+    contexts = (EvalContext(),
+                EvalContext(dexterity=DexterityConfig(characteristic_length=0.7)))
+    for d in designs:
+        for center in ((0.0, 0.0, 0.0), (0.05, -0.03, 0.3)):
+            for scale, grid in grids:
+                poses = grid_array(
+                    WorkspaceSpec(scale * d.platform_radius, center), grid)
+                for use in contexts:
+                    yield d, poses, use
+    for d in designs:
+        for _ in range(3):
+            yield d, sample_pose(rng, d), None
+
+
+def test_constraints_batch_bytes_pinned():
+    # the dexterity and stiffness values themselves, byte for byte: a
+    # change of array layout or summation order on the kernels shows here
+    digest = hashlib.sha256()
+    sizes = set()
+    for d, poses, use in _pinned_cases():
+        if use is None:
+            try:
+                k = stiffness.platform_stiffness(d, poses, DEFAULT_MATERIAL)
+            except SingularKinetostatics:
+                k = np.zeros((6, 6))
+            digest.update(k.tobytes())
+            continue
+        sizes.add(len(poses))
+        res = constraints_batch(d, poses, use)
+        for name in BatchConstraints.__slots__:
+            digest.update(getattr(res, name).tobytes())
+    assert sizes == {5, 305, 8649}
+    assert digest.hexdigest() == KERNEL_DIGEST
