@@ -195,7 +195,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         "working_mode": [b.name for b in cfg.ctx.mode],
         "workspace": {
             "center": list(cfg.center),
-            "delta_phi_deg": math.degrees(cfg.delta_phi),
+            "delta_phi_deg": cfg.delta_phi_deg,
             "bisection_tol": cfg.bisection_tol,
             "grid": {k: getattr(cfg.grid, k) for k in GRID_KEYS},
         },

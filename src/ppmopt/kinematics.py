@@ -17,7 +17,9 @@ parallel (Type-2) singularities and det(B) = 0 at serial (Type-1) ones.
 
 All pose-dependent math is implemented once, vectorized over an array of
 poses (`ik_batch`, `jacobian_batch`); the scalar operations wrap the
-batch path with N = 1 so both views cannot diverge.
+batch path with N = 1 so both views cannot diverge.  Batch arrays are
+laid out (component, leg, pose), poses on the last axis, so each kernel
+unpacks components and legs as contiguous rows.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ class AnchorLayout:
     travels from rail_starts[i] along rail_directions[i]; each rail is a
     full triangle side, traversed corner to corner, facing platform
     vertex C_i.  Both rail fields are None for the other architectures.
+    The *_cols fields hold the platform points, the leg origins (rail
+    starts for the PRR, corners otherwise) and the rails as (2, 3, 1)
+    columns (component, leg, pose) for the batch path.
     """
 
     base_points: np.ndarray       # (3, 2), triangle corners in label order
@@ -102,10 +107,9 @@ class AnchorLayout:
     rail_starts: np.ndarray | None      # (3, 2) for PRR
     rail_directions: np.ndarray | None  # (3, 2) for PRR
     rail_length: float            # sqrt(3) R, the usable prismatic travel
-
-    def leg_origins(self) -> np.ndarray:
-        """Proximal joint location of each leg (rail start or corner)."""
-        return self.rail_starts if self.rail_starts is not None else self.base_points
+    platform_cols: np.ndarray
+    origin_cols: np.ndarray
+    rail_cols: np.ndarray | None  # for PRR
 
 
 @dataclass(frozen=True)
@@ -150,19 +154,20 @@ def anchor_layout(design: DesignVector) -> AnchorLayout:
         ends = base[[0, 2, 1]]
         side = ends - starts
         rails = side / np.linalg.norm(side, axis=1, keepdims=True)
-        starts.setflags(write=False)
-        rails.setflags(write=False)
-    for arr in (base, plat):
-        arr.setflags(write=False)
-    return AnchorLayout(base_points=base, platform_points=plat,
-                        rail_starts=starts, rail_directions=rails,
-                        rail_length=SQRT3 * design.base_radius)
+    cols = [None if arr is None else np.ascontiguousarray(arr.T)[:, :, None]
+            for arr in (plat, base if starts is None else starts, rails)]
+    for arr in (base, plat, starts, rails, *cols):
+        if arr is not None:
+            arr.setflags(write=False)
+    return AnchorLayout(base, plat, starts, rails, SQRT3 * design.base_radius,
+                        *cols)
 
 
 class BatchIK(NamedTuple):
     """Leg coordinates for a batch of poses, one architecture.
 
-    Arrays are shaped (N, 3) or (N, 3, 2) with legs on the second axis:
+    Arrays but poses are (leg, pose) or ((x, y), leg, pose): (3, N) or
+    (2, 3, N), poses on the last axis.
 
     poses       the (N, 3) pose array solved
     c_world     platform anchors C_i in the base frame
@@ -190,23 +195,23 @@ class BatchIK(NamedTuple):
     def ok(self) -> np.ndarray:
         """(N,) mask: all three legs reachable with valid strokes."""
         m = self.reachable & self.stroke_ok
-        return m[:, 0] & m[:, 1] & m[:, 2]
+        return m[0] & m[1] & m[2]
 
 
 def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """C_i in the base frame and the rotated anchor vectors E R(phi) c_i,
-    both (N, 3, 2), for an (N, 3) pose array."""
-    px, py, phi = poses[:, 0], poses[:, 1], poses[:, 2]
+    both (2, 3, N), for an (N, 3) pose array."""
+    px, py, phi = poses.T
     cphi, sphi = np.cos(phi), np.sin(phi)
-    cp = layout.platform_points                      # (3, 2), platform frame
-    c_world = np.empty((poses.shape[0], 3, 2))
+    cx, cy = layout.platform_cols                    # platform frame
+    c_world = np.empty((2, 3, poses.shape[0]))
     moment = np.empty_like(c_world)
-    rx, ry = moment[..., 1], moment[..., 0]          # moment = (-ry, rx)
-    np.subtract(cp[:, 0] * cphi[:, None], cp[:, 1] * sphi[:, None], out=rx)
-    np.add(cp[:, 0] * sphi[:, None], cp[:, 1] * cphi[:, None], out=ry)
-    np.add(px[:, None], rx, out=c_world[..., 0])
-    np.add(py[:, None], ry, out=c_world[..., 1])
+    ry, rx = moment                                  # moment = (-ry, rx)
+    np.subtract(cx * cphi, cy * sphi, out=rx)
+    np.add(cx * sphi, cy * cphi, out=ry)
+    np.add(px, rx, out=c_world[0])
+    np.add(py, ry, out=c_world[1])
     np.negative(ry, out=ry)
     return c_world, moment
 
@@ -221,27 +226,26 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     n = poses.shape[0]
     c_world, moment = _platform_anchors(layout, poses)
 
-    a = layout.leg_origins()                         # (3, 2)
-    w = c_world - a[None, :, :]
-    wx, wy = w[..., 0], w[..., 1]
-    sign = np.array([b.value for b in mode], dtype=float)
+    a = layout.origin_cols
+    w = c_world - a
+    wx, wy = w
+    sign = np.array([[b.value] for b in mode], dtype=float)
 
     if arch is Architecture.RPR:
         rho = np.sqrt(wx * wx + wy * wy)
-        safe = np.maximum(rho, 1e-300)
-        distal = w / safe[:, :, None]
+        distal = w / np.maximum(rho, 1e-300)
         reachable = (rho >= lb / 2.0) & (rho <= lb)
         stroke_ok = reachable
-        elbow = np.broadcast_to(a, (n, 3, 2))
+        elbow = np.broadcast_to(a, (2, 3, n))
         q = rho
     elif arch is Architecture.PRR:
-        u = layout.rail_directions
-        s = wx * u[:, 0] + wy * u[:, 1]
+        u = layout.rail_cols
+        s = wx * u[0] + wy * u[1]
         h2 = wx * wx + wy * wy - s * s
         disc = lb * lb - h2
         reachable = disc >= 0.0
-        q = s + sign[None, :] * np.sqrt(np.maximum(disc, 0.0))
-        elbow = a[None, :, :] + q[:, :, None] * u[None, :, :]
+        q = s + sign * np.sqrt(np.maximum(disc, 0.0))
+        elbow = a + q * u
         distal = (c_world - elbow) / lb
         stroke_ok = (q > 0.0) & (q < layout.rail_length)
     else:  # RRR: two equal links of length lb
@@ -250,10 +254,10 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         half = np.clip(dist / (2.0 * lb), -1.0, 1.0)
         spread = np.arccos(half)
         alpha = np.arctan2(wy, wx)
-        q = alpha + sign[None, :] * spread
-        elbow = np.empty((n, 3, 2))
-        np.add(a[:, 0], lb * np.cos(q), out=elbow[..., 0])
-        np.add(a[:, 1], lb * np.sin(q), out=elbow[..., 1])
+        q = alpha + sign * spread
+        elbow = np.empty((2, 3, n))
+        np.add(a[0], lb * np.cos(q), out=elbow[0])
+        np.add(a[1], lb * np.sin(q), out=elbow[1])
         distal = (c_world - elbow) / lb
         stroke_ok = reachable
 
@@ -262,33 +266,34 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
 
 
 def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity-loop matrix A, shape (N, 3, 3), and the diagonal of B,
-    shape (N, 3): B is diagonal for every architecture (each actuator
-    drives one leg)."""
-    n = bik.q.shape[0]
-    d = bik.distal
-    dx, dy = d[..., 0], d[..., 1]
-    amat = np.empty((n, 3, 3))
-    amat[:, :, :2] = d
-    amat[:, :, 2] = dx * bik.moment[..., 0] + dy * bik.moment[..., 1]
+    """Velocity-loop matrix A, shape (3, 3, N), and the diagonal of B,
+    shape (3, N): B is diagonal for every architecture (each actuator
+    drives one leg).  A[:, i, n] is row i of pose n's matrix, the unit
+    wrench (d_x, d_y, m_z) of leg i."""
+    n = bik.q.shape[-1]
+    dx, dy = bik.distal
+    mx, my = bik.moment
+    amat = np.empty((3, 3, n))
+    amat[:2] = bik.distal
+    np.add(dx * mx, dy * my, out=amat[2])
 
     arch = design.architecture
     if arch is Architecture.RPR:
-        b = np.ones((n, 3))
+        b = np.ones((3, n))
     elif arch is Architecture.PRR:
-        u = anchor_layout(design).rail_directions
-        b = dx * u[:, 0] + dy * u[:, 1]
+        ux, uy = anchor_layout(design).rail_cols
+        b = dx * ux + dy * uy
     else:
-        lever = bik.elbow - anchor_layout(design).base_points[None, :, :]
+        lx, ly = bik.elbow - anchor_layout(design).origin_cols
         # d . E(lever): rate gain of the distal constraint per theta_dot.
-        b = dy * lever[:, :, 0] - dx * lever[:, :, 1]
+        b = dy * lx - dx * ly
     return amat, b
 
 
 class Adjugate(NamedTuple):
     """adj(A) and det A over a batch: A^-1 = adj(A) / det A.
 
-    x, y and z (N, 3) are the rows of adj(A), legs on the last axis:
+    x, y and z (3, N) are the rows of adj(A), poses on the last axis:
     column i is the cross product of rows i+1 and i+2 of A, i.e. of the
     unit wrenches of the other two legs.  det A (N,) sums the legs term
     by term, so a pose comes out bit-identical alone and in any batch.
@@ -306,19 +311,13 @@ _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def adjugate_batch(amat: np.ndarray) -> Adjugate:
-    """Adjugate and determinant of the (N, 3, 3) velocity-loop matrices."""
-    w = amat.transpose(2, 0, 1).copy()   # dx, dy, mz, legs last
-    nxt, lst = w[..., _NEXT], w[..., _LAST]
+    """Adjugate and determinant of the (3, 3, N) velocity-loop matrices."""
+    nxt, lst = amat[:, _NEXT], amat[:, _LAST]
     x = nxt[1] * lst[2] - nxt[2] * lst[1]
     y = nxt[2] * lst[0] - nxt[0] * lst[2]
     z = nxt[0] * lst[1] - nxt[1] * lst[0]
-    t = w[0] * x
-    return Adjugate(x, y, z, t[:, 0] + t[:, 1] + t[:, 2])
-
-
-def _platform_bar_angle(design: DesignVector, leg: int, phi: float) -> float:
-    """Base-frame direction angle of the platform bar C_i -> P."""
-    return phi + platform_vertex_angles(design.architecture)[leg] + math.pi
+    t = amat[0] * x
+    return Adjugate(x, y, z, t[0] + t[1] + t[2])
 
 
 def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK,
@@ -327,9 +326,10 @@ def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK,
     arch = design.architecture
     sols = []
     for i in range(3):
-        dvec = bik.distal[0, i]
+        dvec = bik.distal[:, i, 0]
         link_angle = math.atan2(dvec[1], dvec[0])
-        bar_angle = _platform_bar_angle(design, i, pose.phi)
+        # base-frame direction of the platform bar C_i -> P
+        bar_angle = pose.phi + platform_vertex_angles(arch)[i] + math.pi
         if arch is Architecture.RPR:
             passive = (link_angle, bar_angle - link_angle)
         elif arch is Architecture.PRR:
@@ -337,10 +337,10 @@ def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK,
                                     layout.rail_directions[i][0])
             passive = (link_angle - rail_angle, bar_angle - link_angle)
         else:
-            prox = bik.elbow[0, i] - layout.base_points[i]
+            prox = bik.elbow[:, i, 0] - layout.base_points[i]
             prox_angle = math.atan2(prox[1], prox[0])
             passive = (link_angle - prox_angle, bar_angle - link_angle)
-        sols.append(LegSolution(actuated_coordinate=float(bik.q[0, i]),
+        sols.append(LegSolution(actuated_coordinate=float(bik.q[i, 0]),
                                 passive_angles=(wrap_angle(passive[0]),
                                                 wrap_angle(passive[1])),
                                 branch=mode[i]))
@@ -359,10 +359,10 @@ def inverse_kinematics(design: DesignVector, pose: Pose,
     """
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     for i in range(3):
-        if not bik.reachable[0, i]:
+        if not bik.reachable[i, 0]:
             raise Unreachable(i, "no inverse-kinematic solution at this pose")
-        if not bik.stroke_ok[0, i]:
-            raise ModeViolation(i, f"actuated coordinate {bik.q[0, i]:.6g}")
+        if not bik.stroke_ok[i, 0]:
+            raise ModeViolation(i, f"actuated coordinate {bik.q[i, 0]:.6g}")
     return _leg_solutions(design, pose, bik, mode)
 
 
@@ -377,28 +377,22 @@ def closure_residuals(design: DesignVector, q: np.ndarray,
     poses = np.atleast_2d(poses)
     layout = anchor_layout(design)
     arch = design.architecture
-    q = np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)[:, None]
     c_world, moment = _platform_anchors(layout, poses)
 
-    a = layout.leg_origins()
+    root, target = layout.origin_cols, design.link_length
     if arch is Architecture.PRR:
-        root = a[None, :, :] + q[None, :, None] * layout.rail_directions[None, :, :]
-        target = design.link_length
+        root = root + q * layout.rail_cols
     elif arch is Architecture.RPR:
-        root = np.broadcast_to(a, c_world.shape)
-        target = q[None, :]
+        target = q
     else:
-        e = np.stack([np.cos(q), np.sin(q)], axis=1)
-        root = a[None, :, :] + design.link_length * e[None, :, :]
-        target = design.link_length
+        root = root + design.link_length * np.array([np.cos(q), np.sin(q)])
 
     vec = c_world - root
-    length = np.linalg.norm(vec, axis=2)
-    res = length - target
-    dhat = vec / np.maximum(length, 1e-300)[:, :, None]
-    grad = np.concatenate([dhat, np.einsum("nij,nij->ni", dhat, moment)[:, :, None]],
-                          axis=2)
-    return res, grad
+    length = np.linalg.norm(vec, axis=0)
+    dhat = vec / np.maximum(length, 1e-300)
+    grad = np.concatenate([dhat, (dhat * moment).sum(axis=0)[None]])
+    return (length - target).T, grad.T
 
 
 def forward_refine(design: DesignVector, q_actuated, pose_guess: Pose,
@@ -438,4 +432,4 @@ def jacobian(design: DesignVector, pose: Pose,
         mode = tuple(leg.branch for leg in legs)
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     amat, b = jacobian_batch(design, bik)
-    return JacobianPair(a_parallel=amat[0], b_serial=np.diag(b[0]))
+    return JacobianPair(a_parallel=amat[..., 0].T, b_serial=np.diag(b[:, 0]))

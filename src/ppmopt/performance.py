@@ -153,7 +153,7 @@ def frobenius_condition(m: np.ndarray) -> float:
 
 def _kappa_terms(amat: np.ndarray, b: np.ndarray, adj: Adjugate) -> np.ndarray:
     """The terms (a, b', c, d) of the closed form, shape (4, N)."""
-    dx, dy, mz = amat.transpose(2, 0, 1)
+    dx, dy, mz = amat
     x, y, z = adj.x, adj.y, adj.z
     b2 = b * b
     t = np.empty((4,) + b.shape)
@@ -164,7 +164,7 @@ def _kappa_terms(amat: np.ndarray, b: np.ndarray, adj: Adjugate) -> np.ndarray:
         np.divide(mz * mz, b2, out=t[3])
     # summed over the legs term by term, as everywhere on the batch path,
     # so a pose comes out bit-identical alone and in any batch
-    return t[..., 0] + t[..., 1] + t[..., 2]
+    return t[:, 0] + t[:, 1] + t[:, 2]
 
 
 def _dexterity(amat: np.ndarray, b: np.ndarray, adj: Adjugate,
@@ -239,7 +239,7 @@ def inverse_condition(design: DesignVector, pose: Pose,
     """
     l_c = characteristic_length(design, ctx)
     bik = ik_batch(design, pose.as_array()[None, :], ctx.mode)
-    legs_ok = bik.reachable[0] & bik.stroke_ok[0]
+    legs_ok = bik.reachable[:, 0] & bik.stroke_ok[:, 0]
     if not legs_ok.all():
         raise Unreachable(int(np.argmin(legs_ok)))
     amat, b = jacobian_batch(design, bik)
@@ -316,7 +316,7 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     if bik is None:
         bik = ik_batch(design, poses, ctx.mode)
     r, s = bik.reachable, bik.stroke_ok
-    ik, g2 = r[:, 0] & r[:, 1] & r[:, 2], s[:, 0] & s[:, 1] & s[:, 2]
+    ik, g2 = r[0] & r[1] & r[2], s[0] & s[1] & s[2]
     usable = ik & g2
     if g1_flag and usable.any():
         # the kernels are elementwise: run them on every row, mask after

@@ -38,7 +38,7 @@ class RunConfig:
     grid: GridSpec
     moga: MogaConfig
     center: tuple[float, float, float]
-    delta_phi: float          # [rad], total rotation band
+    delta_phi_deg: float      # [deg], total rotation band, as configured
     bisection_tol: float      # [m]
     threads: int = 1
     output_dir: str = "out"
@@ -49,13 +49,18 @@ class RunConfig:
         for path, ok, rule in (
                 ("workspace.center", all(math.isfinite(v) for v in self.center),
                  "three finite numbers"),
-                ("workspace.delta_phi_deg", 0.0 < self.delta_phi < math.inf,
+                ("workspace.delta_phi_deg", 0.0 < self.delta_phi_deg < math.inf,
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,
                  "a finite length > 0"),
                 ("threads", self.threads >= 0, "0 (all cores) or a worker count")):
             if not ok:
                 raise ConfigError(path, f"must be {rule}")
+
+    @property
+    def delta_phi(self) -> float:
+        """The rotation band in radians [rad]."""
+        return math.radians(self.delta_phi_deg)
 
 
 class _Section:
@@ -197,8 +202,7 @@ def parse_config(data: dict | None) -> RunConfig:
                                        dex.take("lc_max", lc_max)))
 
     ws = root.sub("workspace")
-    delta_phi = math.radians(ws.take("delta_phi_deg",
-                                     math.degrees(DELTA_PHI_DEFAULT)))
+    delta_phi_deg = ws.take("delta_phi_deg", math.degrees(DELTA_PHI_DEFAULT))
     center_raw = ws.take("center", CENTER_DEFAULT, kind=None)
     if not isinstance(center_raw, (list, tuple)) or len(center_raw) != 3:
         raise ConfigError("workspace.center", "expected [x_c, y_c, phi_c]")
@@ -218,7 +222,7 @@ def parse_config(data: dict | None) -> RunConfig:
                       limits=StiffnessLimits.from_requirements(wrench, accuracy),
                       dexterity=dexterity, mode=mode)
     return RunConfig(bounds=bounds, ctx=ctx, grid=grid, moga=moga,
-                     center=center, delta_phi=delta_phi,
+                     center=center, delta_phi_deg=delta_phi_deg,
                      bisection_tol=bisection_tol, threads=threads,
                      output_dir=output_dir)
 

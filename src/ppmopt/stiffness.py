@@ -158,8 +158,8 @@ def _out_of_plane_compliance(beam: BeamTerms, xx, xy, a, b) -> np.ndarray:
 class LegTerms(NamedTuple):
     """The leg springs over a pose batch, as the platform sees them.
 
-    c (N, 3), legs on the last axis: each leg's in-plane compliance
-    c_i = w_i^T S_in,i w_i along its unit wrench w_i (row i of A).
+    c (3, N), poses last as in every batch array: each leg's in-plane
+    compliance c_i = w_i^T S_in,i w_i along its unit wrench w_i (row i of A).
     k_out (6, N): unique entries (00, 01, 02, 11, 12, 22) of the
     out-of-plane stiffness K_out = sum_i S_out,i^-1 in (dz, dphi_x,
     dphi_y).
@@ -195,8 +195,8 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     arch = design.architecture
     r = design.platform_radius
     amat, b_ii = jac
-    dx, dy, mz = amat.transpose(2, 0, 1).copy()   # w_i; mz: its moment about P
-    ox, oy = -bik.moment[..., 1], bik.moment[..., 0]     # o_i = P - C_i
+    dx, dy, mz = amat                    # w_i; mz: its moment about P
+    ox, oy = -bik.moment[1], bik.moment[0]               # o_i = P - C_i
     od = ox * dx + oy * dy
     bar, link = _fixed_beams(design, material)
     if arch is Architecture.RPR:   # the strut flexes over its extension q
@@ -220,20 +220,20 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     s_out = _out_of_plane_compliance(bar, ox / r, oy / r, 0.0, 0.0)
     s_out += _out_of_plane_compliance(link, dx, dy, mz, -od)
     if arch is Architecture.RRR:
-        base = anchor_layout(design).base_points
-        px, py = ((bik.elbow - base) / design.link_length).transpose(2, 0, 1)
+        base = anchor_layout(design).origin_cols     # the RRR corners A_i
+        px, py = (bik.elbow - base) / design.link_length
         along, across = px * dx + py * dy, px * dy - py * dx
         c = c + along * along * link.axial + across * across * link.bend
-        qx, qy = (bik.c_world - bik.elbow).transpose(2, 0, 1)
+        qx, qy = bik.c_world - bik.elbow
         qx, qy = ox + qx, oy + qy                          # P - B_i
         s_out += _out_of_plane_compliance(link, px, py, px * qy - py * qx,
                                           -(px * qx + py * qy))
     adj, det = _sym3_adj(s_out)
     k_leg = np.array(adj)
     k_leg /= det                 # each leg's S_out^-1
-    k_out = k_leg[..., 0] + k_leg[..., 1] + k_leg[..., 2]
+    k_out = k_leg[:, 0] + k_leg[:, 1] + k_leg[:, 2]
     # a sum is finite only where every term is (an overflow flags it too)
-    ok = np.isfinite(c[:, 0] + c[:, 1] + c[:, 2] + k_out.sum(axis=0))
+    ok = np.isfinite(c[0] + c[1] + c[2] + k_out.sum(axis=0))
     return LegTerms(c, k_out), ok
 
 
@@ -253,7 +253,7 @@ def stiffness_indices_batch(legs: LegTerms, adj: Adjugate, ok: np.ndarray
     np.multiply(xc, adj.y, out=s[1])
     np.multiply(adj.y * c, adj.y, out=s[2])
     np.multiply(adj.z * adj.z, c, out=s[3])
-    return _indices(adj.det * adj.det, s[..., 0] + s[..., 1] + s[..., 2],
+    return _indices(adj.det * adj.det, s[:, 0] + s[:, 1] + s[:, 2],
                     legs.k_out, ok)
 
 
@@ -277,19 +277,18 @@ def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def stiffness_matrix(amat: np.ndarray, legs: LegTerms) -> np.ndarray:
-    """Platform stiffness K (N, 6, 6) from A and the leg terms.
+    """Platform stiffness K (N, 6, 6) from A (3, 3, N) and the leg terms.
 
     K_in = A^T diag(1/c) A on (dx, dy, dphi_z) and K_out on (dz, dphi_x,
     dphi_y), summed over the legs term by term; nothing couples the two
     blocks.  K_in is singular where A is: rows with det A = 0 come back
     zero, so stiffness_indices rejects them.
     """
-    n = amat.shape[0]
-    w = amat.transpose(2, 0, 1)
-    k_in = (w / legs.c)[_UPPER_ROW] * w[_UPPER_COL]
+    n = amat.shape[-1]
+    k_in = (amat / legs.c)[_UPPER_ROW] * amat[_UPPER_COL]
     k = np.zeros((n, 6, 6))
     k[:, IN_PLANE[:, None], IN_PLANE] = (
-        k_in[..., 0] + k_in[..., 1] + k_in[..., 2])[_SYM].T.reshape(n, 3, 3)
+        k_in[:, 0] + k_in[:, 1] + k_in[:, 2])[_SYM].T.reshape(n, 3, 3)
     k[:, OUT_OF_PLANE[:, None], OUT_OF_PLANE] = legs.k_out[_SYM].T.reshape(n, 3, 3)
     k[adjugate_batch(amat).det == 0.0] = 0.0
     return k
@@ -305,7 +304,7 @@ def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
     """
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     if not bool(bik.ok()[0]):
-        leg = int(np.argmin((bik.reachable & bik.stroke_ok)[0]))
+        leg = int(np.argmin((bik.reachable & bik.stroke_ok)[:, 0]))
         raise SingularKinetostatics(leg)
     jac = jacobian_batch(design, bik)
     legs, ok = stiffness_batch(design, bik, jac, material, actuator)

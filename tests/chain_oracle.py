@@ -61,9 +61,9 @@ def chain_transform(design: DesignVector, leg: int, pose, theta, q_dev,
     phi = float(pose[2])
     bar_angle = phi + platform_vertex_angles(arch)[leg] + math.pi
 
-    dist = bik.distal[0, leg]
+    dist = bik.distal[:, leg, 0]
     link_angle = math.atan2(dist[1], dist[0])
-    rho = float(bik.q[0, leg])
+    rho = float(bik.q[leg, 0])
 
     if arch is Architecture.PRR:
         start = layout.rail_starts[leg]
@@ -84,7 +84,7 @@ def chain_transform(design: DesignVector, leg: int, pose, theta, q_dev,
         t = t @ _trans(r) @ _spring6(theta[7:13])
     else:
         a = layout.base_points[leg]
-        elbow = bik.elbow[0, leg]
+        elbow = bik.elbow[:, leg, 0]
         prox = elbow - a
         prox_angle = math.atan2(prox[1], prox[0])
         t = _trans(a[0], a[1]) @ _rotz(prox_angle + theta[0])  # act joint+spring

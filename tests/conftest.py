@@ -17,6 +17,10 @@ WIDE_BOUNDS = Bounds(lower=(0.1, 0.1, 0.1, 0.0, 0.0),
                      upper=(4.0, 4.0, 4.0, 0.1, 0.1))
 
 
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return EvalContext()

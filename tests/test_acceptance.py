@@ -140,8 +140,8 @@ def test_05_jacobian_oracles(ctx):
             pair = jacobian(d, pose)
             dt = rng.normal(size=3)
             dt /= np.linalg.norm(dt)
-            qp = ik_batch(d, (pose.as_array() + h * dt)[None, :]).q[0]
-            qm = ik_batch(d, (pose.as_array() - h * dt)[None, :]).q[0]
+            qp = ik_batch(d, (pose.as_array() + h * dt)[None, :]).q[:, 0]
+            qm = ik_batch(d, (pose.as_array() - h * dt)[None, :]).q[:, 0]
             dq = (qp - qm) / 2.0
             resid = np.linalg.norm(pair.a_parallel @ (h * dt)
                                    - pair.b_serial @ dq)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -332,7 +333,7 @@ class TestOptimize:
         assert code in (0, 4)
         assert _sha(os.path.join(out, "pareto.csv")) != _sha(str(other / "pareto.csv"))
 
-    def test_run_manifest(self, opt_run):
+    def test_run_manifest(self, opt_run, tmp_path):
         out, _ = opt_run
         doc = json.loads(open(os.path.join(out, "run.json")).read())
         assert doc["seed"] == 11
@@ -342,6 +343,17 @@ class TestOptimize:
             "center": [0.0, 0.0, 0.0], "delta_phi_deg": 20.0,
             "bisection_tol": 1e-3,
             "grid": {"n_radial": 5, "n_angular": 12, "n_orientation": 5}}
+        # the configured band, not its round trip through radians
+        # (15 degrees came back as 14.999999999999998)
+        cfg = tmp_path / "band.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"moga": {"population": 4, "generations": 1, "seed": 11},
+             "workspace": {"delta_phi_deg": 15}}), encoding="utf-8")
+        out = tmp_path / "band"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) in (0, 4)
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["workspace"]["delta_phi_deg"] == 15.0
+        assert load_config(str(cfg)).delta_phi == math.radians(15.0)
 
     def test_rotated_center_changes_front(self, opt_run, tmp_path):
         # optimize searches the configured cylinder, not the default one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_design, sample_pose
-from test_workspace import _same_bytes
+from conftest import _same_bytes
 from ppmopt.errors import ModeViolation, NoConvergence, Unreachable
 from ppmopt.kinematics import (DEFAULT_MODE, Branch, HOME_POSE, Pose,
                                anchor_layout, closure_residuals, forward_refine,
@@ -118,7 +118,7 @@ class TestInverseKinematics:
         seen = None
         for pose in poses:
             bik = ik_batch(d, pose.as_array()[None, :])
-            if bool(bik.reachable[0].all()) and not bool(bik.stroke_ok[0].all()):
+            if bool(bik.reachable[:, 0].all()) and not bool(bik.stroke_ok[:, 0].all()):
                 seen = pose
                 break
         assert seen is not None
@@ -206,8 +206,8 @@ class TestJacobian:
             for _ in range(3):
                 dt = rng.normal(size=3)
                 dt /= np.linalg.norm(dt)
-                qp = ik_batch(d, (pose.as_array() + h * dt)[None, :]).q[0]
-                qm = ik_batch(d, (pose.as_array() - h * dt)[None, :]).q[0]
+                qp = ik_batch(d, (pose.as_array() + h * dt)[None, :]).q[:, 0]
+                qm = ik_batch(d, (pose.as_array() - h * dt)[None, :]).q[:, 0]
                 dq = (qp - qm) / 2.0
                 resid = pair.a_parallel @ (h * dt) - pair.b_serial @ dq
                 assert np.linalg.norm(resid) <= 1e-6 * max(np.linalg.norm(dq), h)
@@ -237,8 +237,8 @@ class TestWorkingModeContinuity:
             # branch-fixed roots must be the nearest root at every step
             other = ik_batch(d, path, (Branch.MINUS,) * 3).q
             for k in range(1, len(steps)):
-                jump = np.abs(q[k] - q[k - 1])
-                swap = np.abs(other[k] - q[k - 1])
+                jump = np.abs(q[:, k] - q[:, k - 1])
+                swap = np.abs(other[:, k] - q[:, k - 1])
                 assert (jump <= swap + 1e-12).all()
 
 
@@ -261,7 +261,7 @@ def _ik_batch_einsum(design, poses, mode):
     lb = design.link_length
     n = poses.shape[0]
     c_world, moment = _platform_anchors_stack(layout, poses)
-    a = layout.leg_origins()
+    a = layout.base_points if layout.rail_starts is None else layout.rail_starts
     w = c_world - a[None, :, :]
     sign = np.array([b.value for b in mode], dtype=float)
     if arch is Architecture.RPR:
@@ -313,13 +313,13 @@ def _assert_bytes_equal_oracle(design, poses, mode):
     ref = _ik_batch_einsum(design, poses, mode)
     assert bik._fields == ("poses", *ref)     # the oracle covers every field
     assert _same_bytes(bik.poses, poses)
-    for name, value in ref.items():
-        assert _same_bytes(getattr(bik, name), value), name
+    for name, value in ref.items():      # the oracle is poses-first
+        assert _same_bytes(getattr(bik, name), value.T), name
     ok = (ref["reachable"] & ref["stroke_ok"]).all(axis=1)
     assert _same_bytes(bik.ok(), ok)
     for got, want in zip(jacobian_batch(design, bik),
                          _jacobian_batch_einsum(design, ref)):
-        assert _same_bytes(got, want)
+        assert _same_bytes(got, want.T)
     return ok
 
 
@@ -353,6 +353,6 @@ class TestBatchOracle:
         rng = np.random.default_rng(7)
         poses = np.vstack([np.zeros((1, 3)), rng.uniform(-0.3, 0.3, (4, 3))])
         bik = ik_batch(design, poses, mode)
-        w = bik.c_world[0] - anchor_layout(design).base_points
-        assert not w.any() and not bik.reachable[0].any()
+        w = bik.c_world[..., 0] - anchor_layout(design).base_points.T
+        assert not w.any() and not bik.reachable[:, 0].any()
         _assert_bytes_equal_oracle(design, poses, mode)

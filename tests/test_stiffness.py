@@ -291,7 +291,7 @@ class TestKKTOracle:
             assert ok.all()
             blk = IN_PLANE[:, None], IN_PLANE
             for leg, model in enumerate(leg_models_batch(d, bik, DEFAULT_MATERIAL)):
-                got = np.outer(amat[0, leg], amat[0, leg]) / legs.c[0, leg]
+                got = np.outer(amat[:, leg, 0], amat[:, leg, 0]) / legs.c[leg, 0]
                 want = kkt_leg_stiffness(*model)[0][blk]
                 assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
@@ -306,7 +306,7 @@ class TestKKTOracle:
             bik = ik_batch(d, poses)
             for name in ("c_world", "moment", "elbow", "distal", "q"):
                 arr = getattr(bik, name).copy()
-                arr[1, 2] = arr[1, 1]
+                arr[..., 2, 1] = arr[..., 1, 1]
                 bik = bik._replace(**{name: arr})
             amat, b = jacobian_batch(d, bik)
             adj = adjugate_batch(amat)
@@ -319,6 +319,29 @@ class TestKKTOracle:
             assert (k[1] == 0.0).all() and k[[0, 2]].any(axis=(1, 2)).all()
             with pytest.raises(SingularStiffness):
                 stiffness_indices(k[1])
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_poses_last_layout(arch):
+    # every probe-path array is (component, leg, pose), poses last
+    rng = np.random.default_rng(101 + int(arch))
+    d = sample_design(rng, arch)
+    for n in (1, 5, 305):
+        poses = rng.normal(0.0, 0.1 * d.platform_radius, (n, 3))
+        bik = ik_batch(d, poses)
+        amat, b = jac = jacobian_batch(d, bik)
+        adj = adjugate_batch(amat)
+        legs, ok = stiffness_batch(d, bik, jac, DEFAULT_MATERIAL)
+        assert bik.poses.shape == (n, 3) and bik.ok().shape == ok.shape == (n,)
+        for arr in (bik.c_world, bik.moment, bik.elbow, bik.distal):
+            assert arr.shape == (2, 3, n)
+        for arr in (bik.q, bik.reachable, bik.stroke_ok, b, adj.x, adj.y,
+                    adj.z, legs.c):
+            assert arr.shape == (3, n)
+        assert amat.shape == (3, 3, n) and adj.det.shape == (n,)
+        assert legs.k_out.shape == (6, n)
+        for arr in (amat, bik.c_world, bik.moment, bik.distal):
+            assert arr.flags.c_contiguous
 
 
 def _near_singular_poses(design, rng, offsets=(1e-2, 3e-3, 1e-3)):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design
+from conftest import DESIGN_I, DESIGN_II, DESIGN_III, _same_bytes, sample_design
 from ppmopt import performance, workspace
 from ppmopt.errors import HomeUnreachable, InvalidValue
 from ppmopt.kinematics import Pose, ik_batch
@@ -37,10 +37,6 @@ def _grid_array_loop(spec, grid):
             ring[:, 2] = np.tile(phis, grid.n_angular)
             blocks.append(ring)
     return np.concatenate(blocks, axis=0)
-
-
-def _same_bytes(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestGridPoints:
