@@ -31,7 +31,7 @@ from .errors import ConfigError, PpmError
 from .kinematics import HOME_POSE
 from .model import SHORT_NAMES, Architecture, DesignVector, mass, validate
 from .performance import constraints_batch
-from .runconfig import GRID_KEYS, RunConfig, default_config_yaml, load_config
+from .runconfig import RunConfig, default_config_yaml, load_config
 from .workspace import max_regular_workspace_detail
 
 _DESIGN_KEYS = ("d", *SHORT_NAMES)
@@ -197,7 +197,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
             "center": list(cfg.center),
             "delta_phi_deg": cfg.delta_phi_deg,
             "bisection_tol": cfg.bisection_tol,
-            "grid": {k: getattr(cfg.grid, k) for k in GRID_KEYS},
+            "grid": dataclasses.asdict(cfg.grid),
         },
         "archive_size": len(result.archive),
         "n_feasible_total": int(sum(e.feasible for e in result.evaluations)),

@@ -114,7 +114,7 @@ class AnchorLayout:
 
 @dataclass(frozen=True)
 class LegSolution:
-    """One leg's joint coordinates for a given pose and branch.
+    """One leg's joint coordinates at one pose, in the solved working mode.
 
     actuated_coordinate is rho_i [m] for the PRR/RPR and the base joint
     angle [rad] for the RRR.  passive_angles are the two passive revolute
@@ -123,7 +123,6 @@ class LegSolution:
 
     actuated_coordinate: float
     passive_angles: tuple[float, float]
-    branch: Branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +319,8 @@ def adjugate_batch(amat: np.ndarray) -> Adjugate:
     return Adjugate(x, y, z, t[0] + t[1] + t[2])
 
 
-def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK,
-                   mode: WorkingMode) -> tuple[LegSolution, LegSolution, LegSolution]:
+def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK
+                   ) -> tuple[LegSolution, LegSolution, LegSolution]:
     layout = anchor_layout(design)
     arch = design.architecture
     sols = []
@@ -342,8 +341,7 @@ def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK,
             passive = (link_angle - prox_angle, bar_angle - link_angle)
         sols.append(LegSolution(actuated_coordinate=float(bik.q[i, 0]),
                                 passive_angles=(wrap_angle(passive[0]),
-                                                wrap_angle(passive[1])),
-                                branch=mode[i]))
+                                                wrap_angle(passive[1]))))
     return tuple(sols)
 
 
@@ -363,7 +361,7 @@ def inverse_kinematics(design: DesignVector, pose: Pose,
             raise Unreachable(i, "no inverse-kinematic solution at this pose")
         if not bik.stroke_ok[i, 0]:
             raise ModeViolation(i, f"actuated coordinate {bik.q[i, 0]:.6g}")
-    return _leg_solutions(design, pose, bik, mode)
+    return _leg_solutions(design, pose, bik)
 
 
 def closure_residuals(design: DesignVector, q: np.ndarray,
@@ -421,15 +419,11 @@ def forward_refine(design: DesignVector, q_actuated, pose_guess: Pose,
 
 
 def jacobian(design: DesignVector, pose: Pose,
-             legs: tuple[LegSolution, LegSolution, LegSolution] | None = None,
              mode: WorkingMode = DEFAULT_MODE) -> JacobianPair:
-    """Velocity-loop matrices at one pose.
+    """Velocity-loop matrices at one pose, in working mode mode.
 
-    Singular matrices are returned as-is; dexterity handles them.  When
-    leg solutions are passed their branches select the working mode.
+    Singular matrices are returned as-is; dexterity handles them.
     """
-    if legs is not None:
-        mode = tuple(leg.branch for leg in legs)
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     amat, b = jacobian_batch(design, bik)
     return JacobianPair(a_parallel=amat[..., 0].T, b_serial=np.diag(b[:, 0]))

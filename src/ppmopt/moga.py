@@ -27,6 +27,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -188,9 +189,7 @@ class Evaluation:
     violations: int = 0
 
 
-def _count_violations(report: ConstraintReport | None) -> int:
-    if report is None:
-        return 8
+def _count_violations(report: ConstraintReport) -> int:
     return sum(not flag for flag in
                (report.g1_geometry, report.g2_stroke, report.g3_dexterity,
                 report.g4_kxy, report.g5_kz, report.g6_kphiz,
@@ -283,14 +282,14 @@ def per_architecture_fronts(evaluations: list[Evaluation]
             for arch in Architecture}
 
 
-def hypervolume(archive: ParetoArchive, ref_mass: float = HV_REF_MASS,
-                ref_radius: float = HV_REF_RADIUS) -> float:
-    """Dominated area between the front and the reference point."""
+def hypervolume(archive: ParetoArchive) -> float:
+    """Dominated area between the front and (HV_REF_MASS, HV_REF_RADIUS)."""
     area = 0.0
-    pts = [e for e in archive.entries if e.mass < ref_mass and e.r_w > ref_radius]
-    masses = [e.mass for e in pts] + [ref_mass]
+    pts = [e for e in archive.entries
+           if e.mass < HV_REF_MASS and e.r_w > HV_REF_RADIUS]
+    masses = [e.mass for e in pts] + [HV_REF_MASS]
     for i, e in enumerate(pts):
-        area += (masses[i + 1] - e.mass) * (e.r_w - ref_radius)
+        area += (masses[i + 1] - e.mass) * (e.r_w - HV_REF_RADIUS)
     return area
 
 
@@ -422,8 +421,7 @@ class MogaResult:
     evaluations: tuple[Evaluation, ...]   # every scored individual, in order
 
 
-def _eval_worker(args) -> Evaluation:
-    key, search = args
+def _eval_worker(key: bytes, search: tuple) -> Evaluation:
     return evaluate_genome(_unpack(key), *search)
 
 
@@ -443,21 +441,11 @@ class _Evaluator:
                      if n_workers > 1 else None)
 
     def __call__(self, genomes: list[np.ndarray]) -> list[Evaluation]:
-        fresh = []
-        seen = set()
-        for g in genomes:
-            key = genome_key(g)
-            if key not in self.cache and key not in seen:
-                seen.add(key)
-                fresh.append((key, g))
-        if self.pool is not None and len(fresh) > 1:
-            args = [(key, self.search) for key, _ in fresh]
-            for (key, _), ev in zip(fresh, self.pool.map(_eval_worker, args)):
-                self.cache[key] = ev
-        else:
-            for key, g in fresh:
-                self.cache[key] = evaluate_genome(g, *self.search)
-        return [self.cache[genome_key(g)] for g in genomes]
+        keys = [genome_key(g) for g in genomes]
+        fresh = [k for k in dict.fromkeys(keys) if k not in self.cache]
+        run = self.pool.map if self.pool is not None and len(fresh) > 1 else map
+        self.cache.update(zip(fresh, run(_eval_worker, fresh, repeat(self.search))))
+        return [self.cache[k] for k in keys]
 
     def close(self):
         if self.pool is not None:

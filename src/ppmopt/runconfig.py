@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -25,8 +25,6 @@ from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT,
                         DELTA_PHI_DEFAULT, GridSpec)
 
 _STEEL_POISSON = inspect.signature(steel).parameters["poisson_ratio"].default
-#: The workspace.grid keys: the GridSpec fields but the test-only ring phase.
-GRID_KEYS = ("n_radial", "n_angular", "n_orientation")
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,7 @@ def parse_config(data: dict | None) -> RunConfig:
         raise ConfigError("workspace.center", "expected [x_c, y_c, phi_c]")
     center = tuple(ws._convert(v, "center", float) for v in center_raw)
     bisection_tol = ws.take("bisection_tol", BISECTION_TOL_DEFAULT)
-    # the ring phase is a test-only knob, not a config key
-    grid = _read(ws.sub("grid"), GridSpec, angular_offset=GridSpec.angular_offset)
+    grid = _read(ws.sub("grid"), GridSpec)
     ws.finish()
 
     moga = _read(root.sub("moga"), MogaConfig)
@@ -256,7 +253,8 @@ def default_config_yaml() -> str:
     so the document parses back to parse_config({}).
     """
     b, mat, act, w = DEFAULT_BOUNDS, DEFAULT_MATERIAL, ActuatorStiffness(), Wrench()
-    acc, dex, grid, mg = AccuracySpec(), DexterityConfig(), GridSpec(), MogaConfig()
+    acc, dex, mg = AccuracySpec(), DexterityConfig(), MogaConfig()
+    grid = asdict(GridSpec())
     lc = "null" if dex.characteristic_length is None else dex.characteristic_length
     return f"""\
 # ppmopt run configuration; every key is optional and shown at its default.
@@ -288,7 +286,7 @@ workspace:
   delta_phi_deg: {math.degrees(DELTA_PHI_DEFAULT):<10}# total rotation band of the cylinder
   center: {list(CENTER_DEFAULT)}  # (x_c [m], y_c [m], phi_c [rad])
   bisection_tol: {BISECTION_TOL_DEFAULT:<10}# [m]
-  grid: {_flow(GRID_KEYS, (getattr(grid, k) for k in GRID_KEYS))}
+  grid: {_flow(grid, grid.values())}
 moga:
   population: {mg.population}
   generations: {mg.generations}

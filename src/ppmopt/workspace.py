@@ -34,7 +34,7 @@ import numpy as np
 from . import performance
 from .errors import HomeUnreachable, InvalidValue
 from .kinematics import BatchIK, Pose
-from .model import Architecture, DesignVector, check_finite
+from .model import Architecture, DesignVector
 from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
                           EvalContext, characteristic_length, constraints_batch)
 
@@ -63,23 +63,19 @@ class WorkspaceSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization density of the workspace cylinder.
-
-    angular_offset rotates the ring sampling phase; useful for checking
-    grid-orientation independence on symmetric designs.
-    """
+    """Discretization density of the workspace cylinder: n_radial rings
+    of n_angular positions each, the first at angle 0, every position
+    swept over n_orientation angles of the rotation band."""
 
     n_radial: int = 5
     n_angular: int = 12
     n_orientation: int = 5
-    angular_offset: float = 0.0   # [rad]
 
     def __post_init__(self):
         for name, least in (("n_radial", 1), ("n_angular", 2), ("n_orientation", 2)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise InvalidValue(name, f"an integer >= {least}", value)
-        check_finite(self, ("angular_offset",), positive=False)
 
 
 DEFAULT_GRID = GridSpec()
@@ -96,8 +92,7 @@ def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
                        grid.n_orientation)
     block = np.column_stack([np.full(grid.n_orientation, xc),
                              np.full(grid.n_orientation, yc), phis])
-    ang = (grid.angular_offset
-           + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular)
+    ang = 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular
     k = np.arange(1, grid.n_radial + 1, dtype=float)[:, None]
     arrays = (block, phis, k, np.cos(ang), np.sin(ang))
     for a in arrays:

@@ -17,8 +17,9 @@ from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
                               workspace_feasible)
 
 
-def _grid_array_loop(spec, grid):
-    """The ring-by-ring construction grid_array replaced: its oracle."""
+def _grid_array_loop(spec, grid, phase=0.0):
+    """The ring-by-ring construction grid_array replaced: its oracle.  phase
+    [rad] rotates the rings; grid_array's rings start at phase 0."""
     xc, yc, pc = spec.center
     phis = np.linspace(pc - spec.delta_phi / 2.0, pc + spec.delta_phi / 2.0,
                        grid.n_orientation)
@@ -26,8 +27,7 @@ def _grid_array_loop(spec, grid):
                                np.full(grid.n_orientation, yc), phis])]
     if spec.radius > 0.0:
         radii = spec.radius * np.arange(1, grid.n_radial + 1) / grid.n_radial
-        ang = (grid.angular_offset
-               + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular)
+        ang = phase + 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular
         for rad in radii:
             xs = xc + rad * np.cos(ang)
             ys = yc + rad * np.sin(ang)
@@ -75,11 +75,10 @@ class TestGridArray:
     @pytest.mark.parametrize("spec, grid", [
         (WorkspaceSpec(0.5), DEFAULT_GRID),
         (WorkspaceSpec(0.3), GridSpec(n_radial=1)),
-        (WorkspaceSpec(0.7, center=(0.2, -0.1, 0.05)),
-         GridSpec(angular_offset=0.1)),
+        (WorkspaceSpec(0.7, center=(0.2, -0.1, 0.05)), DEFAULT_GRID),
         (WorkspaceSpec(0.0, center=(0.3, 0.4, -0.2)), DEFAULT_GRID),
         (WorkspaceSpec(1.3, center=(-1.1, 0.6, 0.4), delta_phi=0.7),
-         GridSpec(4, 7, 3, angular_offset=2.5)),
+         GridSpec(4, 7, 3)),
     ], ids=["default", "one-ring", "offset-center", "radius-0", "mixed"])
     def test_bytes_equal_loop_oracle(self, spec, grid):
         assert _same_bytes(grid_array(spec, grid), _grid_array_loop(spec, grid))
@@ -88,8 +87,7 @@ class TestGridArray:
         rng = np.random.default_rng(17)
         for _ in range(300):
             grid = GridSpec(int(rng.integers(1, 9)), int(rng.integers(2, 25)),
-                            int(rng.integers(2, 10)),
-                            float(rng.uniform(-4.0, 4.0)))
+                            int(rng.integers(2, 10)))
             radius = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0))
             spec = WorkspaceSpec(radius, tuple(rng.uniform(-2.0, 2.0, 3)),
                                  float(rng.uniform(1e-3, 2.0 * math.pi)))
@@ -137,9 +135,9 @@ class TestWorkspaceSpec:
 
 class TestGridSpec:
     @pytest.mark.parametrize("kwargs, field", [
-        ({"angular_offset": math.nan}, "angular_offset"),
-        ({"angular_offset": math.inf}, "angular_offset"),
-        ({"angular_offset": -math.inf}, "angular_offset"),
+        ({"n_radial": -1}, "n_radial"),
+        ({"n_angular": None}, "n_angular"),
+        ({"n_orientation": math.nan}, "n_orientation"),
         ({"n_radial": 2.5}, "n_radial"),
         ({"n_radial": 0}, "n_radial"),
         ({"n_angular": 12.0}, "n_angular"),
@@ -249,9 +247,10 @@ class TestWorkspaceFeasible:
 
 
 def _ungated_search(design, ctx, center, tol=workspace.BISECTION_TOL_DEFAULT,
-                    grid=DEFAULT_GRID):
+                    grid=DEFAULT_GRID, phase=0.0):
     """The bisection without the reach gate, every probe scoring its whole
-    grid: the reference the gated search must reproduce.  Returns (R_w,
+    grid, built by _grid_array_loop with its rings rotated by phase: the
+    reference the gated search must reproduce at phase 0.  Returns (R_w,
     limiting pose, its report, final failing radius)."""
     try:
         l_c = characteristic_length(design, ctx)
@@ -259,7 +258,7 @@ def _ungated_search(design, ctx, center, tol=workspace.BISECTION_TOL_DEFAULT,
         l_c = math.nan
 
     def probe(radius):
-        points = grid_array(WorkspaceSpec(radius, center), grid)
+        points = _grid_array_loop(WorkspaceSpec(radius, center), grid, phase)
         res = constraints_batch(design, points, ctx, l_c=l_c)
         bad = np.flatnonzero(~res.overall)
         if bad.size:
@@ -350,15 +349,17 @@ class TestMaxRegularWorkspace:
 
     def test_result_stable_under_grid_rotation(self, ctx):
         base = max_regular_workspace(DESIGN_I, DEFAULT_GRID, ctx)
+
+        def rotated(phase):
+            return _ungated_search(DESIGN_I, ctx, workspace.CENTER_DEFAULT,
+                                   phase=phase)[0]
+
+        assert rotated(0.0) == base
         # 120-degree rotations map the symmetric grid onto itself exactly
         for offset in (2 * math.pi / 3, 4 * math.pi / 3):
-            rotated = GridSpec(angular_offset=offset)
-            assert max_regular_workspace(DESIGN_I, rotated, ctx) == pytest.approx(
-                base, abs=1e-12)
+            assert rotated(offset) == pytest.approx(base, abs=1e-12)
         # a generic offset shifts the sampled worst pose by at most a cell
-        generic = GridSpec(angular_offset=0.1)
-        assert max_regular_workspace(DESIGN_I, generic, ctx) == pytest.approx(
-            base, abs=5e-3)
+        assert rotated(0.1) == pytest.approx(base, abs=5e-3)
 
     def test_home_unreachable_returns_zero(self, ctx):
         from ppmopt.model import Architecture, DesignVector
