@@ -61,12 +61,13 @@ class Pose:
 
     p_x: float  # [m]
     p_y: float  # [m]
-    phi: float  # [rad], stored normalized to (-pi, pi]
+    phi: float  # [rad], stored normalized to (-pi, pi]; kept as given there
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.p_x, self.p_y, self.phi))):
             raise ValueError("pose components must be finite")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+        if not -math.pi < self.phi <= math.pi:
+            object.__setattr__(self, "phi", wrap_angle(self.phi))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_x, self.p_y, self.phi])

@@ -271,7 +271,7 @@ class TestBatchScalarConsistency:
 
 #: sha256 of every BatchConstraints field, in __slots__ order, and of the
 #: platform stiffness K at a few poses, over _pinned_cases() (see below).
-KERNEL_DIGEST = "dcb3a5fe75a749d2101dd04cf4bbf055113e59825827d2ec4f3f7e251be5815b"
+KERNEL_DIGEST = "714387264d6ab90115f435bbf14ce1e4e1d937ac1c816e5b829bd690668b21a4"
 
 
 def _pinned_cases():

@@ -192,6 +192,19 @@ class TestWorkspaceFeasible:
         assert pose == Pose(*points[bad[0]])
         assert report == rows[bad[0]]
 
+    def test_poses_keep_their_grid_rows(self, ctx):
+        # about one in six in-range angles moves by an ulp through
+        # atan2(sin, cos), here the middle of the band
+        center = (0.05, -0.03, 0.3)
+        for row in grid_array(WorkspaceSpec(0.3, center), DEFAULT_GRID):
+            assert _same_bytes(Pose(*row).as_array(), row)
+        spec = WorkspaceSpec(2.0, center)
+        ok, pose, _, scores = workspace_feasible(DESIGN_II, spec, DEFAULT_GRID, ctx)
+        first = grid_array(spec, DEFAULT_GRID)[np.flatnonzero(~scores.overall)[0]]
+        assert not ok
+        assert math.atan2(math.sin(first[2]), math.cos(first[2])) != first[2]
+        assert _same_bytes(pose.as_array(), first)
+
     def test_one_ik_per_probe(self, ctx, monkeypatch):
         # Design III's final failing radius is decided by the reach gate;
         # its l_c is resolved (and its home IK solved) before counting
