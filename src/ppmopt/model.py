@@ -58,10 +58,8 @@ class DesignVector:
                 self.platform_section_radius)
 
 
-# Continuous variables in the order they appear in the design vector after
-# d, and their short names (config keys, CSV columns) in the same order.
-CONTINUOUS_FIELDS = ("base_radius", "platform_radius", "link_length",
-                     "leg_section_radius", "platform_section_radius")
+# Short names (config keys, CSV columns) of the continuous variables, in
+# the order they appear in the design vector after d.
 SHORT_NAMES = ("R", "r", "L_b", "r_j", "r_p")
 
 
@@ -73,7 +71,7 @@ class Bounds:
     upper: tuple[float, float, float, float, float]
 
     def __post_init__(self):
-        for name, lo, hi in zip(CONTINUOUS_FIELDS, self.lower, self.upper):
+        for name, lo, hi in zip(SHORT_NAMES, self.lower, self.upper):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bounds for {name} invalid: [{lo}, {hi}]")
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -30,7 +31,7 @@ def tiny_config(tmp_path):
 
 
 def _sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -102,7 +103,9 @@ class TestConfig:
         ({"dexterity": {"lc_min": -1.0}}, "dexterity"),
         ({"dexterity": {"characteristic_length": 0.0}}, "dexterity"),
         ({"dexterity": {"characteristic_length": -0.5}}, "dexterity"),
-        ({"dexterity": {"characteristic_length": float("nan")}}, "dexterity")])
+        ({"dexterity": {"characteristic_length": float("nan")}}, "dexterity"),
+        ({"dexterity": {"threshold": 2.0}}, "dexterity"),
+        ({"moga": {"doe": "grid"}}, "moga")])
     def test_out_of_range_value_rejected(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -128,6 +131,41 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("data,path", [
+        ({"mode": ["PLUS", "PLUS"]}, "mode"),
+        ({"mode": ["PLUS", "UP", "PLUS"]}, "mode[1]"),
+        ({"workspace": {"center": 3}}, "workspace.center"),
+        ({"moga": 3}, "moga"),
+        ({"bounds": {"lower": {"L_b": 2.0}, "upper": {"L_b": 1.0}}}, "bounds")],
+        ids=["mode-two-branches", "mode-unknown-branch", "center-scalar",
+             "section-scalar", "inverted-bounds"])
+    def test_malformed_value_rejected_with_path(self, data, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.path == path
+
+    def test_inverted_bounds_name_the_config_key(self):
+        with pytest.raises(ConfigError, match="bounds for L_b invalid"):
+            parse_config({"bounds": {"lower": {"L_b": 2.0}, "upper": {"L_b": 1.0}}})
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("moga: {population: 3\n", "invalid YAML"),
+        ("- 1\n- 2\n", "top level must be a mapping")],
+        ids=["unreadable", "invalid-yaml", "top-level-list"])
+    def test_bad_config_file_rejected_with_its_path(self, tmp_path, text, message):
+        path = tmp_path / "run.yaml"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(str(path))
+        assert err.value.path == str(path)
+
+    def test_empty_config_file_equals_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("", encoding="utf-8")
+        assert load_config(str(path)) == parse_config({})
 
     def test_nan_modulus_in_yaml_rejected(self, tmp_path):
         path = tmp_path / "nan.yaml"
@@ -156,6 +194,12 @@ class TestConfig:
             parse_design("d=1,R=1.0")
         with pytest.raises(ConfigError):
             parse_design(DESIGN_I_ARG + ",bogus=1")
+        with pytest.raises(ConfigError, match="expected key=value") as err:
+            parse_design("d=1,R")
+        assert err.value.path == "design"
+        with pytest.raises(ConfigError, match="bad number") as err:
+            parse_design(DESIGN_I_ARG.replace("R=1.412", "R=x"))
+        assert err.value.path == "design.R"
 
     @pytest.mark.parametrize("code", ["1.7", "inf", "nan", "0", "4"])
     def test_bad_architecture_code_rejected(self, code):
@@ -290,7 +334,7 @@ class TestOptimize:
 
     def test_pareto_columns_and_sorting(self, opt_run):
         out, _ = opt_run
-        lines = open(os.path.join(out, "pareto.csv"), "rb").read().split(b"\n")
+        lines = Path(out, "pareto.csv").read_bytes().split(b"\n")
         assert lines[0] == b"d,R,r,L_b,r_j,r_p,mass_kg,R_w_m,L_c_m,seed"
         assert lines[-1] == b""            # single trailing LF, LF endings
         assert all(not line.endswith(b"\r") for line in lines)
@@ -303,7 +347,7 @@ class TestOptimize:
 
     def test_history_columns(self, opt_run):
         out, _ = opt_run
-        lines = open(os.path.join(out, "history.csv")).read().splitlines()
+        lines = Path(out, "history.csv").read_text().splitlines()
         assert lines[0] == "generation,hypervolume,n_feasible"
         assert len(lines) == 1 + 4         # one row per generation
 
@@ -335,7 +379,7 @@ class TestOptimize:
 
     def test_run_manifest(self, opt_run, tmp_path):
         out, _ = opt_run
-        doc = json.loads(open(os.path.join(out, "run.json")).read())
+        doc = json.loads(Path(out, "run.json").read_text())
         assert doc["seed"] == 11
         assert doc["total_evaluations"] == 48
         assert "directional crossover" in doc["optimizer"]

@@ -60,6 +60,12 @@ class TestPose:
         assert Pose(0, 0, -math.pi / 2).phi == pytest.approx(-math.pi / 2)
         assert -math.pi < Pose(0, 0, 7.5).phi <= math.pi
 
+    @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                      (0.0, 0.0, -math.inf)])
+    def test_non_finite_component_rejected(self, pose):
+        with pytest.raises(ValueError, match="finite"):
+            Pose(*pose)
+
 
 class TestInverseKinematics:
     def test_rpr_home_strut_is_radius_difference(self):
@@ -149,6 +155,12 @@ class TestInverseKinematics:
 
 
 class TestForwardRefine:
+    def test_unclosable_struts_raise_no_convergence(self):
+        # 0.1 m RPR struts cannot bridge 2.0 - 0.8 m anchors at any pose
+        d = _design(Architecture.RPR, big_r=2.0, r=0.8, lb=1.5)
+        with pytest.raises(NoConvergence):
+            forward_refine(d, [0.1, 0.1, 0.1], HOME_POSE)
+
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_round_trip_identity(self, arch):
         rng = np.random.default_rng(11)

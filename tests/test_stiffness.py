@@ -7,7 +7,7 @@ import pytest
 from chain_oracle import N_SPRINGS, fd_screws
 from conftest import sample_design, sample_pose
 from kkt_oracle import kkt_indices, kkt_leg_stiffness, kkt_platform_stiffness
-from ppmopt.errors import DegenerateBeam, SingularStiffness
+from ppmopt.errors import DegenerateBeam, SingularKinetostatics, SingularStiffness
 from ppmopt.kinematics import HOME_POSE, Pose, adjugate_batch, ik_batch, jacobian_batch
 from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
                           DesignVector, Material)
@@ -166,6 +166,15 @@ class TestPlatformStiffness:
             k = platform_stiffness(d, pose, DEFAULT_MATERIAL)
             assert np.linalg.eigvalsh(0.5 * (k + k.T)).min() > 0
 
+    def test_unreachable_pose_names_its_leg(self):
+        d = DesignVector(Architecture.RPR, 2.0, 0.8, 1.5, 0.04, 0.05)
+        pose = Pose(0.0, 1.0, 0.0)
+        bik = ik_batch(d, pose.as_array()[None, :])
+        failing = np.flatnonzero(~(bik.reachable & bik.stroke_ok)[:, 0])
+        with pytest.raises(SingularKinetostatics) as exc:
+            platform_stiffness(d, pose, DEFAULT_MATERIAL)
+        assert exc.value.leg == failing[0]
+
     def test_section_scaling_monotone(self):
         base = DesignVector(Architecture.PRR, 1.412, 0.319, 0.62, 0.02, 0.02)
         rigid_act = ActuatorStiffness(prismatic=1e18, revolute=1e18)
@@ -219,6 +228,10 @@ class TestStiffnessIndices:
         k[0, 3] = k[3, 0] = 1.0
         with pytest.raises(ValueError):
             stiffness_indices(k)
+
+    def test_non_6x6_matrix_rejected(self):
+        with pytest.raises(ValueError, match="6x6"):
+            stiffness_indices(np.eye(5))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(61)
