@@ -421,7 +421,7 @@ def forward_refine(design: DesignVector, q_actuated, pose_guess: Pose,
 
 def jacobian(design: DesignVector, pose: Pose,
              mode: WorkingMode = DEFAULT_MODE) -> JacobianPair:
-    """Velocity-loop matrices at one pose, in working mode mode.
+    """Velocity-loop matrices at one pose, in the given working mode.
 
     Singular matrices are returned as-is; dexterity handles them.
     """
