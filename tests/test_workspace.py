@@ -193,8 +193,8 @@ class TestWorkspaceFeasible:
         assert report == rows[bad[0]]
 
     def test_poses_keep_their_grid_rows(self, ctx):
-        # about one in six in-range angles moves by an ulp through
-        # atan2(sin, cos), here the middle of the band
+        # atan2(sin, cos) moves about one in six angles in [-0.5, 0.5] rad
+        # by an ulp, here the middle of the band
         center = (0.05, -0.03, 0.3)
         for row in grid_array(WorkspaceSpec(0.3, center), DEFAULT_GRID):
             assert _same_bytes(Pose(*row).as_array(), row)
