@@ -77,10 +77,6 @@ def _design_row(design: DesignVector) -> dict:
     return dict(zip(_DESIGN_KEYS, design.as_tuple()))
 
 
-def _report_dict(report) -> dict | None:
-    return None if report is None else dataclasses.asdict(report)
-
-
 def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
     """Write the single-design evaluation report; 0 feasible, 3 not."""
     doc: dict = {
@@ -107,7 +103,7 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
                                           else res.characteristic_length)
         home = constraints_batch(design, HOME_POSE.as_array()[None, :], cfg.ctx)
         doc["home"] = {
-            "constraints": _report_dict(home.report(0)),
+            "constraints": dataclasses.asdict(home.report(0)),
             "stiffness_indices": {"k_xy": float(home.kxy[0]),
                                   "k_z": float(home.kz[0]),
                                   "k_phiz": float(home.kphiz[0])},
@@ -120,11 +116,8 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
             "min_k_xy": float(grid_res.kxy.min()),
             "min_k_z": float(grid_res.kz.min()),
             "min_k_phiz": float(grid_res.kphiz.min()),
-            "limiting_pose": (None if res.limiting_pose is None else
-                              {"p_x": res.limiting_pose.p_x,
-                               "p_y": res.limiting_pose.p_y,
-                               "phi": res.limiting_pose.phi}),
-            "limiting_constraints": _report_dict(res.limiting_report),
+            "limiting_pose": dataclasses.asdict(res.limiting_pose),
+            "limiting_constraints": dataclasses.asdict(res.limiting_report),
         }
     doc["feasible"] = feasible
     _write_text(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -232,15 +225,15 @@ def cmd_sweep(source: str, arch: Architecture, out_path: str) -> int:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             rows = [row for row in reader if int(row["d"]) == int(arch)]
+        rows.sort(key=lambda r: float(r["R_w_m"]))
+        out_rows = [[row[k] for k in SWEEP_HEADER] for row in rows]
     except OSError as exc:
         raise ConfigError(path, f"cannot read archive: {exc}")
     except (KeyError, ValueError, TypeError):
         raise ConfigError(path, "not a pareto/front CSV (missing columns)")
-    if not rows:
+    if not out_rows:
         print(f"front for {arch.name} is empty", file=sys.stderr)
         return 5
-    rows.sort(key=lambda r: float(r["R_w_m"]))
-    out_rows = [[row[k] for k in SWEEP_HEADER] for row in rows]
     _write_csv(out_path, SWEEP_HEADER, out_rows)
     print(f"{len(out_rows)} front designs written to {out_path}")
     return 0

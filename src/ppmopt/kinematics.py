@@ -50,7 +50,9 @@ SQRT3 = math.sqrt(3.0)
 
 
 def wrap_angle(phi: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
+    """Normalize an angle to (-pi, pi], returning angles there unchanged."""
+    if -math.pi < phi <= math.pi:
+        return phi
     w = math.atan2(math.sin(phi), math.cos(phi))
     return w if w > -math.pi else math.pi
 
@@ -66,8 +68,7 @@ class Pose:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.p_x, self.p_y, self.phi))):
             raise ValueError("pose components must be finite")
-        if not -math.pi < self.phi <= math.pi:
-            object.__setattr__(self, "phi", wrap_angle(self.phi))
+        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_x, self.p_y, self.phi])

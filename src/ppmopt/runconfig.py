@@ -100,8 +100,8 @@ class _Section:
         if kind is None:
             return value
         try:
-            if kind is bool and not isinstance(value, bool):
-                raise ValueError
+            if isinstance(value, bool):
+                raise ValueError    # no key is a flag; YAML no / off read as 0
             out = kind(value)
             if kind is int and isinstance(value, float) and out != value:
                 raise ValueError    # int() would truncate it

@@ -6,18 +6,19 @@ rotation band (default 20 degrees total) with every constraint satisfied
 and a single fixed working mode.  Feasibility is checked on a
 deterministic grid (center poses first, then rings radial-major), and the
 maximal radius is found by bisection, which makes R_w a deterministic
-function of the design vector.
+function of the design vector.  The bisection starts from [0,
+upper_radius]; no grid passes at that bracket, so it is never probed.
 
 Each bisection probe at a radius > 0 builds its grid once and solves the
 inverse kinematics of every grid pose once.  A pose that is unreachable
 or past a stroke limit fails every constraint check, so a probe holding
 one fails without the Jacobian, dexterity and stiffness kernels; the
 verdict is the one the kernels would give.  Other probes hand that same
-solution to one constraints_batch call over the whole grid.  When the
-final failing radius was decided by this reach gate, its grid is scored
-once after the search, on the IK the gate already solved, so the limiting
-pose and report are those of the first failing grid row, as without the
-gate.  The result also carries the scores of the grid at R_w itself,
+solution to one constraints_batch call over the whole grid.  The final
+failing grid, if still unscored, is scored once after the search: on the
+IK its gate solved, or at the bracket if every probe passed.  So the
+limiting pose and report are those of its first failing row, as without
+the gate.  The result also carries the scores of the grid at R_w itself,
 which the search has already computed.
 """
 
@@ -161,8 +162,10 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
 
 
 def upper_radius(design: DesignVector) -> float:
-    """Safe bisection bracket: center offset can never exceed the base
-    radius plus platform radius plus the maximal leg extension."""
+    """Bisection bracket, never probed: its grid always fails.  Ring
+    directions sum to zero, so the outer ring has a pose this far or more
+    from the base center: PRR feet stay inside the base circle, and two
+    RPR/RRR base corners lie >= 60 degrees off it, out of their legs' reach."""
     ext = {Architecture.PRR: math.sqrt(3.0) * design.base_radius + design.link_length,
            Architecture.RPR: design.link_length,
            Architecture.RRR: 2.0 * design.link_length}[design.architecture]
@@ -171,11 +174,12 @@ def upper_radius(design: DesignVector) -> float:
 
 @dataclass(frozen=True)
 class WorkspaceResult:
-    """Outcome of the maximal-radius search."""
+    """Outcome of the maximal-radius search; the limiting pose and its
+    report are always set, as the search ends at a failing grid."""
 
     radius: float
-    limiting_pose: Pose | None
-    limiting_report: ConstraintReport | None
+    limiting_pose: Pose
+    limiting_report: ConstraintReport
     characteristic_length: float
     scores: BatchConstraints    # constraints_batch of the grid at radius
 
@@ -201,35 +205,29 @@ def max_regular_workspace_detail(design: DesignVector,
     except HomeUnreachable:
         l_c = math.nan
 
-    def probe(radius: float) -> Probe | BatchIK:
-        """The probe at radius, or its grid's IK when the reach gate fails it."""
-        spec = WorkspaceSpec(radius, center, delta_phi)
-        # performance's ik_batch: the lookup the kernels' own IK goes through
-        bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
-        if not bik.ok().all():
-            return bik
-        return workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
-
     # radius 0 is never gated: the GA reads violations from its report
     at_lo = workspace_feasible(design, WorkspaceSpec(0.0, center, delta_phi),
                                grid, ctx, l_c=l_c)
     if not at_lo.feasible:
         return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c, at_lo.scores)
 
+    # the bracket itself always fails (see upper_radius), so it is not probed
     lo, hi = 0.0, upper_radius(design)
-    at_hi = probe(hi)
-    if isinstance(at_hi, Probe) and at_hi.feasible:
-        return WorkspaceResult(hi, None, None, l_c, at_hi.scores)
+    at_hi, bik_hi = None, None   # hi's probe (None if gated or unprobed), IK
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        res = probe(mid)
-        if isinstance(res, Probe) and res.feasible:
+        spec = WorkspaceSpec(mid, center, delta_phi)
+        # performance's ik_batch: the lookup the kernels' own IK goes through
+        bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
+        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
+               if bik.ok().all() else None)
+        if res is not None and res.feasible:
             lo, at_lo = mid, res
         else:
-            hi, at_hi = mid, res
-    if not isinstance(at_hi, Probe):   # gated: score that grid on its IK
+            hi, at_hi, bik_hi = mid, res, bik
+    if at_hi is None:   # score the final failing grid, on its gate's IK if any
         at_hi = workspace_feasible(design, WorkspaceSpec(hi, center, delta_phi),
-                                   grid, ctx, l_c=l_c, bik=at_hi)
+                                   grid, ctx, l_c=l_c, bik=bik_hi)
     return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores)
 
 

@@ -136,9 +136,17 @@ class TestConfig:
         ({"mode": ["PLUS", "PLUS"]}, "mode"),
         ({"mode": ["PLUS", "UP", "PLUS"]}, "mode[1]"),
         ({"workspace": {"center": 3}}, "workspace.center"),
-        ({"moga": 3}, "moga")],
+        ({"moga": 3}, "moga"),
+        ({"wrench": {"f_x": False}}, "wrench.f_x"),
+        ({"threads": True}, "threads"),
+        ({"moga": {"seed": True}}, "moga.seed"),
+        ({"workspace": {"center": [True, 0, 0]}}, "workspace.center"),
+        ({"workspace": {"grid": {"n_radial": True}}}, "workspace.grid.n_radial"),
+        ({"dexterity": {"characteristic_length": True}},
+         "dexterity.characteristic_length")],
         ids=["mode-two-branches", "mode-unknown-branch", "center-scalar",
-             "section-scalar"])
+             "section-scalar", "load-false", "threads-true", "seed-true",
+             "center-true", "grid-true", "lc-true"])
     def test_malformed_value_rejected_with_path(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -166,6 +174,14 @@ class TestConfig:
         path = tmp_path / "empty.yaml"
         path.write_text("", encoding="utf-8")
         assert load_config(str(path)) == parse_config({})
+
+    def test_yaml_no_load_rejected(self, tmp_path):
+        # YAML 1.1 reads no / off as false, which float() would take as 0 N
+        path = tmp_path / "no.yaml"
+        path.write_text("wrench: {f_x: no, f_y: off}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.path == "wrench.f_x"
 
     def test_nan_modulus_in_yaml_rejected(self, tmp_path):
         path = tmp_path / "nan.yaml"
@@ -458,6 +474,18 @@ class TestSweep:
                      "--architecture", "PRR", "--out", str(out)])
         assert code == 0
         assert out.read_text().splitlines()[0] == "R_w_m,R,r,L_b,r_j,r_p"
+
+    @pytest.mark.parametrize("text", [
+        "d,R,r,L_b,r_j,r_p,mass_kg,R_w_m,L_c_m,seed\n1,1.4,0.3,0.6\n",
+        "d,R,r,L_b,r_j,r_p\n1,1.4,0.3,0.6,0.03,0.02\n"],
+        ids=["truncated-row", "no-radius-column"])
+    def test_bad_csv_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "front.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["sweep", "--from", str(path), "--architecture", "PRR",
+                     "--out", str(tmp_path / "z.csv")])
+        assert code == 2
+        assert "not a pareto/front CSV" in capsys.readouterr().err
 
     def test_missing_archive_exit_2(self, tmp_path):
         code = main(["sweep", "--from", str(tmp_path / "nowhere"),

@@ -7,7 +7,7 @@ import pytest
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, _same_bytes, sample_design
 from ppmopt import performance, workspace
 from ppmopt.errors import HomeUnreachable, InvalidValue
-from ppmopt.kinematics import Pose, ik_batch
+from ppmopt.kinematics import DEFAULT_MODE, Branch, Pose, ik_batch
 from ppmopt.model import Architecture
 from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
@@ -209,7 +209,7 @@ class TestWorkspaceFeasible:
         # Design III's final failing radius is decided by the reach gate;
         # its l_c is resolved (and its home IK solved) before counting
         characteristic_length(DESIGN_III, ctx)
-        events = []
+        events, grids = [], []
         feasible, batch, ik = (workspace.workspace_feasible,
                                workspace.constraints_batch,
                                performance.ik_batch)
@@ -225,6 +225,7 @@ class TestWorkspaceFeasible:
         def counted_ik(*args, **kwargs):
             bik = ik(*args, **kwargs)
             events.append(("ik", len(args[1]), bool(bik.ok().all())))
+            grids.append(args[1])
             return bik
 
         monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
@@ -240,6 +241,10 @@ class TestWorkspaceFeasible:
         assert batches == [5] + [305] * (len(batches) - 1)
         # the ungated radius-0 probe solves its IK inside its kernel call
         assert events[:3] == [("probe", 0.0), ("batch", 5), ("ik", 5, True)]
+        # the bracket is never probed: the first full grid is its midpoint
+        first = grid_array(WorkspaceSpec(upper_radius(DESIGN_III) / 2.0),
+                           DEFAULT_GRID)
+        assert _same_bytes(grids[1], first)
         # then one IK per probe on its full grid: a failing gate makes no
         # kernel call, a passing one hands its IK to its probe's call
         rest, gates = events[3:], []
@@ -388,6 +393,34 @@ class TestMaxRegularWorkspace:
 
     def test_upper_radius_brackets_reach(self):
         assert upper_radius(DESIGN_I) > 2.0   # far beyond any real workspace
+        # the search never probes its bracket: no grid there is wholly
+        # reachable, whatever the architecture, center, modes or grid
+        rng = np.random.default_rng(11)
+        designs = [DESIGN_I, DESIGN_II, DESIGN_III]
+        designs += [sample_design(rng, arch) for arch in Architecture
+                    for _ in range(20)]
+        grids = (GridSpec(1, 2, 2), GridSpec(2, 3, 2), DEFAULT_GRID)
+        for design in designs:
+            offset = rng.uniform(-0.5, 0.5, 2) * design.base_radius
+            centers = (workspace.CENTER_DEFAULT, (0.0, 0.0, 0.3),
+                       (*offset, rng.uniform(-math.pi, math.pi)))
+            mixed = tuple(Branch.MINUS if b else Branch.PLUS
+                          for b in rng.integers(0, 2, 3))
+            for center in centers:
+                for mode in (DEFAULT_MODE, mixed):
+                    for grid in grids:
+                        spec = WorkspaceSpec(upper_radius(design), center)
+                        bik = ik_batch(design, grid_array(spec, grid), mode)
+                        assert not bik.ok().all()
+
+    def test_tol_wider_than_bracket_scores_the_bracket(self, ctx):
+        # no probe runs, so the final failing grid is the bracket's own
+        hi = upper_radius(DESIGN_I)
+        res = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx, tol=hi)
+        at_hi = workspace_feasible(DESIGN_I, WorkspaceSpec(hi), DEFAULT_GRID, ctx)
+        assert res.radius == 0.0 and not at_hi.feasible
+        assert res.limiting_pose == at_hi.pose
+        assert res.limiting_report == at_hi.report
 
     def test_stiffness_positive_definite_on_feasible_grid(self, ctx):
         import numpy as np
