@@ -2,13 +2,11 @@
 manipulators (3-PRR, 3-RPR, 3-RRR)."""
 
 from .errors import (ConfigError, DegenerateBeam, DegenerateSection,
-                     HomeUnreachable, ModeViolation, NoConvergence,
-                     OutOfBounds, PpmError, SingularKinetostatics,
-                     SingularStiffness, Unreachable)
+                     HomeUnreachable, ModeViolation, OutOfBounds, PpmError,
+                     SingularKinetostatics, SingularStiffness, Unreachable)
 from .kinematics import (AnchorLayout, Branch, DEFAULT_MODE, HOME_POSE,
-                         JacobianPair, LegSolution, Pose, WorkingMode,
-                         anchor_layout, forward_refine, inverse_kinematics,
-                         jacobian)
+                         JacobianPair, Pose, WorkingMode, anchor_layout,
+                         inverse_kinematics, jacobian)
 from .model import (ActuatorStiffness, Architecture, Bounds, DEFAULT_BOUNDS,
                     DEFAULT_MATERIAL, DesignVector, Material, Wrench, mass,
                     steel, validate)

@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; anything else surfaces as a plain ValueError from the offending
-numpy call.
+numpy call.  No solver here iterates to a tolerance, so none can fail
+to converge; the Newton forward kinematics is a test oracle.
 """
 
 
@@ -42,10 +43,6 @@ class ModeViolation(PpmError):
         self.leg = leg
         super().__init__(f"leg {leg} branch outside joint limits"
                          + (f": {reason}" if reason else ""))
-
-
-class NoConvergence(PpmError):
-    """Newton iteration failed to reach the residual tolerance."""
 
 
 class DegenerateBeam(PpmError):

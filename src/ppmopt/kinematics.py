@@ -19,7 +19,9 @@ All pose-dependent math is implemented once, vectorized over an array of
 poses (`ik_batch`, `jacobian_batch`); the scalar operations wrap the
 batch path with N = 1 so both views cannot diverge.  Batch arrays are
 laid out (component, leg, pose), poses on the last axis, so each kernel
-unpacks components and legs as contiguous rows.
+unpacks components and legs as contiguous rows.  Passive-joint angles
+and the forward kinematics are not computed here; the test oracle
+`tests/chain_oracle.py` derives both independently.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModeViolation, NoConvergence, Unreachable
+from .errors import ModeViolation, Unreachable
 from .model import Architecture, DesignVector
 
 # Polar angles of the base triangle corners: A1A2 horizontal, apex up.
@@ -112,19 +114,6 @@ class AnchorLayout:
     platform_cols: np.ndarray
     origin_cols: np.ndarray
     rail_cols: np.ndarray | None  # for PRR
-
-
-@dataclass(frozen=True)
-class LegSolution:
-    """One leg's joint coordinates at one pose, in the solved working mode.
-
-    actuated_coordinate is rho_i [m] for the PRR/RPR and the base joint
-    angle [rad] for the RRR.  passive_angles are the two passive revolute
-    joint coordinates, in chain order, measured as relative angles.
-    """
-
-    actuated_coordinate: float
-    passive_angles: tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,36 +310,11 @@ def adjugate_batch(amat: np.ndarray) -> Adjugate:
     return Adjugate(x, y, z, t[0] + t[1] + t[2])
 
 
-def _leg_solutions(design: DesignVector, pose: Pose, bik: BatchIK
-                   ) -> tuple[LegSolution, LegSolution, LegSolution]:
-    layout = anchor_layout(design)
-    arch = design.architecture
-    sols = []
-    for i in range(3):
-        dvec = bik.distal[:, i, 0]
-        link_angle = math.atan2(dvec[1], dvec[0])
-        # base-frame direction of the platform bar C_i -> P
-        bar_angle = pose.phi + platform_vertex_angles(arch)[i] + math.pi
-        if arch is Architecture.RPR:
-            passive = (link_angle, bar_angle - link_angle)
-        elif arch is Architecture.PRR:
-            rail_angle = math.atan2(layout.rail_directions[i][1],
-                                    layout.rail_directions[i][0])
-            passive = (link_angle - rail_angle, bar_angle - link_angle)
-        else:
-            prox = bik.elbow[:, i, 0] - layout.base_points[i]
-            prox_angle = math.atan2(prox[1], prox[0])
-            passive = (link_angle - prox_angle, bar_angle - link_angle)
-        sols.append(LegSolution(actuated_coordinate=float(bik.q[i, 0]),
-                                passive_angles=(wrap_angle(passive[0]),
-                                                wrap_angle(passive[1]))))
-    return tuple(sols)
-
-
 def inverse_kinematics(design: DesignVector, pose: Pose,
-                       mode: WorkingMode = DEFAULT_MODE
-                       ) -> tuple[LegSolution, LegSolution, LegSolution]:
-    """Solve the inverse kinematics of all three legs for one pose.
+                       mode: WorkingMode = DEFAULT_MODE) -> np.ndarray:
+    """Actuated coordinates of the three legs at one pose, a fresh (3,)
+    array: rho_i [m] for the PRR/RPR, the base joint angle [rad] for the
+    RRR.
 
     Raises Unreachable when a leg has no solution (no real PRR root, RPR
     strut outside [L_b/2, L_b], RRR anchor distance beyond 2 L_b) and
@@ -363,61 +327,7 @@ def inverse_kinematics(design: DesignVector, pose: Pose,
             raise Unreachable(i, "no inverse-kinematic solution at this pose")
         if not bik.stroke_ok[i, 0]:
             raise ModeViolation(i, f"actuated coordinate {bik.q[i, 0]:.6g}")
-    return _leg_solutions(design, pose, bik)
-
-
-def closure_residuals(design: DesignVector, q: np.ndarray,
-                      poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loop-closure residuals r_i(pose) and their pose gradients.
-
-    For fixed actuated coordinates q, residual i is the distal-link (or
-    strut) length error of leg i; rows of the gradient are exactly the
-    rows of the parallel Jacobian A at the same pose.
-    """
-    poses = np.atleast_2d(poses)
-    layout = anchor_layout(design)
-    arch = design.architecture
-    q = np.asarray(q, dtype=float)[:, None]
-    c_world, moment = _platform_anchors(layout, poses)
-
-    root, target = layout.origin_cols, design.link_length
-    if arch is Architecture.PRR:
-        root = root + q * layout.rail_cols
-    elif arch is Architecture.RPR:
-        target = q
-    else:
-        root = root + design.link_length * np.array([np.cos(q), np.sin(q)])
-
-    vec = c_world - root
-    length = np.linalg.norm(vec, axis=0)
-    dhat = vec / np.maximum(length, 1e-300)
-    grad = np.concatenate([dhat, (dhat * moment).sum(axis=0)[None]])
-    return (length - target).T, grad.T
-
-
-def forward_refine(design: DesignVector, q_actuated, pose_guess: Pose,
-                   tol: float = 1e-10, max_iter: int = 50) -> Pose:
-    """Newton forward kinematics from a nearby pose guess.
-
-    Iterates on the three loop-closure residuals with the actuated
-    coordinates held fixed; used as the independent oracle for the
-    inverse kinematics.  Raises NoConvergence if the residual does not
-    drop below tol within max_iter steps (e.g. at a Type-2 singularity).
-    """
-    x = pose_guess.as_array()
-    q = np.asarray(q_actuated, dtype=float)
-    for _ in range(max_iter):
-        res, grad = closure_residuals(design, q, x[None, :])
-        if np.max(np.abs(res)) <= tol:
-            return Pose(*x)
-        try:
-            step = np.linalg.solve(grad[0], res[0])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular closure Jacobian") from exc
-        if not np.all(np.isfinite(step)):
-            raise NoConvergence("non-finite Newton step")
-        x = x - step
-    raise NoConvergence(f"residual {np.max(np.abs(res)):.3e} after {max_iter} iterations")
+    return bik.q[:, 0].copy()
 
 
 def jacobian(design: DesignVector, pose: Pose,

@@ -111,6 +111,13 @@ class _Section:
                               f"cannot interpret {value!r} as {kind.__name__}")
 
 
+def _number_or_null(value):
+    return None if value is None else float(value)
+
+
+_number_or_null.__name__ = "a number or null"   # named in _convert's errors
+
+
 def _rejected(sec: _Section, exc: ValueError) -> ConfigError:
     """The ConfigError for a value the section's dataclass rejected, at
     the key path of the field when the error names one."""
@@ -193,7 +200,7 @@ def parse_config(data: dict | None) -> RunConfig:
 
     dex = root.sub("dexterity")
     lc = dex.take("characteristic_length", DexterityConfig.characteristic_length,
-                  kind=lambda v: None if v is None else float(v))
+                  kind=_number_or_null)
     lc_min, lc_max = DexterityConfig.lc_search_range
     dexterity = _read(dex, DexterityConfig, characteristic_length=lc,
                       lc_search_range=(dex.take("lc_min", lc_min),

@@ -1,17 +1,24 @@
-"""Independent oracle for the virtual-spring screw Jacobians.
+"""Independent oracles for the leg chains: the virtual-spring screw
+Jacobians and the forward kinematics.
 
 Builds each leg's elastic chain explicitly as a product of homogeneous
 transforms (rigid offsets, passive rotations, spring deflections) and
 differentiates the end pose by central finite differences.  None of the
 library's screw-construction code is reused here, so agreement between
 this oracle and the analytic Jacobians checks the whole frame bookkeeping.
+
+forward_refine solves the forward kinematics by Newton iteration on the
+loop-closure residuals, with the platform anchors placed here from
+anchor_layout's platform points (poses first, by rotation matrices), so
+the round trip FK(IK(x)) = x shares no arithmetic with ik_batch.
 """
 
 import math
 
 import numpy as np
 
-from ppmopt.kinematics import (anchor_layout, ik_batch, DEFAULT_MODE,
+from ppmopt.errors import PpmError
+from ppmopt.kinematics import (anchor_layout, ik_batch, DEFAULT_MODE, Pose,
                                platform_vertex_angles)
 from ppmopt.model import Architecture, DesignVector
 
@@ -126,3 +133,64 @@ def fd_screws(design: DesignVector, leg: int, pose, mode=DEFAULT_MODE,
         return chain_transform(design, leg, pose, np.zeros(n_s), dq, mode)
 
     return columns(n_s, build_theta), columns(2, build_q)
+
+
+class NoConvergence(PpmError):
+    """Newton iteration failed to reach the residual tolerance."""
+
+
+def closure_residuals(design: DesignVector, q, poses) -> tuple[np.ndarray, np.ndarray]:
+    """Loop-closure residuals r_i(pose), shape (N, 3), and their pose
+    gradients, shape (N, 3, 3), for an (N, 3) pose array.
+
+    For fixed actuated coordinates q, residual i is the distal-link (or
+    strut) length error of leg i; row i of a gradient is the unit distal
+    direction d_i and its moment d_i . E R(phi) c_i, i.e. row i of the
+    parallel Jacobian A at that pose.
+    """
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    layout = anchor_layout(design)
+    q = np.asarray(q, dtype=float)
+    cos, sin = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)  # (N, 2, 2)
+    arm = layout.platform_points @ rot.transpose(0, 2, 1)          # R c_i
+    anchors = poses[:, None, :2] + arm                             # (N, 3, 2)
+    lever = np.stack([-arm[..., 1], arm[..., 0]], axis=-1)         # E R c_i
+
+    lb = design.link_length
+    target = lb
+    if design.architecture is Architecture.PRR:
+        root = layout.rail_starts + q[:, None] * layout.rail_directions
+    elif design.architecture is Architecture.RPR:
+        root, target = layout.base_points, q
+    else:
+        root = layout.base_points + lb * np.column_stack([np.cos(q), np.sin(q)])
+
+    vec = anchors - root
+    length = np.linalg.norm(vec, axis=-1)
+    unit = vec / np.maximum(length, 1e-300)[..., None]
+    moment = np.sum(unit * lever, axis=-1)
+    return length - target, np.concatenate([unit, moment[..., None]], axis=-1)
+
+
+def forward_refine(design: DesignVector, q_actuated, pose_guess: Pose,
+                   tol: float = 1e-10, max_iter: int = 50) -> Pose:
+    """Newton forward kinematics from a nearby pose guess.
+
+    Iterates on the three loop-closure residuals with the actuated
+    coordinates held fixed.  Raises NoConvergence if the residual does not
+    drop below tol within max_iter steps (e.g. at a Type-2 singularity).
+    """
+    x = pose_guess.as_array()
+    for _ in range(max_iter):
+        res, grad = closure_residuals(design, q_actuated, x[None, :])
+        if np.max(np.abs(res)) <= tol:
+            return Pose(*x)
+        try:
+            step = np.linalg.solve(grad[0], res[0])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("singular closure Jacobian") from exc
+        if not np.all(np.isfinite(step)):
+            raise NoConvergence("non-finite Newton step")
+        x = x - step
+    raise NoConvergence(f"residual {np.max(np.abs(res)):.3e} after {max_iter} iterations")

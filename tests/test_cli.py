@@ -152,6 +152,13 @@ class TestConfig:
             parse_config(data)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("value", ["abc", True])
+    def test_characteristic_length_error_names_its_kind(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"dexterity": {"characteristic_length": value}})
+        assert str(err.value) == ("dexterity.characteristic_length: cannot "
+                                  f"interpret {value!r} as a number or null")
+
     def test_inverted_bounds_name_the_config_key(self):
         with pytest.raises(ConfigError, match="bounds for L_b invalid") as err:
             parse_config({"bounds": {"lower": {"L_b": 2.0}, "upper": {"L_b": 1.0}}})

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from chain_oracle import NoConvergence, closure_residuals, forward_refine
 from conftest import sample_design, sample_pose
 from conftest import _same_bytes
-from ppmopt.errors import ModeViolation, NoConvergence, Unreachable
+from ppmopt.errors import ModeViolation, Unreachable
 from ppmopt.kinematics import (DEFAULT_MODE, Branch, HOME_POSE, Pose,
-                               anchor_layout, closure_residuals, forward_refine,
-                               ik_batch, inverse_kinematics, jacobian,
-                               jacobian_batch, wrap_angle)
+                               anchor_layout, ik_batch, inverse_kinematics,
+                               jacobian, jacobian_batch, wrap_angle)
 from ppmopt.model import Architecture, DesignVector
 
 SQRT3 = math.sqrt(3.0)
@@ -84,9 +84,8 @@ class TestPose:
 class TestInverseKinematics:
     def test_rpr_home_strut_is_radius_difference(self):
         d = _design(Architecture.RPR, big_r=2.0, r=0.8, lb=1.5)
-        legs = inverse_kinematics(d, HOME_POSE)
-        for leg in legs:
-            assert leg.actuated_coordinate == pytest.approx(2.0 - 0.8, abs=1e-12)
+        q = inverse_kinematics(d, HOME_POSE)
+        np.testing.assert_allclose(q, 2.0 - 0.8, rtol=0.0, atol=1e-12)
 
     def test_rpr_resubstitution_exact(self, ctx):
         rng = np.random.default_rng(5)
@@ -94,13 +93,12 @@ class TestInverseKinematics:
         layout = anchor_layout(d)
         for _ in range(25):
             pose = sample_pose(rng, d)
-            legs = inverse_kinematics(d, pose)
+            q = inverse_kinematics(d, pose)
             rot = np.array([[math.cos(pose.phi), -math.sin(pose.phi)],
                             [math.sin(pose.phi), math.cos(pose.phi)]])
-            for i, leg in enumerate(legs):
+            for i in range(3):
                 c = np.array([pose.p_x, pose.p_y]) + rot @ layout.platform_points[i]
-                resid = abs(np.linalg.norm(c - layout.base_points[i])
-                            - leg.actuated_coordinate)
+                resid = abs(np.linalg.norm(c - layout.base_points[i]) - q[i])
                 assert resid <= 1e-12
 
     def test_rpr_outside_stroke_unreachable(self):
@@ -118,11 +116,15 @@ class TestInverseKinematics:
 
     def test_rrr_stretched_at_equality(self):
         d = _design(Architecture.RRR, big_r=2.0, r=0.8, lb=0.6)
+        origin = anchor_layout(d).origin_cols[..., 0]
         for branch in (Branch.PLUS, Branch.MINUS):
-            legs = inverse_kinematics(d, HOME_POSE, (branch,) * 3)
-            for leg in legs:
-                # distal link collinear with proximal: zero elbow deflection
-                assert leg.passive_angles[0] == pytest.approx(0.0, abs=1e-7)
+            bik = ik_batch(d, HOME_POSE.as_array()[None, :], (branch,) * 3)
+            assert bik.ok()[0]
+            prox = (bik.elbow[..., 0] - origin) / d.link_length
+            dx, dy = bik.distal[..., 0]
+            # distal link collinear with proximal: zero elbow deflection
+            np.testing.assert_allclose(prox[0] * dy - prox[1] * dx, 0.0, atol=1e-7)
+            np.testing.assert_allclose(prox[0] * dx + prox[1] * dy, 1.0, atol=1e-7)
 
     def test_prr_no_real_root(self):
         d = _design(Architecture.PRR, big_r=2.0, r=0.8, lb=0.3)
@@ -151,8 +153,7 @@ class TestInverseKinematics:
         d = sample_design(rng, arch)
         for _ in range(25):
             pose = sample_pose(rng, d)
-            legs = inverse_kinematics(d, pose)
-            q = np.array([leg.actuated_coordinate for leg in legs])
+            q = inverse_kinematics(d, pose)
             res, _ = closure_residuals(d, q, pose.as_array()[None, :])
             assert np.abs(res).max() <= 1e-10
 
@@ -164,8 +165,7 @@ class TestInverseKinematics:
         pose = sample_pose(rng, d)
         plus = inverse_kinematics(d, pose, (Branch.PLUS,) * 3)
         minus = inverse_kinematics(d, pose, (Branch.MINUS,) * 3)
-        assert all(p.actuated_coordinate != m.actuated_coordinate
-                   for p, m in zip(plus, minus))
+        assert (plus != minus).all()
 
 
 class TestForwardRefine:
@@ -181,16 +181,16 @@ class TestForwardRefine:
         d = sample_design(rng, arch)
         for _ in range(100):
             pose = sample_pose(rng, d)
-            legs = inverse_kinematics(d, pose)
-            q = [leg.actuated_coordinate for leg in legs]
+            q = inverse_kinematics(d, pose)
             back = forward_refine(d, q, pose)
             assert np.allclose(back.as_array(), pose.as_array(), atol=1e-8)
 
-    def test_perturbed_guess_converges(self):
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_perturbed_guess_converges(self, arch):
         rng = np.random.default_rng(13)
-        d = sample_design(rng, Architecture.PRR)
+        d = sample_design(rng, arch)
         pose = sample_pose(rng, d)
-        q = [leg.actuated_coordinate for leg in inverse_kinematics(d, pose)]
+        q = inverse_kinematics(d, pose)
         guess = Pose(pose.p_x + 1e-3, pose.p_y - 1e-3, pose.phi + 1e-3)
         back = forward_refine(d, q, guess)
         assert np.allclose(back.as_array(), pose.as_array(), atol=1e-8)
@@ -199,8 +199,7 @@ class TestForwardRefine:
         # fully stretched RRR legs: Newton either diverges or lands on a
         # configuration whose velocity matrices are singular
         d = _design(Architecture.RRR, big_r=2.0, r=0.8, lb=0.6)
-        legs = inverse_kinematics(d, HOME_POSE)
-        q = [leg.actuated_coordinate for leg in legs]
+        q = inverse_kinematics(d, HOME_POSE)
         try:
             back = forward_refine(d, q, Pose(0.05, -0.04, 0.02))
         except NoConvergence:
