@@ -60,10 +60,15 @@ def parse_design(text: str) -> DesignVector:
         key = key.strip()
         if key not in _DESIGN_KEYS:
             raise ConfigError(f"design.{key}", "unknown design variable")
+        if key in fields:
+            raise ConfigError(f"design.{key}", "repeated design variable")
         try:
             fields[key] = float(value)
         except ValueError:
-            raise ConfigError(f"design.{key}", f"bad number {value!r}")
+            fields[key] = math.nan
+        if not math.isfinite(fields[key]):
+            raise ConfigError(f"design.{key}",
+                              f"bad number {value!r}, expected a finite one")
     missing = [k for k in _DESIGN_KEYS if k not in fields]
     if missing:
         raise ConfigError(f"design.{missing[0]}", "missing design variable")

@@ -42,7 +42,9 @@ budget the stiffness thresholds come to 1e6 N/m, 1e5 N/m and
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +56,35 @@ from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, BatchIK, Pose,
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
                     DEFAULT_MATERIAL, check_finite)
 from .stiffness import stiffness_batch, stiffness_indices_batch
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc keep up to 32 MiB of freed heap top for reuse.
+
+    An 8649-pose constraints_batch call holds up to 8.7 MB of (3, N),
+    (6, 3, N) and (4, 3, N) temporaries at once (10.5 MB for a 9150-row
+    RRR call), more than glibc's dynamic trim threshold (twice the
+    largest freed mmapped chunk, a few MB).  glibc then trimmed the heap
+    after every call and the next call faulted each page back in: about
+    2100-2600 minor faults and 4-7 ms of system time out of 8-16 ms CPU
+    per call, measured with getrusage.  With the pad such calls take no
+    faults up to about 30k poses.  Only the source of the memory changes,
+    never a result.  Linux only; skipped where the C library has no
+    mallopt (musl).  ctypes.util.find_library is avoided: it spawns
+    ldconfig on every import.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-2, 32 << 20)   # M_TOP_PAD
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)

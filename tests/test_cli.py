@@ -234,20 +234,49 @@ class TestConfig:
         d = parse_design(DESIGN_I_ARG.replace("d=1", "d=2.0"))
         assert d.architecture is Architecture.RPR
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_design_value_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_design(DESIGN_I_ARG.replace("R=1.412", f"R={value}"))
+        assert err.value.path == "design.R"
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is only needed for the DOE, and importing it takes most
-    # of the start-up time of every command
+    def test_repeated_design_key_rejected(self):
+        with pytest.raises(ConfigError, match="repeated") as err:
+            parse_design(DESIGN_I_ARG + ",R=2")
+        assert err.value.path == "design.R"
+
+
+def _run_in_fresh_interpreter(code: str) -> str:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ppmopt.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is only needed for the DOE, and importing it takes most
+    # of the start-up time of every command
+    out = _run_in_fresh_interpreter(
+        "import sys, ppmopt.cli; print('scipy.stats' in sys.modules)")
+    assert out == "False"
+
+
+def test_cli_import_spawns_no_process():
+    # an import-time helper such as ctypes.util.find_library runs ldconfig
+    # in a child process, which would add tens of ms to every command
+    out = _run_in_fresh_interpreter(
+        "import subprocess\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError(f'process spawned at import: {args!r}')\n"
+        "subprocess.Popen = refuse\n"
+        "import ppmopt.cli\n"
+        "print('ok')\n")
+    assert out == "ok"
 
 
 class TestPrintDefaults:
@@ -306,6 +335,17 @@ class TestEvaluate:
                      "--design", DESIGN_I_ARG, "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "workspace.center" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", [
+        DESIGN_I_ARG.replace("R=1.412", "R=nan"),
+        DESIGN_I_ARG + ",R=2"], ids=["nan", "repeated"])
+    def test_bad_design_value_exit_2_without_report(self, tmp_path, capsys,
+                                                    design):
+        out = tmp_path / "r.json"
+        code = main(["evaluate", "--design", design, "--out", str(out)])
+        assert code == 2
+        assert "design.R" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_architecture_code_exit_2(self, tmp_path, capsys):
         code = main(["evaluate", "--design", DESIGN_I_ARG.replace("d=1", "d=inf"),

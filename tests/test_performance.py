@@ -1,6 +1,10 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
+import resource
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -315,3 +319,63 @@ def test_constraints_batch_bytes_pinned():
             digest.update(getattr(res, name).tobytes())
     assert sizes == {5, 305, 8649}
     assert digest.hexdigest() == KERNEL_DIGEST
+
+
+def _has_mallopt() -> bool:
+    try:
+        return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None),
+                                                             "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="C library has no mallopt")
+def test_warm_large_batch_reuses_freed_heap():
+    # a large call holds up to 8.7 MB of temporaries; without the heap
+    # pad glibc hands them back to the OS and the next call faults some
+    # 2100 pages back in
+    poses = grid_array(WorkspaceSpec(0.1, (0.0, 0.0, 0.0), 0.3),
+                       GridSpec(20, 48, 9))
+    assert poses.shape[0] == 8649
+    constraints_batch(DESIGN_I, poses, l_c=0.7)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    constraints_batch(DESIGN_I, poses, l_c=0.7)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 50
+
+
+def _fake_libc():
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+class TestKeepFreedHeap:
+    def test_sets_top_pad_on_linux(self, monkeypatch):
+        libc, calls = _fake_libc()
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        performance._keep_freed_heap()
+        assert calls == [(-2, 32 << 20)]
+
+    def test_c_library_without_mallopt_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        performance._keep_freed_heap()
+
+    def test_unloadable_c_library_is_skipped(self, monkeypatch):
+        def refuse(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        performance._keep_freed_heap()
+
+    def test_other_platforms_left_alone(self, monkeypatch):
+        libc, calls = _fake_libc()
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        performance._keep_freed_heap()
+        assert calls == []
