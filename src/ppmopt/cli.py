@@ -131,12 +131,24 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
     return 0 if feasible else 3
 
 
+def _make_dir(path: str):
+    """Create the output directory path, parents included ("" is the
+    working directory)."""
+    if not path:
+        return
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(path, f"cannot create output directory: {exc}")
+
+
 def _write_text(path: str, content: str):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    _make_dir(os.path.dirname(path))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ConfigError(path, f"cannot write output: {exc}")
 
 
 def _pareto_rows(entries, seed: int) -> list[list[str]]:
@@ -164,6 +176,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
               f"{stats.hypervolume:.6g}, {stats.n_feasible} feasible",
               file=sys.stderr)
 
+    _make_dir(out_dir)      # an unusable --out fails before the GA runs
     result = moga.evolve(cfg.moga, cfg.bounds, cfg.grid, cfg.ctx,
                          cfg.bisection_tol, threads=cfg.threads,
                          progress=progress, center=cfg.center,
@@ -188,7 +201,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         "population": cfg.moga.population,
         "generations": cfg.moga.generations,
         "total_evaluations": cfg.moga.population * cfg.moga.generations,
-        "doe": cfg.moga.doe,
+        "doe": "sobol",
         "optimizer": OPTIMIZER_NOTE,
         "working_mode": [b.name for b in cfg.ctx.mode],
         "workspace": {

@@ -167,6 +167,8 @@ class BatchIK(NamedTuple):
                 also the strut length |C_i - A_i| that flexes
     elbow       intermediate joint point B_i (PRR foot / RRR elbow; for
                 the RPR this is A_i, the proximal joint)
+    proximal    RRR only: the proximal link B_i - A_i, which the Jacobian
+                and the link springs both read; None for PRR and RPR
     distal      unit vector along the distal link, foot/strut to C_i
     reachable   the branch root exists and joint limits hold (per spec's
                 unreachability definition for each architecture)
@@ -178,6 +180,7 @@ class BatchIK(NamedTuple):
     moment: np.ndarray
     q: np.ndarray
     elbow: np.ndarray
+    proximal: np.ndarray | None
     distal: np.ndarray
     reachable: np.ndarray
     stroke_ok: np.ndarray
@@ -220,6 +223,7 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     w = c_world - a
     wx, wy = w
     sign = np.array([[b.value] for b in mode], dtype=float)
+    proximal = None
 
     if arch is Architecture.RPR:
         rho = np.sqrt(wx * wx + wy * wy)
@@ -248,11 +252,12 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         elbow = np.empty((2, 3, n))
         np.add(a[0], lb * np.cos(q), out=elbow[0])
         np.add(a[1], lb * np.sin(q), out=elbow[1])
+        proximal = elbow - a
         distal = (c_world - elbow) / lb
         stroke_ok = reachable
 
-    return BatchIK(poses, c_world, moment, q, elbow, distal, reachable,
-                   stroke_ok)
+    return BatchIK(poses, c_world, moment, q, elbow, proximal, distal,
+                   reachable, stroke_ok)
 
 
 def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +279,7 @@ def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.n
         ux, uy = anchor_layout(design).rail_cols
         b = dx * ux + dy * uy
     else:
-        lx, ly = bik.elbow - anchor_layout(design).origin_cols
+        lx, ly = bik.proximal
         # d . E(lever): rate gain of the distal constraint per theta_dot.
         b = dy * lx - dx * ly
     return amat, b

@@ -49,33 +49,29 @@ N_BITS = ARCH_BITS + N_VARS * GENE_BITS   # 82-bit DNA string
 HV_REF_MASS = 5000.0
 HV_REF_RADIUS = 0.0
 
+#: The operator roulette, drawn once per offspring slot, and the per-bit
+#: flip probability of the bit mutation; fixed, as in the published setup.
+P_DIRECTIONAL_CROSSOVER = 0.5
+P_SELECTION = 0.05                       # parent cloning
+P_MUTATION = 0.1
+P_ONE_POINT_CROSSOVER = 1.0 - (P_DIRECTIONAL_CROSSOVER + P_SELECTION
+                               + P_MUTATION)
+DNA_MUTATION_RATIO = 0.05
+_OPERATOR_CUMSUM = np.cumsum(np.array([P_DIRECTIONAL_CROSSOVER, P_SELECTION,
+                                       P_MUTATION, P_ONE_POINT_CROSSOVER]))
+
 
 @dataclass(frozen=True)
 class MogaConfig:
-    """Scheduler parameters; defaults follow the published run setup."""
+    """Run size and seed; the operators are the fixed table above."""
 
     population: int = 30
     generations: int = 200
-    p_directional_crossover: float = 0.5
-    p_selection: float = 0.05            # parent cloning
-    p_mutation: float = 0.1
-    dna_mutation_ratio: float = 0.05     # per-bit flip probability
     seed: int = 0
-    doe: str = "sobol"                   # or "latin"
 
     def __post_init__(self):
-        probs = (self.p_directional_crossover, self.p_selection, self.p_mutation)
-        if any(not 0.0 <= p <= 1.0 for p in probs) or sum(probs) > 1.0:
-            raise ValueError("operator probabilities must lie in [0,1] and sum <= 1")
-        if self.doe not in ("sobol", "latin"):
-            raise ValueError(f"unknown DOE kind {self.doe!r}")
         if self.population < 2 or self.generations < 1:
             raise ValueError("population >= 2 and generations >= 1 required")
-
-    @property
-    def p_classical_crossover(self) -> float:
-        return 1.0 - (self.p_directional_crossover + self.p_selection
-                      + self.p_mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +133,18 @@ def genome_key(genome: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Design of experiments
 
-def doe_genomes(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS) -> list[np.ndarray]:
-    """Initial population: low-discrepancy samples of the continuous box
-    with the architecture gene stratified round-robin over {1, 2, 3}."""
+def sobol_doe(n: int, bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0
+              ) -> list[np.ndarray]:
+    """Initial population: the first n scrambled-Sobol samples of the
+    continuous box, with the architecture gene stratified round-robin
+    over {1, 2, 3}."""
     # imported here: scipy.stats takes most of the start-up time of every
     # command and pool worker, and only the DOE needs it
     from scipy.stats import qmc
 
-    n = cfg.population
-    if cfg.doe == "sobol":
-        sampler = qmc.Sobol(d=N_VARS, scramble=True, seed=cfg.seed)
-        m = max(1, math.ceil(math.log2(n)))
-        unit = sampler.random_base2(m)[:n]
-    else:
-        unit = qmc.LatinHypercube(d=N_VARS, seed=cfg.seed).random(n)
+    sampler = qmc.Sobol(d=N_VARS, scramble=True, seed=seed)
+    m = max(1, math.ceil(math.log2(n)))
+    unit = sampler.random_base2(m)[:n]
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
     scaled = lo + unit * (hi - lo)
@@ -159,12 +153,6 @@ def doe_genomes(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS) -> list[np.nda
         arch = Architecture(i % 3 + 1)
         genomes.append(encode(DesignVector(arch, *scaled[i]), bounds))
     return genomes
-
-
-def sobol_doe(n: int, bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0
-              ) -> list[np.ndarray]:
-    """First n scrambled-Sobol designs as genomes (see doe_genomes)."""
-    return doe_genomes(MogaConfig(population=n, seed=seed, doe="sobol"), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +386,8 @@ def _one_point_crossover(a: np.ndarray, b: np.ndarray,
     return np.concatenate([a[:cut], b[cut:]])
 
 
-def _bit_mutation(genome: np.ndarray, ratio: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    flips = rng.random(N_BITS) < ratio
+def _bit_mutation(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    flips = rng.random(N_BITS) < DNA_MUTATION_RATIO
     return genome ^ flips.astype(np.uint8)
 
 
@@ -470,7 +457,7 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
     evaluator = _Evaluator((bounds, grid, ctx, tol, center, delta_phi),
                            threads)
     try:
-        genomes = doe_genomes(cfg, bounds)
+        genomes = sobol_doe(cfg.population, bounds, cfg.seed)
         evals = evaluator(genomes)
         all_evals: list[Evaluation] = list(evals)
         archive = pareto_filter(evals)
@@ -478,9 +465,6 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
                                    sum(e.feasible for e in evals))]
         if progress is not None:
             progress(history[-1])
-        ops = np.array([cfg.p_directional_crossover, cfg.p_selection,
-                        cfg.p_mutation, cfg.p_classical_crossover])
-        cum = np.cumsum(ops)
         for gen in range(1, cfg.generations):
             current = {v.key for v in evals}
             pool = list(evals) + [e for e in archive.entries
@@ -488,15 +472,14 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
             tour = _Tournament(pool, rng)
             offspring: list[np.ndarray] = []
             for _ in range(cfg.population):
-                draw = rng.random() * cum[-1]
-                op = int(np.searchsorted(cum, draw, side="right"))
+                draw = rng.random() * _OPERATOR_CUMSUM[-1]
+                op = int(np.searchsorted(_OPERATOR_CUMSUM, draw, side="right"))
                 if op == 0:
                     child = _directional_crossover(tour, bounds, rng)
                 elif op == 1:
                     child = _unpack(pool[tour.pick()].key)
                 elif op == 2:
-                    child = _bit_mutation(_unpack(pool[tour.pick()].key),
-                                          cfg.dna_mutation_ratio, rng)
+                    child = _bit_mutation(_unpack(pool[tour.pick()].key), rng)
                 else:
                     child = _one_point_crossover(_unpack(pool[tour.pick()].key),
                                                  _unpack(pool[tour.pick()].key),

@@ -97,15 +97,11 @@ class DexterityConfig:
 
     threshold: float = 0.1
     characteristic_length: float | None = None
-    lc_search_range: tuple[float, float] = (1e-3, 10.0)  # [m]
 
     def __post_init__(self):
-        lo, hi = self.lc_search_range
         lc = self.characteristic_length
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("dexterity threshold must be in (0, 1]")
-        if not 0.0 < lo < hi < math.inf:
-            raise ValueError("need 0 < lc_min < lc_max < inf")
         if lc is not None and not 0.0 < lc < math.inf:
             raise ValueError("characteristic_length must be null or finite and > 0")
 
@@ -215,13 +211,17 @@ def _dexterity(amat: np.ndarray, b: np.ndarray, adj: Adjugate,
                     np.minimum(inv, 1.0), 0.0)
 
 
+#: The interval the home-optimal characteristic length is searched in [m].
+LC_SEARCH_RANGE = (1e-3, 10.0)
+
+
 @lru_cache(maxsize=4096)
 def characteristic_length(design: DesignVector,
                           ctx: EvalContext = DEFAULT_CONTEXT) -> float:
     """Normalization length for the rotational twist component [m].
 
     Under the home-optimal policy: golden-section minimization of
-    kappa_F(diag(1, 1, L) J_home) over the configured interval, to 1e-4
+    kappa_F(diag(1, 1, L) J_home) over LC_SEARCH_RANGE, to 1e-4
     relative width.  Raises HomeUnreachable when the symmetric home pose
     has no inverse-kinematic solution (or is singular there).
     """
@@ -242,8 +242,7 @@ def characteristic_length(design: DesignVector,
         return (ta + tb * l_c * l_c) * (tc + td / (l_c * l_c))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = ctx.dexterity.lc_search_range
-    a, b = lo, hi
+    a, b = LC_SEARCH_RANGE
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = kappa(c), kappa(d)

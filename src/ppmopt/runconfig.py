@@ -51,6 +51,7 @@ class RunConfig:
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,
                  "a finite length > 0"),
+                ("moga.seed", self.moga.seed >= 0, "an integer >= 0"),
                 ("threads", self.threads >= 0, "0 (all cores) or a worker count")):
             if not ok:
                 raise ConfigError(path, f"must be {rule}")
@@ -115,7 +116,14 @@ def _number_or_null(value):
     return None if value is None else float(value)
 
 
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
 _number_or_null.__name__ = "a number or null"   # named in _convert's errors
+_string.__name__ = "a string"
 
 
 def _rejected(sec: _Section, exc: ValueError) -> ConfigError:
@@ -201,10 +209,7 @@ def parse_config(data: dict | None) -> RunConfig:
     dex = root.sub("dexterity")
     lc = dex.take("characteristic_length", DexterityConfig.characteristic_length,
                   kind=_number_or_null)
-    lc_min, lc_max = DexterityConfig.lc_search_range
-    dexterity = _read(dex, DexterityConfig, characteristic_length=lc,
-                      lc_search_range=(dex.take("lc_min", lc_min),
-                                       dex.take("lc_max", lc_max)))
+    dexterity = _read(dex, DexterityConfig, characteristic_length=lc)
 
     ws = root.sub("workspace")
     delta_phi_deg = ws.take("delta_phi_deg", math.degrees(DELTA_PHI_DEFAULT))
@@ -219,7 +224,7 @@ def parse_config(data: dict | None) -> RunConfig:
     moga = _read(root.sub("moga"), MogaConfig)
     mode = _parse_mode(root.take("mode", None, kind=None), "mode")
     threads = root.take("threads", RunConfig.threads, int)
-    output_dir = root.take("output_dir", RunConfig.output_dir, str)
+    output_dir = root.take("output_dir", RunConfig.output_dir, _string)
     root.finish()
 
     ctx = EvalContext(material=material, actuator=actuator,
@@ -287,8 +292,6 @@ accuracy:                  # allowed deflections under the wrench
 dexterity:
   threshold: {dex.threshold:<14}# minimum 1/kappa_F over the workspace
   characteristic_length: {lc:<7}# null = home-optimal search, else [m]
-  lc_min: {dex.lc_search_range[0]:<17}# search interval [m]
-  lc_max: {dex.lc_search_range[1]}
 workspace:
   delta_phi_deg: {math.degrees(DELTA_PHI_DEFAULT):<10}# total rotation band of the cylinder
   center: {list(CENTER_DEFAULT)}  # (x_c [m], y_c [m], phi_c [rad])
@@ -297,12 +300,7 @@ workspace:
 moga:
   population: {mg.population}
   generations: {mg.generations}
-  p_directional_crossover: {mg.p_directional_crossover}
-  p_selection: {mg.p_selection:<12}# parent cloning
-  p_mutation: {mg.p_mutation}
-  dna_mutation_ratio: {mg.dna_mutation_ratio:<5}# per-bit flip probability
   seed: {mg.seed}
-  doe: {mg.doe:<20}# sobol | latin
 mode: [{", ".join(b.name for b in DEFAULT_MODE)}]   # working-mode branch per leg
 threads: {RunConfig.threads:<18}# parallel fitness workers; 0 = all cores
 output_dir: {RunConfig.output_dir}

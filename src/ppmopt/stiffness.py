@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import DegenerateBeam, SingularKinetostatics, SingularStiffness
 from .kinematics import (Adjugate, BatchIK, Pose, WorkingMode, DEFAULT_MODE,
-                         adjugate_batch, anchor_layout, ik_batch, jacobian_batch)
+                         adjugate_batch, ik_batch, jacobian_batch)
 from .model import ActuatorStiffness, Architecture, DesignVector, Material
 
 DEFAULT_ACTUATOR = ActuatorStiffness()
@@ -220,8 +220,7 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     s_out = _out_of_plane_compliance(bar, ox / r, oy / r, 0.0, 0.0)
     s_out += _out_of_plane_compliance(link, dx, dy, mz, -od)
     if arch is Architecture.RRR:
-        base = anchor_layout(design).origin_cols     # the RRR corners A_i
-        px, py = (bik.elbow - base) / design.link_length
+        px, py = bik.proximal / design.link_length
         along, across = px * dx + py * dy, px * dy - py * dx
         c = c + along * along * link.axial + across * across * link.bend
         qx, qy = bik.c_world - bik.elbow

@@ -84,7 +84,8 @@ def leg_models_batch(design, bik, material, actuator=DEFAULT_ACTUATOR):
     arch = design.architecture
     layout = anchor_layout(design)
     # the oracle's own poses-first view: (N, 3, 2) points and (N, 3) q
-    bik = bik._replace(**{f: getattr(bik, f).T for f in bik._fields[1:]})
+    bik = bik._replace(**{f: v.T for f, v in bik._asdict().items()
+                          if f != "poses" and v is not None})
     n = bik.q.shape[0]
     p = bik.poses[:, :2]
     k_act = np.full((1, 1), 1.0 / actuator.for_architecture(arch))

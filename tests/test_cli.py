@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ppmopt.cli import main, parse_design
+from ppmopt import moga
+from ppmopt.cli import OPTIMIZER_NOTE, main, parse_design
 from ppmopt.errors import ConfigError
 from ppmopt.model import Architecture
 from ppmopt.performance import EvalContext
@@ -21,6 +23,13 @@ TINY_CFG = {
     "moga": {"population": 12, "generations": 4, "seed": 11},
     "bounds": {"lower": {"r": 0.1}},
 }
+
+#: Settings that are fixed constants of the GA and the l_c search, not
+#: config keys; a config that sets one is rejected at that key.
+REMOVED_KEYS = [("moga", "p_directional_crossover", 0.5),
+                ("moga", "p_selection", 0.05), ("moga", "p_mutation", 0.1),
+                ("moga", "dna_mutation_ratio", 0.05), ("moga", "doe", "sobol"),
+                ("dexterity", "lc_min", 1e-3), ("dexterity", "lc_max", 10.0)]
 
 
 @pytest.fixture()
@@ -47,15 +56,46 @@ class TestConfig:
         assert EvalContext() == parse_config({}).ctx
 
     def test_unknown_key_rejected_with_path(self):
-        # the out-of-plane torques and the grid phase are not config keys
+        # the out-of-plane torques, the grid phase and the fixed settings,
+        # even at their fixed values, are not config keys
         for data, path in [
                 ({"moga": {"populaton": 3}}, "moga.populaton"),
                 ({"wrench": {"tau_x": 0.0}}, "wrench.tau_x"),
                 ({"workspace": {"grid": {"angular_offset": 0.1}}},
-                 "workspace.grid.angular_offset")]:
-            with pytest.raises(ConfigError) as err:
+                 "workspace.grid.angular_offset"),
+                *(({section: {key: value}}, f"{section}.{key}")
+                  for section, key, value in REMOVED_KEYS)]:
+            with pytest.raises(ConfigError, match="unknown key") as err:
                 parse_config(data)
-            assert path in str(err.value)
+            assert err.value.path == path
+
+    def test_settable_keys_pinned(self):
+        # adding or removing a setting must show up here
+        def leaves(node, path):
+            if not isinstance(node, dict):
+                return [path]
+            return [leaf for k, v in node.items()
+                    for leaf in leaves(v, f"{path}.{k}" if path else k)]
+
+        assert sorted(leaves(yaml.safe_load(default_config_yaml()), "")) == [
+            "accuracy.delta_phiz_max_deg", "accuracy.delta_xy_max",
+            "accuracy.delta_z_max", "actuator.prismatic", "actuator.revolute",
+            "bounds.lower.L_b", "bounds.lower.R", "bounds.lower.r",
+            "bounds.lower.r_j", "bounds.lower.r_p", "bounds.upper.L_b",
+            "bounds.upper.R", "bounds.upper.r", "bounds.upper.r_j",
+            "bounds.upper.r_p", "dexterity.characteristic_length",
+            "dexterity.threshold", "material.density", "material.poisson_ratio",
+            "material.young_modulus", "mode", "moga.generations",
+            "moga.population", "moga.seed", "output_dir", "threads",
+            "workspace.bisection_tol", "workspace.center",
+            "workspace.delta_phi_deg", "workspace.grid.n_angular",
+            "workspace.grid.n_orientation", "workspace.grid.n_radial",
+            "wrench.f_x", "wrench.f_y", "wrench.f_z", "wrench.tau_z"]
+        # the one key the template names only in a comment
+        cfg = parse_config({"material": {"density": 7850.0,
+                                         "young_modulus": 2.1e11,
+                                         "shear_modulus": 8e10}})
+        assert cfg.ctx.material.shear_modulus == 8e10
 
     def test_partial_material_rejected_with_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -98,14 +138,15 @@ class TestConfig:
         ({"workspace": {"bisection_tol": float("nan")}}, "workspace.bisection_tol"),
         ({"workspace": {"delta_phi_deg": -5.0}}, "workspace.delta_phi_deg"),
         ({"threads": -1}, "threads"),
-        ({"dexterity": {"lc_min": 5.0, "lc_max": 1.0}}, "dexterity"),
-        ({"dexterity": {"lc_min": 0.0}}, "dexterity"),
-        ({"dexterity": {"lc_min": -1.0}}, "dexterity"),
+        ({"dexterity": {"threshold": 0.0}}, "dexterity"),
+        ({"dexterity": {"threshold": -0.1}}, "dexterity"),
+        ({"dexterity": {"characteristic_length": float("inf")}}, "dexterity"),
         ({"dexterity": {"characteristic_length": 0.0}}, "dexterity"),
         ({"dexterity": {"characteristic_length": -0.5}}, "dexterity"),
         ({"dexterity": {"characteristic_length": float("nan")}}, "dexterity"),
         ({"dexterity": {"threshold": 2.0}}, "dexterity"),
-        ({"moga": {"doe": "grid"}}, "moga")])
+        ({"moga": {"population": 1}}, "moga"),
+        ({"moga": {"seed": -5}}, "moga.seed")])
     def test_out_of_range_value_rejected(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -143,10 +184,14 @@ class TestConfig:
         ({"workspace": {"center": [True, 0, 0]}}, "workspace.center"),
         ({"workspace": {"grid": {"n_radial": True}}}, "workspace.grid.n_radial"),
         ({"dexterity": {"characteristic_length": True}},
-         "dexterity.characteristic_length")],
+         "dexterity.characteristic_length"),
+        ({"output_dir": None}, "output_dir"),
+        ({"output_dir": [1, 2]}, "output_dir"),
+        ({"output_dir": 5}, "output_dir")],
         ids=["mode-two-branches", "mode-unknown-branch", "center-scalar",
              "section-scalar", "load-false", "threads-true", "seed-true",
-             "center-true", "grid-true", "lc-true"])
+             "center-true", "grid-true", "lc-true", "output-dir-null",
+             "output-dir-list", "output-dir-number"])
     def test_malformed_value_rejected_with_path(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -287,6 +332,17 @@ class TestPrintDefaults:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("out", ["afile/report.json", "adir"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, out):
+        # a regular file where a directory is needed, and a directory
+        # where the report file is needed
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        code = main(["evaluate", "--design", DESIGN_I_ARG,
+                     "--out", str(tmp_path / out)])
+        assert code == 2
+        assert str(tmp_path / out.split("/")[0]) in capsys.readouterr().err
+
     def test_feasible_design_report(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["evaluate", "--config", tiny_config,
@@ -383,6 +439,23 @@ def opt_run(tmp_path_factory):
 
 
 class TestOptimize:
+    def test_unwritable_out_exit_2_before_the_ga(self, tiny_config, tmp_path,
+                                                 capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        for out in (afile, afile / "sub"):
+            code = main(["optimize", "--config", tiny_config, "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(out) in err and "generation" not in err
+
+    def test_negative_seed_flag_exit_2(self, tiny_config, tmp_path, capsys):
+        code = main(["optimize", "--config", tiny_config, "--seed", "-1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "moga.seed" in err and "generation" not in err
+
     def test_negative_threads_flag_exit_2(self, tiny_config, tmp_path, capsys):
         code = main(["optimize", "--config", tiny_config, "--threads", "-1",
                      "--out", str(tmp_path / "out")])
@@ -440,6 +513,13 @@ class TestOptimize:
         assert code in (0, 4)
         assert _sha(os.path.join(out, "pareto.csv")) != _sha(str(other / "pareto.csv"))
 
+    def test_optimizer_note_states_the_operator_table(self):
+        # run.json's note must describe the table every run uses
+        numbers = [float(x) for x in re.findall(r"\d+\.\d+", OPTIMIZER_NOTE)]
+        assert numbers == pytest.approx(
+            [moga.P_DIRECTIONAL_CROSSOVER, moga.P_SELECTION, moga.P_MUTATION,
+             moga.P_ONE_POINT_CROSSOVER], abs=1e-12)
+
     def test_run_manifest(self, opt_run, tmp_path):
         out, _ = opt_run
         doc = json.loads(Path(out, "run.json").read_text())
@@ -490,6 +570,17 @@ class TestOptimize:
         assert code == 4
         lines = (out / "pareto.csv").read_text().splitlines()
         assert len(lines) == 1             # header only
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+def test_removed_setting_exit_2(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({section: {key: value}}), encoding="utf-8")
+    for args in (["evaluate", "--design", DESIGN_I_ARG,
+                  "--out", str(tmp_path / "r.json")],
+                 ["optimize", "--out", str(tmp_path / "out")]):
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert f"{section}.{key}: unknown key" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -295,6 +295,7 @@ def _ik_batch_einsum(design, poses, mode):
         reachable = (rho >= lb / 2.0) & (rho <= lb)
         stroke_ok = reachable
         elbow = np.broadcast_to(a, (n, 3, 2))
+        proximal = None
         q = rho
     elif arch is Architecture.PRR:
         u = layout.rail_directions
@@ -303,6 +304,7 @@ def _ik_batch_einsum(design, poses, mode):
         reachable = disc >= 0.0
         q = s + sign[None, :] * np.sqrt(np.maximum(disc, 0.0))
         elbow = a[None, :, :] + q[:, :, None] * u[None, :, :]
+        proximal = None
         distal = (c_world - elbow) / lb
         stroke_ok = (q > 0.0) & (q < layout.rail_length)
     else:
@@ -311,10 +313,12 @@ def _ik_batch_einsum(design, poses, mode):
         spread = np.arccos(np.clip(dist / (2.0 * lb), -1.0, 1.0))
         q = np.arctan2(w[:, :, 1], w[:, :, 0]) + sign[None, :] * spread
         elbow = a[None, :, :] + lb * np.stack([np.cos(q), np.sin(q)], axis=2)
+        proximal = elbow - a[None, :, :]
         distal = (c_world - elbow) / lb
         stroke_ok = reachable
     return dict(c_world=c_world, moment=moment, q=q, elbow=elbow,
-                distal=distal, reachable=reachable, stroke_ok=stroke_ok)
+                proximal=proximal, distal=distal, reachable=reachable,
+                stroke_ok=stroke_ok)
 
 
 def _jacobian_batch_einsum(design, ik):
@@ -339,7 +343,9 @@ def _assert_bytes_equal_oracle(design, poses, mode):
     assert bik._fields == ("poses", *ref)     # the oracle covers every field
     assert _same_bytes(bik.poses, poses)
     for name, value in ref.items():      # the oracle is poses-first
-        assert _same_bytes(getattr(bik, name), value.T), name
+        got = getattr(bik, name)
+        assert (got is None if value is None
+                else _same_bytes(got, value.T)), name
     ok = (ref["reachable"] & ref["stroke_ok"]).all(axis=1)
     assert _same_bytes(bik.ok(), ok)
     for got, want in zip(jacobian_batch(design, bik),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt.model import Architecture, DEFAULT_BOUNDS, DesignVector
 from ppmopt.moga import (GENE_MAX, Evaluation, MogaConfig, N_BITS, decode,
-                         doe_genomes, dominates, encode, evaluate_genome, evolve,
+                         dominates, encode, evaluate_genome, evolve,
                          hypervolume, pareto_filter,
                          per_architecture_fronts, sobol_doe)
 from ppmopt.performance import DEFAULT_CONTEXT
@@ -59,7 +59,7 @@ class TestGenomeCodec:
 
 class TestDoe:
     def test_within_bounds(self):
-        for genome in doe_genomes(MogaConfig(population=30, seed=1)):
+        for genome in sobol_doe(30, seed=1):
             d = decode(genome)
             for v, lo, hi in zip(d.as_tuple()[1:], DEFAULT_BOUNDS.lower,
                                  DEFAULT_BOUNDS.upper):
@@ -67,7 +67,7 @@ class TestDoe:
 
     def test_architecture_stratification(self):
         archs = [int(decode(g).architecture) for g in
-                 doe_genomes(MogaConfig(population=30, seed=2))]
+                 sobol_doe(30, seed=2)]
         assert archs.count(1) == archs.count(2) == archs.count(3) == 10
 
     def test_deterministic_per_seed(self):
@@ -76,10 +76,6 @@ class TestDoe:
         c = sobol_doe(16, DEFAULT_BOUNDS, seed=10)
         assert all((x == y).all() for x, y in zip(a, b))
         assert any((x != z).any() for x, z in zip(a, c))
-
-    def test_latin_variant(self):
-        genomes = doe_genomes(MogaConfig(population=10, seed=4, doe="latin"))
-        assert len(genomes) == 10
 
 
 class TestEvaluateGenome:

@@ -317,7 +317,10 @@ class TestKKTOracle:
             d = sample_design(rng, arch)
             poses = np.stack([sample_pose(rng, d).as_array() for _ in range(3)])
             bik = ik_batch(d, poses)
-            for name in ("c_world", "moment", "elbow", "distal", "q"):
+            for name in ("c_world", "moment", "elbow", "proximal", "distal",
+                         "q"):
+                if getattr(bik, name) is None:
+                    continue
                 arr = getattr(bik, name).copy()
                 arr[..., 2, 1] = arr[..., 1, 1]
                 bik = bik._replace(**{name: arr})
