@@ -315,6 +315,18 @@ def adjugate_batch(amat: np.ndarray) -> Adjugate:
     return Adjugate(x, y, z, t[0] + t[1] + t[2])
 
 
+def _solve_pose(design: DesignVector, pose: Pose, mode: WorkingMode
+                ) -> BatchIK:
+    """The IK of one pose; raises for the first leg that cannot take it."""
+    bik = ik_batch(design, pose.as_array()[None, :], mode)
+    for i in range(3):
+        if not bik.reachable[i, 0]:
+            raise Unreachable(i, "no inverse-kinematic solution at this pose")
+        if not bik.stroke_ok[i, 0]:
+            raise ModeViolation(i, f"actuated coordinate {bik.q[i, 0]:.6g}")
+    return bik
+
+
 def inverse_kinematics(design: DesignVector, pose: Pose,
                        mode: WorkingMode = DEFAULT_MODE) -> np.ndarray:
     """Actuated coordinates of the three legs at one pose, a fresh (3,)
@@ -326,21 +338,15 @@ def inverse_kinematics(design: DesignVector, pose: Pose,
     ModeViolation when the requested PRR branch root violates the rail
     travel limits.
     """
-    bik = ik_batch(design, pose.as_array()[None, :], mode)
-    for i in range(3):
-        if not bik.reachable[i, 0]:
-            raise Unreachable(i, "no inverse-kinematic solution at this pose")
-        if not bik.stroke_ok[i, 0]:
-            raise ModeViolation(i, f"actuated coordinate {bik.q[i, 0]:.6g}")
-    return bik.q[:, 0].copy()
+    return _solve_pose(design, pose, mode).q[:, 0].copy()
 
 
 def jacobian(design: DesignVector, pose: Pose,
              mode: WorkingMode = DEFAULT_MODE) -> JacobianPair:
     """Velocity-loop matrices at one pose, in the given working mode.
 
+    Raises as inverse_kinematics does where a leg cannot take the pose.
     Singular matrices are returned as-is; dexterity handles them.
     """
-    bik = ik_batch(design, pose.as_array()[None, :], mode)
-    amat, b = jacobian_batch(design, bik)
+    amat, b = jacobian_batch(design, _solve_pose(design, pose, mode))
     return JacobianPair(a_parallel=amat[..., 0].T, b_serial=np.diag(b[:, 0]))

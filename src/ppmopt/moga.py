@@ -23,6 +23,7 @@ bit-reproducible regardless of evaluation parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PpmError
+from .errors import InvalidValue, PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector, mass,
                     validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
@@ -70,8 +71,10 @@ class MogaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2 or self.generations < 1:
-            raise ValueError("population >= 2 and generations >= 1 required")
+        if self.population < 2:
+            raise InvalidValue("population", ">= 2", self.population)
+        if self.generations < 1:
+            raise InvalidValue("generations", ">= 1", self.generations)
 
 
 # ---------------------------------------------------------------------------
@@ -289,36 +292,29 @@ def _rank_and_crowding(pool: list[Evaluation]) -> tuple[np.ndarray, np.ndarray]:
     n = len(pool)
     rank = np.full(n, n, dtype=float)
     crowd = np.zeros(n)
-    feas = [i for i, e in enumerate(pool) if e.feasible]
-    remaining = set(feas)
+    masses = np.array([e.mass for e in pool])
+    radii = np.array([e.r_w for e in pool])
+    remaining = np.flatnonzero([e.feasible for e in pool])
     level = 0
-    while remaining:
-        idx = sorted(remaining)
-        masses = np.array([pool[i].mass for i in idx])
-        radii = np.array([pool[i].r_w for i in idx])
-        front = []
-        for k, i in enumerate(idx):
-            dominated = ((masses <= masses[k]) & (radii >= radii[k])
-                         & ((masses < masses[k]) | (radii > radii[k]))).any()
-            if not dominated:
-                front.append(i)
-        for i in front:
-            rank[i] = level
-            remaining.discard(i)
-        crowd_front = _crowding([pool[i] for i in front])
-        for i, c in zip(front, crowd_front):
-            crowd[i] = c
+    while remaining.size:
+        m, r = masses[remaining], radii[remaining]
+        # dominated[k]: some member j of this level dominates member k
+        dominated = ((m[:, None] <= m) & (r[:, None] >= r)
+                     & ((m[:, None] < m) | (r[:, None] > r))).any(axis=0)
+        front = remaining[~dominated]
+        rank[front] = level
+        crowd[front] = _crowding(m[~dominated], r[~dominated])
+        remaining = remaining[dominated]
         level += 1
     return rank, crowd
 
 
-def _crowding(front: list[Evaluation]) -> np.ndarray:
-    n = len(front)
+def _crowding(masses: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    n = masses.size
     if n <= 2:
         return np.full(n, math.inf)
     dist = np.zeros(n)
-    for values in ([e.mass for e in front], [e.r_w for e in front]):
-        v = np.array(values)
+    for v in (masses, radii):
         order = np.argsort(v, kind="stable")
         span = v[order[-1]] - v[order[0]]
         dist[order[0]] = dist[order[-1]] = math.inf
@@ -350,6 +346,10 @@ class _Tournament:
     def pick(self) -> int:
         i, j = self.rng.integers(0, len(self.pool), size=2)
         return self._better(int(i), int(j))
+
+    def parent(self) -> np.ndarray:
+        """The genome of a fresh tournament winner."""
+        return _unpack(self.pool[self.pick()].key)
 
     def compare(self, i: int, j: int) -> bool:
         """True when i is the better of the pair."""
@@ -409,34 +409,32 @@ class MogaResult:
 
 
 def _eval_worker(key: bytes, search: tuple) -> Evaluation:
+    # evaluate_genome is looked up at call time, so a wrapper installed
+    # on the module (timing, tracing) sees every genome
     return evaluate_genome(_unpack(key), *search)
 
 
-class _Evaluator:
-    """Deduplicating evaluator with optional process parallelism.
-
-    search holds evaluate_genome's arguments after the genome.
-    """
-
-    def __init__(self, search: tuple, threads: int):
-        self.search = search
-        self.cache: dict[bytes, Evaluation] = {}
-        if threads < 0:
-            raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
-        n_workers = (os.cpu_count() or 1) if threads == 0 else threads
-        self.pool = (ProcessPoolExecutor(max_workers=n_workers)
-                     if n_workers > 1 else None)
-
-    def __call__(self, genomes: list[np.ndarray]) -> list[Evaluation]:
-        keys = [genome_key(g) for g in genomes]
-        fresh = [k for k in dict.fromkeys(keys) if k not in self.cache]
-        run = self.pool.map if self.pool is not None and len(fresh) > 1 else map
-        self.cache.update(zip(fresh, run(_eval_worker, fresh, repeat(self.search))))
-        return [self.cache[k] for k in keys]
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+def _offspring(evals: list[Evaluation], archive: ParetoArchive, n: int,
+               bounds: Bounds, rng: np.random.Generator) -> list[np.ndarray]:
+    """n children of the last generation plus the archive, one operator
+    drawn by roulette per slot."""
+    current = {e.key for e in evals}
+    tour = _Tournament(evals + [e for e in archive.entries
+                                if e.key not in current], rng)
+    children = []
+    for _ in range(n):
+        draw = rng.random() * _OPERATOR_CUMSUM[-1]
+        op = int(np.searchsorted(_OPERATOR_CUMSUM, draw, side="right"))
+        if op == 0:
+            child = _directional_crossover(tour, bounds, rng)
+        elif op == 1:
+            child = tour.parent()
+        elif op == 2:
+            child = _bit_mutation(tour.parent(), rng)
+        else:
+            child = _one_point_crossover(tour.parent(), tour.parent(), rng)
+        children.append(child)
+    return children
 
 
 def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
@@ -445,55 +443,43 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
            progress=None, *,
            center: tuple[float, float, float] = CENTER_DEFAULT,
            delta_phi: float = DELTA_PHI_DEFAULT) -> MogaResult:
-    """Run the full optimization: DOE generation plus evolution steps.
+    """Run the full optimization: the Sobol DOE is generation 0, offspring
+    of the last generation and the archive fill every later one.
 
     Every genome is scored over the workspace cylinder at center with
-    rotation band delta_phi.  Total budget is exactly population x
-    generations scored slots (the DOE counts as generation 0).  Identical
-    inputs reproduce identical results bit-for-bit, with any thread
-    count.  progress, when given, is called with each generation's stats.
+    rotation band delta_phi, each distinct genome once, on a process pool
+    of threads workers (0 = all cores) when more than one.  Total budget
+    is exactly population x generations scored slots.  Identical inputs
+    reproduce identical results bit-for-bit, with any thread count.
+    progress, when given, is called with each generation's stats.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+    n_workers = (os.cpu_count() or 1) if threads == 0 else threads
+    search = (bounds, grid, ctx, tol, center, delta_phi)
     rng = np.random.default_rng(cfg.seed)
-    evaluator = _Evaluator((bounds, grid, ctx, tol, center, delta_phi),
-                           threads)
-    try:
-        genomes = sobol_doe(cfg.population, bounds, cfg.seed)
-        evals = evaluator(genomes)
-        all_evals: list[Evaluation] = list(evals)
-        archive = pareto_filter(evals)
-        history = [GenerationStats(0, hypervolume(archive),
-                                   sum(e.feasible for e in evals))]
-        if progress is not None:
-            progress(history[-1])
-        for gen in range(1, cfg.generations):
-            current = {v.key for v in evals}
-            pool = list(evals) + [e for e in archive.entries
-                                  if e.key not in current]
-            tour = _Tournament(pool, rng)
-            offspring: list[np.ndarray] = []
-            for _ in range(cfg.population):
-                draw = rng.random() * _OPERATOR_CUMSUM[-1]
-                op = int(np.searchsorted(_OPERATOR_CUMSUM, draw, side="right"))
-                if op == 0:
-                    child = _directional_crossover(tour, bounds, rng)
-                elif op == 1:
-                    child = _unpack(pool[tour.pick()].key)
-                elif op == 2:
-                    child = _bit_mutation(_unpack(pool[tour.pick()].key), rng)
-                else:
-                    child = _one_point_crossover(_unpack(pool[tour.pick()].key),
-                                                 _unpack(pool[tour.pick()].key),
-                                                 rng)
-                offspring.append(child)
-            evals = evaluator(offspring)
+    cache: dict[bytes, Evaluation] = {}
+    evals: list[Evaluation] = []
+    all_evals: list[Evaluation] = []
+    archive = ParetoArchive()
+    history: list[GenerationStats] = []
+    with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
+          else contextlib.nullcontext()) as workers:
+        for gen in range(cfg.generations):
+            genomes = (sobol_doe(cfg.population, bounds, cfg.seed) if gen == 0
+                       else _offspring(evals, archive, cfg.population, bounds,
+                                       rng))
+            keys = [genome_key(g) for g in genomes]
+            fresh = [k for k in dict.fromkeys(keys) if k not in cache]
+            run = workers.map if workers is not None and len(fresh) > 1 else map
+            cache.update(zip(fresh, run(_eval_worker, fresh, repeat(search))))
+            evals = [cache[k] for k in keys]
             all_evals.extend(evals)
             archive = pareto_filter(list(archive.entries) + evals)
             history.append(GenerationStats(gen, hypervolume(archive),
                                            sum(e.feasible for e in evals)))
             if progress is not None:
                 progress(history[-1])
-    finally:
-        evaluator.close()
     return MogaResult(archive=archive, history=tuple(history),
                       evaluations=tuple(all_evals))
 

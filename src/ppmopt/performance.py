@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HomeUnreachable, Unreachable
+from .errors import HomeUnreachable, InvalidValue, Unreachable
 from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, BatchIK, Pose,
                          WorkingMode, adjugate_batch, ik_batch, jacobian_batch)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
@@ -101,9 +101,10 @@ class DexterityConfig:
     def __post_init__(self):
         lc = self.characteristic_length
         if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("dexterity threshold must be in (0, 1]")
+            raise InvalidValue("threshold", "in (0, 1]", self.threshold)
         if lc is not None and not 0.0 < lc < math.inf:
-            raise ValueError("characteristic_length must be null or finite and > 0")
+            raise InvalidValue("characteristic_length", "null or finite and > 0",
+                               lc)
 
 
 @dataclass(frozen=True)

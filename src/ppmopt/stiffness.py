@@ -55,7 +55,6 @@ closed-form 3x3 algebra, evaluated elementwise over poses and legs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -169,19 +168,6 @@ class LegTerms(NamedTuple):
     k_out: np.ndarray
 
 
-@lru_cache(maxsize=4096)
-def _fixed_beams(design: DesignVector, material: Material
-                 ) -> tuple[BeamTerms, BeamTerms]:
-    """Beam terms of the platform bar and of a constant-length link.
-
-    The link terms serve the PRR link and both RRR links; the RPR strut
-    flexes over its current extension instead.
-    """
-    return (_beam_terms(design.platform_radius, design.platform_section_radius,
-                        material),
-            _beam_terms(design.link_length, design.leg_section_radius, material))
-
-
 def stiffness_batch(design: DesignVector, bik: BatchIK,
                     jac: tuple[np.ndarray, np.ndarray], material: Material,
                     actuator: ActuatorStiffness = DEFAULT_ACTUATOR
@@ -198,9 +184,11 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     dx, dy, mz = amat                    # w_i; mz: its moment about P
     ox, oy = -bik.moment[1], bik.moment[0]               # o_i = P - C_i
     od = ox * dx + oy * dy
-    bar, link = _fixed_beams(design, material)
-    if arch is Architecture.RPR:   # the strut flexes over its extension q
-        link = _beam_terms(bik.q, design.leg_section_radius, material)
+    bar = _beam_terms(r, design.platform_section_radius, material)
+    # the RPR strut flexes over its extension q, every other link over L_b
+    link = _beam_terms(bik.q if arch is Architecture.RPR
+                       else design.link_length, design.leg_section_radius,
+                       material)
 
     # In plane each spring carries the unit leg wrench w_i.  The actuator
     # sees B_ii of it.  The platform bar (spring at P, axis o_i / r) sees

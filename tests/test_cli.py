@@ -127,7 +127,9 @@ class TestConfig:
         ({"moga": {"generations": 4.2}}, "moga.generations"),
         ({"moga": {"seed": 11.9}}, "moga.seed"),
         ({"moga": {"seed": float("inf")}}, "moga.seed"),
-        ({"threads": 1.5}, "threads")])
+        ({"threads": 1.5}, "threads")],
+        ids=["n-radial", "population", "generations", "seed", "seed-inf",
+             "threads"])
     def test_non_integral_count_rejected(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -138,15 +140,24 @@ class TestConfig:
         ({"workspace": {"bisection_tol": float("nan")}}, "workspace.bisection_tol"),
         ({"workspace": {"delta_phi_deg": -5.0}}, "workspace.delta_phi_deg"),
         ({"threads": -1}, "threads"),
-        ({"dexterity": {"threshold": 0.0}}, "dexterity"),
-        ({"dexterity": {"threshold": -0.1}}, "dexterity"),
-        ({"dexterity": {"characteristic_length": float("inf")}}, "dexterity"),
-        ({"dexterity": {"characteristic_length": 0.0}}, "dexterity"),
-        ({"dexterity": {"characteristic_length": -0.5}}, "dexterity"),
-        ({"dexterity": {"characteristic_length": float("nan")}}, "dexterity"),
-        ({"dexterity": {"threshold": 2.0}}, "dexterity"),
-        ({"moga": {"population": 1}}, "moga"),
-        ({"moga": {"seed": -5}}, "moga.seed")])
+        ({"dexterity": {"threshold": 0.0}}, "dexterity.threshold"),
+        ({"dexterity": {"threshold": -0.1}}, "dexterity.threshold"),
+        ({"dexterity": {"characteristic_length": float("inf")}},
+         "dexterity.characteristic_length"),
+        ({"dexterity": {"characteristic_length": 0.0}},
+         "dexterity.characteristic_length"),
+        ({"dexterity": {"characteristic_length": -0.5}},
+         "dexterity.characteristic_length"),
+        ({"dexterity": {"characteristic_length": float("nan")}},
+         "dexterity.characteristic_length"),
+        ({"dexterity": {"threshold": 2.0}}, "dexterity.threshold"),
+        ({"moga": {"population": 1}}, "moga.population"),
+        ({"moga": {"seed": -5}}, "moga.seed"),
+        ({"moga": {"generations": 0}}, "moga.generations")],
+        ids=["tol-zero", "tol-nan", "delta-phi-negative", "threads-negative",
+             "threshold-zero", "threshold-negative", "lc-inf", "lc-zero",
+             "lc-negative", "lc-nan", "threshold-above-one", "population-one",
+             "seed-negative", "generations-zero"])
     def test_out_of_range_value_rejected(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)
@@ -605,6 +616,14 @@ class TestSweep:
         code = main(["sweep", "--from", opt_run[0], "--architecture", "1",
                      "--out", str(tmp_path / "n.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("text", ["XYZ", "4"])
+    def test_unknown_architecture_exit_2(self, opt_run, tmp_path, capsys, text):
+        code = main(["sweep", "--from", opt_run[0], "--architecture", text,
+                     "--out", str(tmp_path / "a.csv")])
+        assert code == 2
+        assert (f"architecture: unknown architecture '{text}'"
+                in capsys.readouterr().err)
 
     def test_sweep_from_bare_csv(self, opt_run, tmp_path):
         out = tmp_path / "p.csv"

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chain_oracle import NoConvergence, closure_residuals, forward_refine
-from conftest import sample_design, sample_pose
+from conftest import DESIGN_I, sample_design, sample_pose
 from conftest import _same_bytes
 from ppmopt.errors import ModeViolation, Unreachable
 from ppmopt.kinematics import (DEFAULT_MODE, Branch, HOME_POSE, Pose,
@@ -146,6 +147,8 @@ class TestInverseKinematics:
         assert seen is not None
         with pytest.raises(ModeViolation):
             inverse_kinematics(d, seen)
+        with pytest.raises(ModeViolation):
+            jacobian(d, seen)
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_resubstitution_closes_the_loop(self, arch):
@@ -204,8 +207,10 @@ class TestForwardRefine:
             back = forward_refine(d, q, Pose(0.05, -0.04, 0.02))
         except NoConvergence:
             return
-        pair = jacobian(d, back)
-        assert abs(np.linalg.det(pair.b_serial)) < 1e-8
+        # the landing lies just past full stretch, where jacobian raises
+        # for leg 0, so read det B off the batch path
+        _, b = jacobian_batch(d, ik_batch(d, back.as_array()))
+        assert abs(np.linalg.det(np.diag(b[:, 0]))) < 1e-8
 
 
 class TestJacobian:
@@ -241,6 +246,18 @@ class TestJacobian:
         d = _design(Architecture.RRR, big_r=2.0, r=0.8, lb=0.6)
         pair = jacobian(d, HOME_POSE)
         assert abs(np.linalg.det(pair.b_serial)) < 1e-10
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_unreachable_pose_raises_as_ik_does(self, arch):
+        # no leg of Design I's geometry reaches 5 m out, so no row of A
+        # would be a unit wrench
+        d = dataclasses.replace(DESIGN_I, architecture=arch)
+        far = Pose(5.0, 0.0, 0.0)
+        with pytest.raises(Unreachable) as ik_err:
+            inverse_kinematics(d, far)
+        with pytest.raises(Unreachable) as jac_err:
+            jacobian(d, far)
+        assert jac_err.value.leg == ik_err.value.leg == 0
 
 
 class TestWorkingModeContinuity:

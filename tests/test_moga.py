@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
+from ppmopt import moga
 from ppmopt.model import Architecture, DEFAULT_BOUNDS, DesignVector
-from ppmopt.moga import (GENE_MAX, Evaluation, MogaConfig, N_BITS, decode,
-                         dominates, encode, evaluate_genome, evolve,
+from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
+                         decode, dominates, encode, evaluate_genome, evolve,
                          hypervolume, pareto_filter,
                          per_architecture_fronts, sobol_doe)
 from ppmopt.performance import DEFAULT_CONTEXT
@@ -171,6 +173,18 @@ class TestParetoFilter:
         b = Evaluation(a.design, a.mass, a.r_w, True, None, 1.0, a.key)
         assert len(pareto_filter([a, b])) == 1
 
+    def test_duplicate_objectives_keep_the_first(self):
+        # architecture codes 0 and 3 both decode to the PRR: two keys, one
+        # design, so the same (mass, R_w)
+        genome = encode(DESIGN_II, WIDE_BOUNDS)
+        twin = genome.copy()
+        twin[:ARCH_BITS] = 1
+        first, second = (evaluate_genome(g, WIDE_BOUNDS) for g in (genome, twin))
+        assert first.key != second.key and first.feasible and second.feasible
+        assert (first.mass, first.r_w) == (second.mass, second.r_w)
+        assert pareto_filter([first, second]).entries == (first,)
+        assert pareto_filter([second, first]).entries == (second,)
+
 
 class TestHypervolume:
     def test_rectangle(self):
@@ -235,6 +249,22 @@ class TestEvolve:
         other = evolve(dataclasses.replace(TINY, seed=4))
         assert [e.key for e in other.archive.entries] != \
             [e.key for e in tiny_run.archive.entries]
+
+    def test_each_distinct_genome_scored_once(self, monkeypatch):
+        # the dedup cache sits in front of the module-level evaluate_genome,
+        # which the evaluation worker looks up on every call
+        calls = collections.Counter()
+        inner = moga.evaluate_genome
+
+        def counting(genome, *search):
+            calls[moga.genome_key(genome)] += 1
+            return inner(genome, *search)
+
+        monkeypatch.setattr(moga, "evaluate_genome", counting)
+        result = evolve(MogaConfig(population=10, generations=5, seed=1))
+        keys = {e.key for e in result.evaluations}
+        assert (len(result.evaluations), len(keys)) == (50, 45)
+        assert calls == collections.Counter(keys)
 
     def test_negative_threads_rejected(self):
         with pytest.raises(ValueError, match="threads"):
