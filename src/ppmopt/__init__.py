@@ -1,9 +1,8 @@
 """Design evaluation and multiobjective optimization of planar parallel
 manipulators (3-PRR, 3-RPR, 3-RRR)."""
 
-from .errors import (ConfigError, DegenerateBeam, DegenerateSection,
-                     HomeUnreachable, ModeViolation, OutOfBounds, PpmError,
-                     SingularKinetostatics, SingularStiffness, Unreachable)
+from .errors import (ConfigError, HomeUnreachable, InvalidValue, ModeViolation,
+                     OutOfBounds, PpmError, SingularStiffness, Unreachable)
 from .kinematics import (AnchorLayout, Branch, DEFAULT_MODE, HOME_POSE,
                          JacobianPair, Pose, WorkingMode, anchor_layout,
                          inverse_kinematics, jacobian)

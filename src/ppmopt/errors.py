@@ -1,9 +1,14 @@
 """Exception hierarchy for the ppmopt package.
 
-Every failure mode that callers are expected to branch on gets its own
-class; anything else surfaces as a plain ValueError from the offending
-numpy call.  No solver here iterates to a tolerance, so none can fail
-to converge; the Newton forward kinematics is a test oracle.
+Every failure mode that callers are expected to branch on gets exactly
+one class, raised alike wherever it arises.  Every one-pose call solves
+its pose through kinematics.solve_pose, so a pose a leg cannot take
+raises Unreachable (ModeViolation for a PRR root outside its rail
+travel) for the first such leg; a physical parameter outside its domain
+raises InvalidValue naming the field.  Anything else surfaces as a plain
+ValueError from the offending numpy call.  No solver here iterates to a
+tolerance, so none can fail to converge; the Newton forward kinematics
+is a test oracle.
 """
 
 
@@ -18,14 +23,6 @@ class OutOfBounds(PpmError):
         self.field = field
         self.value = value
         super().__init__(f"{field}={value} outside [{lo}, {hi}]")
-
-
-class DegenerateSection(PpmError):
-    """Zero cross-section radius: the design can never carry load."""
-
-    def __init__(self, field: str):
-        self.field = field
-        super().__init__(f"{field} = 0 gives a zero cross-section")
 
 
 class Unreachable(PpmError):
@@ -45,23 +42,9 @@ class ModeViolation(PpmError):
                          + (f": {reason}" if reason else ""))
 
 
-class DegenerateBeam(PpmError):
-    """Beam compliance requested for a zero-length or zero-section beam."""
-
-
-class SingularKinetostatics(PpmError):
-    """A leg or the platform has no finite kinetostatic stiffness: its
-    passive twists are parallel, the pose is a parallel singularity, or
-    the leg cannot reach the pose."""
-
-    def __init__(self, leg: int = -1):
-        self.leg = leg
-        super().__init__("kinetostatic stiffness is singular"
-                         + (f" (leg {leg})" if leg >= 0 else ""))
-
-
 class SingularStiffness(PpmError):
-    """Aggregate stiffness matrix is not invertible."""
+    """The platform stiffness is not invertible or not finite: a parallel
+    singularity (det A = 0) or a leg spring without finite compliance."""
 
 
 class HomeUnreachable(PpmError):

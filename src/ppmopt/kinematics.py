@@ -315,9 +315,10 @@ def adjugate_batch(amat: np.ndarray) -> Adjugate:
     return Adjugate(x, y, z, t[0] + t[1] + t[2])
 
 
-def _solve_pose(design: DesignVector, pose: Pose, mode: WorkingMode
-                ) -> BatchIK:
-    """The IK of one pose; raises for the first leg that cannot take it."""
+def solve_pose(design: DesignVector, pose: Pose, mode: WorkingMode
+               ) -> BatchIK:
+    """The IK of one pose; raises for the first leg that cannot take it.
+    Every one-pose call solves its pose here."""
     bik = ik_batch(design, pose.as_array()[None, :], mode)
     for i in range(3):
         if not bik.reachable[i, 0]:
@@ -338,7 +339,7 @@ def inverse_kinematics(design: DesignVector, pose: Pose,
     ModeViolation when the requested PRR branch root violates the rail
     travel limits.
     """
-    return _solve_pose(design, pose, mode).q[:, 0].copy()
+    return solve_pose(design, pose, mode).q[:, 0].copy()
 
 
 def jacobian(design: DesignVector, pose: Pose,
@@ -348,5 +349,5 @@ def jacobian(design: DesignVector, pose: Pose,
     Raises as inverse_kinematics does where a leg cannot take the pose.
     Singular matrices are returned as-is; dexterity handles them.
     """
-    amat, b = jacobian_batch(design, _solve_pose(design, pose, mode))
+    amat, b = jacobian_batch(design, solve_pose(design, pose, mode))
     return JacobianPair(a_parallel=amat[..., 0].T, b_serial=np.diag(b[:, 0]))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import DegenerateSection, InvalidValue, OutOfBounds
+from .errors import InvalidValue, OutOfBounds
 
 
 class Architecture(IntEnum):
@@ -107,7 +107,7 @@ def steel(density: float = 7850.0, young_modulus: float = 210e9,
           poisson_ratio: float = 0.3) -> Material:
     """Structural steel; G follows from E and the Poisson ratio."""
     if not poisson_ratio > -1.0:
-        raise ValueError(f"poisson_ratio must exceed -1, got {poisson_ratio}")
+        raise InvalidValue("poisson_ratio", "> -1", poisson_ratio)
     return Material(density=density, young_modulus=young_modulus,
                     shear_modulus=young_modulus / (2.0 * (1.0 + poisson_ratio)))
 
@@ -151,20 +151,19 @@ class Wrench:
 
 
 def validate(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> DesignVector:
-    """Check a design against its box and reject degenerate cross-sections.
+    """Check a design against its box, then reject every length not > 0.
 
-    Returns the design unchanged when acceptable.  A zero r_j or r_p is
-    rejected even when the box allows it: a zero section has infinite
-    compliance and can never satisfy the stiffness constraints.
+    Returns the design unchanged when acceptable.  A zero section can
+    never carry load and a negative length mirrors the design and its
+    mass, so both raise InvalidValue even where the box allows them.
     """
-    for name, v, lo, hi in zip(SHORT_NAMES, design.as_tuple()[1:],
-                               bounds.lower, bounds.upper):
+    values = design.as_tuple()[1:]
+    for name, v, lo, hi in zip(SHORT_NAMES, values, bounds.lower, bounds.upper):
         if not math.isfinite(v) or v < lo or v > hi:
             raise OutOfBounds(name, v, lo, hi)
-    if design.leg_section_radius <= 0.0:
-        raise DegenerateSection("r_j")
-    if design.platform_section_radius <= 0.0:
-        raise DegenerateSection("r_p")
+    for name, v in zip(SHORT_NAMES, values):
+        if not v > 0.0:
+            raise InvalidValue(name, "> 0", v)
     return design
 
 

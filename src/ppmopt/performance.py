@@ -50,9 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HomeUnreachable, InvalidValue, Unreachable
+from .errors import HomeUnreachable, InvalidValue
 from .kinematics import (DEFAULT_MODE, HOME_POSE, Adjugate, BatchIK, Pose,
-                         WorkingMode, adjugate_batch, ik_batch, jacobian_batch)
+                         WorkingMode, adjugate_batch, ik_batch, jacobian_batch,
+                         solve_pose)
 from .model import (ActuatorStiffness, DesignVector, Material, Wrench,
                     DEFAULT_MATERIAL, check_finite)
 from .stiffness import stiffness_batch, stiffness_indices_batch
@@ -263,17 +264,13 @@ def inverse_condition(design: DesignVector, pose: Pose,
                       ctx: EvalContext = DEFAULT_CONTEXT) -> float:
     """Normalized inverse condition number of the Jacobian, in [0, 1].
 
-    Returns 0 at parallel singularities (det A = 0) and raises
-    Unreachable when the pose has no inverse-kinematic solution.  The
-    characteristic length is resolved once per design and reused for
+    Returns 0 at parallel singularities (det A = 0) and raises as
+    kinematics.inverse_kinematics does where a leg cannot take the pose.
+    The characteristic length is resolved once per design and reused for
     every pose.
     """
     l_c = characteristic_length(design, ctx)
-    bik = ik_batch(design, pose.as_array()[None, :], ctx.mode)
-    legs_ok = bik.reachable[:, 0] & bik.stroke_ok[:, 0]
-    if not legs_ok.all():
-        raise Unreachable(int(np.argmin(legs_ok)))
-    amat, b = jacobian_batch(design, bik)
+    amat, b = jacobian_batch(design, solve_pose(design, pose, ctx.mode))
     return float(_dexterity(amat, b, adjugate_batch(amat), l_c)[0])
 
 

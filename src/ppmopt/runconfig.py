@@ -171,6 +171,9 @@ def _parse_material(sec: _Section) -> Material:
         return steel()
     density = sec.require("density")
     young = sec.require("young_modulus")
+    if "poisson_ratio" in sec.data and "shear_modulus" in sec.data:
+        raise ConfigError(sec._join("shear_modulus"),
+                          "give poisson_ratio or shear_modulus, not both")
     poisson = sec.take("poisson_ratio", _STEEL_POISSON)
     shear = sec.take("shear_modulus", None)
     sec.finish()
@@ -276,7 +279,7 @@ bounds:
 material:            # all-or-nothing override (defaults: structural steel)
   density: {mat.density:<16}# [kg/m^3]
   young_modulus: {mat.young_modulus} # [N/m^2]
-  poisson_ratio: {_STEEL_POISSON:<10}# shear modulus follows unless given explicitly
+  poisson_ratio: {_STEEL_POISSON:<10}# G follows; or give shear_modulus instead, not both
 actuator:
   prismatic: {act.prismatic:<14}# [N/m] control-loop stiffness, PRR/RPR
   revolute: {act.revolute:<15}# [N*m/rad], RRR

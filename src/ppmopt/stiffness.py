@@ -59,9 +59,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBeam, SingularKinetostatics, SingularStiffness
+from .errors import InvalidValue, SingularStiffness
+# ik_batch is unused here but kept: bench/tracing.py hooks stiffness.ik_batch
 from .kinematics import (Adjugate, BatchIK, Pose, WorkingMode, DEFAULT_MODE,
-                         adjugate_batch, ik_batch, jacobian_batch)
+                         adjugate_batch, ik_batch, jacobian_batch, solve_pose)
 from .model import ActuatorStiffness, Architecture, DesignVector, Material
 
 DEFAULT_ACTUATOR = ActuatorStiffness()
@@ -102,8 +103,9 @@ def beam_compliance(length: float, section_radius: float,
     dphi_x, dphi_y, dphi_z).  The two bend/shear couplings carry opposite
     signs about y and z, which keeps the matrix symmetric.
     """
-    if length <= 0.0 or section_radius <= 0.0:
-        raise DegenerateBeam(f"L={length}, radius={section_radius}")
+    for name, value in (("length", length), ("section_radius", section_radius)):
+        if not value > 0.0:
+            raise InvalidValue(name, "> 0", value)
     t = _beam_terms(length, section_radius, material)
     c = np.diag([t.axial, t.bend, t.bend, t.torsion, t.tilt, t.tilt])
     c[1, 5] = c[5, 1] = t.couple
@@ -286,18 +288,16 @@ def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
                        mode: WorkingMode = DEFAULT_MODE) -> np.ndarray:
     """6x6 Cartesian stiffness of the platform: the sum over the legs.
 
-    Raises SingularKinetostatics where the pose is unreachable, det A = 0
-    or a leg term is not finite.
+    Raises as kinematics.inverse_kinematics does where a leg cannot take
+    the pose, and SingularStiffness where det A = 0 or a leg term is not
+    finite.
     """
-    bik = ik_batch(design, pose.as_array()[None, :], mode)
-    if not bool(bik.ok()[0]):
-        leg = int(np.argmin((bik.reachable & bik.stroke_ok)[:, 0]))
-        raise SingularKinetostatics(leg)
+    bik = solve_pose(design, pose, mode)
     jac = jacobian_batch(design, bik)
     legs, ok = stiffness_batch(design, bik, jac, material, actuator)
     k = stiffness_matrix(jac[0], legs)[0]
     if not (bool(ok[0]) and k.any()):
-        raise SingularKinetostatics()
+        raise SingularStiffness()
     return k
 
 

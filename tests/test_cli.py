@@ -175,10 +175,17 @@ class TestConfig:
         ({"accuracy": {"delta_z_max": -1e-3}}, "accuracy.delta_z_max"),
         ({"accuracy": {"delta_phiz_max_deg": float("nan")}},
          "accuracy.delta_phiz_max_deg"),
-        ({"wrench": {"f_z": float("nan")}}, "wrench.f_z")],
+        ({"wrench": {"f_z": float("nan")}}, "wrench.f_z"),
+        ({"material": {"density": 7850, "young_modulus": 2.1e11,
+                       "poisson_ratio": -1.0}}, "material.poisson_ratio"),
+        # G follows from the Poisson ratio: giving both would drop one
+        ({"material": {"density": 7850, "young_modulus": 2.1e11,
+                       "poisson_ratio": 0.45, "shear_modulus": 5e10}},
+         "material.shear_modulus")],
         ids=["actuator-zero", "actuator-nan", "actuator-negative",
              "modulus-nan", "shear-zero", "budget-zero", "budget-negative",
-             "budget-nan", "wrench-nan"])
+             "budget-nan", "wrench-nan", "poisson-minus-one",
+             "poisson-and-shear"])
     def test_invalid_physics_rejected_with_key_path(self, data, path):
         with pytest.raises(ConfigError) as err:
             parse_config(data)

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, REPORTED, WIDE_BOUNDS
-from ppmopt.errors import DegenerateSection, InvalidValue, OutOfBounds
+from ppmopt.errors import InvalidValue, OutOfBounds
 from ppmopt.model import (ActuatorStiffness, Architecture, Bounds, DEFAULT_BOUNDS,
-                          DEFAULT_MATERIAL, DesignVector, Material, Wrench,
-                          link_mass, mass, steel, validate)
+                          DEFAULT_MATERIAL, SHORT_NAMES, DesignVector, Material,
+                          Wrench, link_mass, mass, steel, validate)
 from ppmopt.performance import AccuracySpec
 
 NAN = float("nan")
@@ -29,11 +29,25 @@ class TestValidate:
 
     def test_zero_section_rejected(self):
         bad = DesignVector(Architecture.PRR, 1.0, 1.0, 1.0, 0.0, 0.05)
-        with pytest.raises(DegenerateSection):
+        with pytest.raises(InvalidValue) as err:
             validate(bad)
+        assert err.value.field == "r_j"
         bad = DesignVector(Architecture.PRR, 1.0, 1.0, 1.0, 0.05, 0.0)
-        with pytest.raises(DegenerateSection):
+        with pytest.raises(InvalidValue) as err:
             validate(bad)
+        assert err.value.field == "r_p"
+
+    @pytest.mark.parametrize("field", ["R", "r", "L_b"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_nonpositive_length_rejected_inside_box(self, field, value):
+        # a box reaching below zero must not let a mirrored design through
+        box = Bounds(lower=(-4.0, -4.0, -4.0, 0.0, 0.0),
+                     upper=(4.0, 4.0, 4.0, 0.1, 0.1))
+        lengths = dict(zip(SHORT_NAMES, (1.0, 1.0, 1.0, 0.05, 0.05)),
+                       **{field: value})
+        with pytest.raises(InvalidValue) as err:
+            validate(DesignVector(Architecture.RRR, *lengths.values()), box)
+        assert err.value.field == field
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt import moga
-from ppmopt.model import Architecture, DEFAULT_BOUNDS, DesignVector
+from ppmopt.model import Architecture, Bounds, DEFAULT_BOUNDS, DesignVector
 from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
                          decode, dominates, encode, evaluate_genome, evolve,
                          hypervolume, pareto_filter,
@@ -91,6 +91,15 @@ class TestEvaluateGenome:
         corner = DesignVector(Architecture.PRR, 0.5, 0.5, 0.5, 0.0, 0.0)
         ev = evaluate_genome(encode(corner))
         assert not ev.feasible and ev.r_w == 0.0
+
+    def test_negative_lengths_invalid(self):
+        # a box reaching below zero: the mirrored RRR is invalid, not scored
+        box = Bounds(lower=(-4.0, -4.0, -4.0, 0.0, 0.0),
+                     upper=(4.0, 4.0, 4.0, 0.1, 0.1))
+        mirrored = DesignVector(Architecture.RRR, -1.7529, -0.6408, 0.7271,
+                                0.0788, 0.0291)
+        ev = evaluate_genome(encode(mirrored, box), box)
+        assert ev.violations == 9 and not ev.feasible and ev.r_w == 0.0
 
     def test_deterministic(self):
         genome = encode(DesignVector(Architecture.PRR, 1.4, 0.6, 1.0, 0.03, 0.04),

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design, sample_pose
 from ppmopt import performance, stiffness
-from ppmopt.errors import HomeUnreachable, SingularKinetostatics, Unreachable
+from ppmopt.errors import HomeUnreachable, SingularStiffness, Unreachable
 from ppmopt.kinematics import HOME_POSE, Pose, jacobian, jacobian_batch
 from ppmopt.model import DEFAULT_MATERIAL, Architecture, DesignVector, Wrench
 from ppmopt.performance import (AccuracySpec, BatchConstraints,
@@ -309,7 +309,7 @@ def test_constraints_batch_bytes_pinned():
         if use is None:
             try:
                 k = stiffness.platform_stiffness(d, poses, DEFAULT_MATERIAL)
-            except SingularKinetostatics:
+            except SingularStiffness:
                 k = np.zeros((6, 6))
             digest.update(k.tobytes())
             continue
