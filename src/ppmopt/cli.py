@@ -24,7 +24,10 @@ import io
 import json
 import math
 import os
+import platform
 import sys
+
+import numpy as np
 
 from . import moga
 from .errors import ConfigError, PpmError
@@ -43,6 +46,10 @@ OPTIMIZER_NOTE = ("reconstructed MOGA: roulette over directional crossover "
                   "0.5 / selection-copy 0.05 / bit mutation 0.1 / one-point "
                   "crossover 0.35, feasibility-first binary tournament, "
                   "elitist non-dominated archive")
+
+#: The initial-population sampler, named in every optimize run manifest.
+DOE_NOTE = (f"sobol: Joe-Kuo directions, LMS+shift scramble, "
+            f"{moga.SOBOL_BITS} bits, numpy default_rng(seed)")
 
 
 def _num(v: float) -> str:
@@ -201,7 +208,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         "population": cfg.moga.population,
         "generations": cfg.moga.generations,
         "total_evaluations": cfg.moga.population * cfg.moga.generations,
-        "doe": "sobol",
+        "doe": DOE_NOTE,
         "optimizer": OPTIMIZER_NOTE,
         "working_mode": [b.name for b in cfg.ctx.mode],
         "workspace": {
@@ -212,6 +219,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         },
         "archive_size": len(result.archive),
         "n_feasible_total": int(sum(e.feasible for e in result.evaluations)),
+        # the DOE bits depend on numpy's Generator
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__},
     }
     _write_text(os.path.join(out_dir, "run.json"),
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")

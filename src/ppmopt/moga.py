@@ -136,18 +136,57 @@ def genome_key(genome: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Design of experiments
 
+#: Joe-Kuo (2008) Sobol direction numbers of the first N_VARS dimensions:
+#: primitive polynomial (leading and trailing terms included) and initial
+#: direction numbers m_1..m_s; dimension 0 is the van der Corput sequence.
+SOBOL_POLY = (1, 3, 7, 11, 13)
+SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
+SOBOL_BITS = 30
+
+
+def sobol_unit(m: int, seed: int) -> np.ndarray:
+    """The first 2**m points of the N_VARS-d Sobol sequence in [0, 1),
+    scrambled by random lower-triangular bit matrices and a random digital
+    shift (LMS+shift) drawn from numpy's default_rng(seed).
+
+    Bit for bit what scipy.stats.qmc.Sobol(d=N_VARS, scramble=True,
+    seed=seed).random_base2(m) draws: the same direction numbers, random
+    bits in the same order, and the Gray-code point order.
+    """
+    v = np.ones((N_VARS, SOBOL_BITS), dtype=np.int64)
+    for k in range(1, N_VARS):
+        poly, init = SOBOL_POLY[k], SOBOL_VINIT[k]
+        s = len(init)
+        v[k, :s] = init
+        for j in range(s, SOBOL_BITS):
+            new = v[k, j - s]
+            for i in range(1, s + 1):
+                if poly >> (s - i) & 1:
+                    new ^= v[k, j - i] << i
+            v[k, j] = new
+    msb = 1 << np.arange(SOBOL_BITS - 1, -1, -1)    # bit weights, MSB first
+    v *= msb
+    rng = np.random.default_rng(seed)
+    lsb = msb[::-1]
+    shift = rng.integers(0, 2, v.shape, dtype=np.uint32) @ lsb
+    ltm = np.tril(rng.integers(0, 2, (*v.shape, SOBOL_BITS), dtype=np.uint32)
+                  ) | np.eye(SOBOL_BITS, dtype=np.uint32)
+    # the scramble is a GF(2) matrix product: row p of ltm times the bits of
+    # a direction number gives bit p (MSB first) of the scrambled one
+    v_bits = (v[:, None, :] & msb[:, None]) > 0
+    v = ((ltm.astype(np.int64) @ v_bits) % 2 * msb[:, None]).sum(axis=1)
+    i = np.arange(1 << m)
+    gray_bits = (i ^ i >> 1)[:, None, None] >> np.arange(m) & 1
+    points = np.bitwise_xor.reduce(gray_bits * v[:, :m], axis=2) ^ shift
+    return points * 2.0 ** -SOBOL_BITS
+
+
 def sobol_doe(n: int, bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0
               ) -> list[np.ndarray]:
     """Initial population: the first n scrambled-Sobol samples of the
     continuous box, with the architecture gene stratified round-robin
     over {1, 2, 3}."""
-    # imported here: scipy.stats takes most of the start-up time of every
-    # command and pool worker, and only the DOE needs it
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=N_VARS, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(n)))
-    unit = sampler.random_base2(m)[:n]
+    unit = sobol_unit(max(1, math.ceil(math.log2(n))), seed)[:n]
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
     scaled = lo + unit * (hi - lo)

@@ -269,8 +269,10 @@ def inverse_condition(design: DesignVector, pose: Pose,
     The characteristic length is resolved once per design and reused for
     every pose.
     """
+    # solved first, so a leg error wins over a failing l_c search
+    bik = solve_pose(design, pose, ctx.mode)
+    amat, b = jacobian_batch(design, bik)
     l_c = characteristic_length(design, ctx)
-    amat, b = jacobian_batch(design, solve_pose(design, pose, ctx.mode))
     return float(_dexterity(amat, b, adjugate_batch(amat), l_c)[0])
 
 

@@ -13,7 +13,7 @@ from ppmopt import (Architecture, DesignVector, ModeViolation, Pose,
                     Unreachable, inverse_condition, inverse_kinematics,
                     jacobian, platform_stiffness)
 from ppmopt.model import DEFAULT_MATERIAL
-from ppmopt.performance import DexterityConfig, EvalContext
+from ppmopt.performance import DEFAULT_CONTEXT, DexterityConfig, EvalContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,20 +56,27 @@ def test_error_classes_pinned():
 FIXED_LC = EvalContext(dexterity=DexterityConfig(characteristic_length=0.7))
 
 
-@pytest.mark.parametrize("arch,lengths,pose,error", [
-    (Architecture.PRR, (2.0, 0.8, 0.5), Pose(0.0, 0.6, 0.0), Unreachable),
-    (Architecture.PRR, (2.0, 0.8, 1.5), Pose(0.3077, 0.0, 0.0), ModeViolation),
-    (Architecture.RPR, (2.0, 0.8, 1.5), Pose(0.0, -0.4, 0.0), Unreachable),
-    (Architecture.RRR, (2.0, 0.8, 1.5), Pose(0.0, -2.0, 0.0), Unreachable)],
+@pytest.mark.parametrize("arch,lengths,pose,error,leg,ctx", [
+    (Architecture.PRR, (2.0, 0.8, 0.5), Pose(0.0, 0.6, 0.0), Unreachable, 2,
+     FIXED_LC),
+    (Architecture.PRR, (2.0, 0.8, 1.5), Pose(0.3077, 0.0, 0.0), ModeViolation,
+     2, FIXED_LC),
+    (Architecture.RPR, (2.0, 0.8, 1.5), Pose(0.0, -0.4, 0.0), Unreachable, 2,
+     FIXED_LC),
+    (Architecture.RRR, (2.0, 0.8, 1.5), Pose(0.0, -2.0, 0.0), Unreachable, 2,
+     FIXED_LC),
+    # the l_c search would fail at the singular home pose; the leg error wins
+    (Architecture.RPR, (2.0, 0.8, 1.5), Pose(0.0, 1.0, 0.0), Unreachable, 0,
+     DEFAULT_CONTEXT)],
     ids=["prr-unreachable", "prr-out-of-travel", "rpr-unreachable",
-         "rrr-unreachable"])
-def test_one_error_per_failing_pose(arch, lengths, pose, error):
+         "rrr-unreachable", "rpr-unreachable-searched-lc"])
+def test_one_error_per_failing_pose(arch, lengths, pose, error, leg, ctx):
     # every one-pose call raises the same class for the same first leg
     design = DesignVector(arch, *lengths, 0.04, 0.05)
     for call in (lambda: inverse_kinematics(design, pose),
                  lambda: jacobian(design, pose),
-                 lambda: inverse_condition(design, pose, FIXED_LC),
+                 lambda: inverse_condition(design, pose, ctx),
                  lambda: platform_stiffness(design, pose, DEFAULT_MATERIAL)):
         with pytest.raises(error) as err:
             call()
-        assert err.value.leg == 2
+        assert err.value.leg == leg

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -322,11 +324,16 @@ def _run_in_fresh_interpreter(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is only needed for the DOE, and importing it takes most
-    # of the start-up time of every command
+    # scipy is a test-only dependency: neither the CLI's imports nor a GA
+    # run, whose Sobol DOE is drawn with numpy, may load any of it
     out = _run_in_fresh_interpreter(
-        "import sys, ppmopt.cli; print('scipy.stats' in sys.modules)")
-    assert out == "False"
+        "import sys, ppmopt.cli\n"
+        "from ppmopt.moga import MogaConfig, evolve, sobol_doe\n"
+        "sobol_doe(30)\n"
+        "evolve(MogaConfig(2, 1))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    assert out == "[]"
 
 
 def test_cli_import_spawns_no_process():
@@ -544,6 +551,10 @@ class TestOptimize:
         assert doc["seed"] == 11
         assert doc["total_evaluations"] == 48
         assert "directional crossover" in doc["optimizer"]
+        assert doc["doe"] == ("sobol: Joe-Kuo directions, LMS+shift scramble, "
+                              "30 bits, numpy default_rng(seed)")
+        assert doc["versions"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__}
         assert doc["workspace"] == {
             "center": [0.0, 0.0, 0.0], "delta_phi_deg": 20.0,
             "bisection_tol": 1e-3,

@@ -79,6 +79,32 @@ class TestDoe:
         assert all((x == y).all() for x, y in zip(a, b))
         assert any((x != z).any() for x, z in zip(a, c))
 
+    def test_unit_points_match_scipy_sobol(self):
+        # scipy is the oracle only: the product draws the DOE with numpy
+        from scipy.stats import qmc
+        for seed in range(40):
+            for m in range(1, 9):
+                ref = qmc.Sobol(d=moga.N_VARS, scramble=True,
+                                seed=seed).random_base2(m)
+                got = moga.sobol_unit(m, seed)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (seed, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 30, 31, 64])
+    def test_genomes_match_scipy_built_doe(self, n):
+        from scipy.stats import qmc
+        lo = np.asarray(DEFAULT_BOUNDS.lower)
+        hi = np.asarray(DEFAULT_BOUNDS.upper)
+        for seed in range(8):
+            unit = qmc.Sobol(d=moga.N_VARS, scramble=True, seed=seed
+                             ).random_base2(max(1, math.ceil(math.log2(n))))
+            ref = [encode(DesignVector(Architecture(i % 3 + 1),
+                                       *(lo + unit[i] * (hi - lo))))
+                   for i in range(n)]
+            got = sobol_doe(n, seed=seed)
+            assert len(got) == n
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
 
 class TestEvaluateGenome:
     def test_design_ii_mass_and_feasibility(self, ctx):
