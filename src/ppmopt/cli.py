@@ -113,7 +113,9 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
         doc["max_workspace_radius_m"] = res.radius
         doc["characteristic_length_m"] = (None if math.isnan(res.characteristic_length)
                                           else res.characteristic_length)
-        home = constraints_batch(design, HOME_POSE.as_array()[None, :], cfg.ctx)
+        # the l_c the search resolved (nan: home unreachable), not searched again
+        home = constraints_batch(design, HOME_POSE.as_array()[None, :], cfg.ctx,
+                                 l_c=res.characteristic_length)
         doc["home"] = {
             "constraints": dataclasses.asdict(home.report(0)),
             "stiffness_indices": {"k_xy": float(home.kxy[0]),

@@ -209,6 +209,14 @@ def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
     return c_world, moment
 
 
+@lru_cache(maxsize=8)
+def _mode_signs(mode: WorkingMode) -> np.ndarray:
+    """The branch signs of a working mode as a read-only (3, 1) column."""
+    sign = np.array([[b.value] for b in mode], dtype=float)
+    sign.setflags(write=False)
+    return sign
+
+
 def ik_batch(design: DesignVector, poses: np.ndarray,
              mode: WorkingMode = DEFAULT_MODE) -> BatchIK:
     """Closed-form inverse kinematics over an (N, 3) pose array."""
@@ -222,7 +230,7 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     a = layout.origin_cols
     w = c_world - a
     wx, wy = w
-    sign = np.array([[b.value] for b in mode], dtype=float)
+    sign = _mode_signs(mode)
     proximal = None
 
     if arch is Architecture.RPR:
@@ -245,7 +253,7 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     else:  # RRR: two equal links of length lb
         dist = np.sqrt(wx * wx + wy * wy)
         reachable = (dist <= 2.0 * lb) & (dist > 1e-12)
-        half = np.clip(dist / (2.0 * lb), -1.0, 1.0)
+        half = np.minimum(dist / (2.0 * lb), 1.0)      # dist >= 0
         spread = np.arccos(half)
         alpha = np.arctan2(wy, wx)
         q = alpha + sign * spread

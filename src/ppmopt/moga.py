@@ -84,24 +84,18 @@ def _to_gray(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> 1)
 
 
-def _from_gray(g: np.ndarray) -> np.ndarray:
-    v = g.copy()
+def _from_gray(g: int) -> int:
     shift = 1
     while shift < GENE_BITS:
-        v ^= v >> shift
+        g ^= g >> shift
         shift <<= 1
-    return v
+    return g
 
 
 def _int_to_bits(v: np.ndarray, width: int) -> np.ndarray:
     """MSB-first bit expansion of unsigned integers, shape (..., width)."""
     shifts = np.arange(width - 1, -1, -1)
     return ((v[..., None] >> shifts) & 1).astype(np.uint8)
-
-
-def _bits_to_int(bits: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1)
-    return (bits.astype(np.int64) << shifts).sum(axis=-1)
 
 
 def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
@@ -119,18 +113,23 @@ def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
 
 def decode(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS) -> DesignVector:
     """Genome -> design on the quantization lattice."""
-    lo = np.asarray(bounds.lower)
-    hi = np.asarray(bounds.upper)
-    arch_code = int(_bits_to_int(genome[:ARCH_BITS], ARCH_BITS))
-    arch = Architecture(arch_code % 3 + 1)
-    gray = _bits_to_int(genome[ARCH_BITS:].reshape(N_VARS, GENE_BITS), GENE_BITS)
-    idx = _from_gray(gray)
-    x = lo + idx / GENE_MAX * (hi - lo)
-    return DesignVector(arch, *x)
+    return _decode_key(genome_key(genome), bounds)
 
 
 def genome_key(genome: np.ndarray) -> bytes:
     return np.packbits(genome).tobytes()
+
+
+def _decode_key(key: bytes, bounds: Bounds) -> DesignVector:
+    """decode of the genome packed in key, read as one Python integer."""
+    bits = int.from_bytes(key, "big") >> (8 * len(key) - N_BITS)
+    idx = np.array([_from_gray(bits >> (i * GENE_BITS) & GENE_MAX)
+                    for i in range(N_VARS - 1, -1, -1)], dtype=np.int64)
+    arch = Architecture((bits >> (N_VARS * GENE_BITS)) % 3 + 1)
+    lo = np.asarray(bounds.lower)
+    hi = np.asarray(bounds.upper)
+    x = lo + idx / GENE_MAX * (hi - lo)
+    return DesignVector(arch, *x)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +233,9 @@ def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
                     delta_phi: float = DELTA_PHI_DEFAULT) -> Evaluation:
     """Decode and score one genome over the workspace cylinder at center
     with rotation band delta_phi; every failure folds into infeasibility."""
-    design = decode(genome, bounds)
-    m = mass(design, ctx.material)
     key = genome_key(genome)
+    design = _decode_key(key, bounds)
+    m = mass(design, ctx.material)
     try:
         validate(design, bounds)
     except PpmError:

@@ -21,10 +21,11 @@ adj(A) diag(b), and c and d those of columns 0-1 and of column 2 of
 M^-1 diag(1, 1, L) = diag(1/b) A.  All five terms are elementwise sums
 over the legs.  A pose whose 1/kappa_F is not finite or below the float
 epsilon is singular to working precision and gets dexterity 0.
-constraints_batch builds adj(A) and det A once per call
-(kinematics.adjugate_batch) and hands the same adjugate to the stiffness
-indices, which read the in-plane compliance adj(A) diag(c) adj(A)^T /
-det(A)^2 from it (see stiffness).
+One kernel pass (kernel_batch) builds A, adj(A), det A and the five
+terms once per batch: the l_c search reads the terms of a home row,
+dexterity those of every row, and the stiffness indices the same
+adjugate, for the in-plane compliance adj(A) diag(c) adj(A)^T / det(A)^2
+(see stiffness).
 
 The constraint stack, evaluated at a pose:
 
@@ -47,6 +48,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,48 +198,65 @@ def _kappa_terms(amat: np.ndarray, b: np.ndarray, adj: Adjugate) -> np.ndarray:
     return t[:, 0] + t[:, 1] + t[:, 2]
 
 
-def _dexterity(amat: np.ndarray, b: np.ndarray, adj: Adjugate,
-               l_c: float) -> np.ndarray:
+class Kernels(NamedTuple):
+    """The pose kernels of a batch that dexterity, stiffness and the l_c
+    search read: A (3, 3, N) and the diagonal of B (3, N), adj(A) with
+    det A, and the kappa_F terms (4, N)."""
+
+    amat: np.ndarray
+    b: np.ndarray
+    adj: Adjugate
+    terms: np.ndarray
+
+
+def kernel_batch(design: DesignVector, bik: BatchIK) -> Kernels:
+    """Jacobian, adjugate and kappa_F terms of every row of bik."""
+    amat, b = jacobian_batch(design, bik)
+    adj = adjugate_batch(amat)
+    return Kernels(amat, b, adj, _kappa_terms(amat, b, adj))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _dexterity(terms: np.ndarray, det: np.ndarray, l_c: float) -> np.ndarray:
     """Normalized 1/kappa_F per batch row, in [0, 1].
 
-    adj is adjugate_batch(amat).  0 where singular to working precision:
-    1/kappa_F not finite or below the float epsilon (det A = 0 alone
-    misses rounded singularities).  A NaN l_c (home pose unreachable)
-    gives 0 on every row.
+    terms and det are a Kernels' terms and adj.det.  0 where singular to
+    working precision: 1/kappa_F not finite or below the float epsilon
+    (det A = 0 alone misses rounded singularities).  A NaN l_c (home
+    pose unreachable) gives 0 on every row.
     """
-    ta, tb, tc, td = _kappa_terms(amat, b, adj)
+    ta, tb, tc, td = terms
     l2 = l_c * l_c
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 3.0 * np.abs(adj.det) / np.sqrt((ta + tb * l2) * (tc + td / l2))
-    return np.where(np.isfinite(inv) & (inv >= np.finfo(float).eps),
-                    np.minimum(inv, 1.0), 0.0)
+        inv = 3.0 * np.abs(det) / np.sqrt((ta + tb * l2) * (tc + td / l2))
+    return np.where(np.isfinite(inv) & (inv >= _EPS), np.minimum(inv, 1.0), 0.0)
 
 
 #: The interval the home-optimal characteristic length is searched in [m].
 LC_SEARCH_RANGE = (1e-3, 10.0)
 
 
-@lru_cache(maxsize=4096)
-def characteristic_length(design: DesignVector,
-                          ctx: EvalContext = DEFAULT_CONTEXT) -> float:
-    """Normalization length for the rotational twist component [m].
+def home_length(design: DesignVector, bik: BatchIK, row: int
+                ) -> tuple[float, Kernels | None]:
+    """The home-optimal characteristic length [m] from row `row` of bik,
+    which solved HOME_POSE, and the kernel pass of bik it ran (None when
+    the row is unreachable).
 
-    Under the home-optimal policy: golden-section minimization of
-    kappa_F(diag(1, 1, L) J_home) over LC_SEARCH_RANGE, to 1e-4
-    relative width.  Raises HomeUnreachable when the symmetric home pose
-    has no inverse-kinematic solution (or is singular there).
+    Golden-section minimization of kappa_F(diag(1, 1, L) J_home) over
+    LC_SEARCH_RANGE, to 1e-4 relative width, on that row's kappa_F
+    terms.  NaN where the home pose has no inverse-kinematic solution or
+    is singular.  The one l_c search: characteristic_length runs it on a
+    one-pose batch, the radius-0 workspace probe on its center block.
     """
-    if ctx.dexterity.characteristic_length is not None:
-        return ctx.dexterity.characteristic_length
-
-    bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
-    if not bool(bik.ok()[0]):
-        raise HomeUnreachable(f"design {design.as_tuple()}")
-    amat, b = jacobian_batch(design, bik)
-    adj = adjugate_batch(amat)
-    if _dexterity(amat, b, adj, 1.0)[0] == 0.0:
-        raise HomeUnreachable("kinematic Jacobian singular at the home pose")
-    ta, tb, tc, td = _kappa_terms(amat, b, adj)[:, 0].tolist()
+    if not bik.ok()[row]:
+        return math.nan, None
+    kern = kernel_batch(design, bik)
+    if _dexterity(kern.terms[:, row:row + 1], kern.adj.det[row:row + 1],
+                  1.0)[0] == 0.0:
+        return math.nan, kern
+    ta, tb, tc, td = kern.terms[:, row].tolist()
 
     def kappa(l_c: float) -> float:
         # kappa_F^2 times the constant 9 det(A)^2: the same minimizer
@@ -257,7 +276,30 @@ def characteristic_length(design: DesignVector,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = kappa(d)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), kern
+
+
+@lru_cache(maxsize=4096)
+def characteristic_length(design: DesignVector,
+                          ctx: EvalContext = DEFAULT_CONTEXT) -> float:
+    """Normalization length for the rotational twist component [m].
+
+    The fixed ctx.dexterity.characteristic_length, else the home-optimal
+    length that home_length searches on a one-pose solve of HOME_POSE.
+    Raises HomeUnreachable when the symmetric home pose has no
+    inverse-kinematic solution (or is singular there).  The cached entry
+    for one-pose callers; the workspace search does not call it, as its
+    radius-0 probe resolves l_c from its own center block (see
+    workspace), with the same value.
+    """
+    if ctx.dexterity.characteristic_length is not None:
+        return ctx.dexterity.characteristic_length
+    bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
+    l_c, kern = home_length(design, bik, 0)
+    if math.isnan(l_c):
+        raise HomeUnreachable(f"design {design.as_tuple()}" if kern is None
+                              else "kinematic Jacobian singular at the home pose")
+    return l_c
 
 
 def inverse_condition(design: DesignVector, pose: Pose,
@@ -270,10 +312,9 @@ def inverse_condition(design: DesignVector, pose: Pose,
     every pose.
     """
     # solved first, so a leg error wins over a failing l_c search
-    bik = solve_pose(design, pose, ctx.mode)
-    amat, b = jacobian_batch(design, bik)
+    kern = kernel_batch(design, solve_pose(design, pose, ctx.mode))
     l_c = characteristic_length(design, ctx)
-    return float(_dexterity(amat, b, adjugate_batch(amat), l_c)[0])
+    return float(_dexterity(kern.terms, kern.adj.det, l_c)[0])
 
 
 @dataclass(frozen=True)
@@ -323,15 +364,17 @@ def geometry_ok(design: DesignVector) -> bool:
 def constraints_batch(design: DesignVector, poses: np.ndarray,
                       ctx: EvalContext = DEFAULT_CONTEXT,
                       l_c: float | None = None,
-                      bik: BatchIK | None = None) -> BatchConstraints:
+                      bik: BatchIK | None = None,
+                      kern: Kernels | None = None) -> BatchConstraints:
     """Evaluate g1..g6 over an (N, 3) pose array.
 
     Dexterity and stiffness are reported only on rows whose inverse
     kinematics succeeds (bik.ok(), which is ik & g2); other rows report
     zero indices.  Pass l_c when the characteristic length was already
     resolved (None triggers the per-design resolution and treats
-    HomeUnreachable as zero dexterity), and bik when ik_batch(design,
-    poses, ctx.mode) was already solved.
+    HomeUnreachable as zero dexterity), bik when ik_batch(design, poses,
+    ctx.mode) was already solved, and with it kern when kernel_batch(
+    design, bik) was already run.
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
     n = poses.shape[0]
@@ -351,12 +394,13 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     if g1_flag and usable.any():
         # the kernels are elementwise: run them on every row, mask after
         # one adjugate of A serves 1/kappa_F and the in-plane compliance
-        jac = jacobian_batch(design, bik)
-        adj = adjugate_batch(jac[0])
-        kinv = np.where(usable, _dexterity(*jac, adj, l_c), 0.0)
-        legs, legs_ok = stiffness_batch(design, bik, jac, ctx.material,
+        if kern is None:
+            kern = kernel_batch(design, bik)
+        kinv = np.where(usable, _dexterity(kern.terms, kern.adj.det, l_c), 0.0)
+        legs, legs_ok = stiffness_batch(design, bik, kern[:2], ctx.material,
                                         ctx.actuator)
-        kxy, kz, kphiz = stiffness_indices_batch(legs, adj, legs_ok & usable)
+        kxy, kz, kphiz = stiffness_indices_batch(legs, kern.adj,
+                                                 legs_ok & usable)
     else:
         kinv, kxy, kz, kphiz = np.zeros((4, n))
 

@@ -121,16 +121,24 @@ _UPPER = 3 * _UPPER_ROW + _UPPER_COL
 _SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def _sym3_adj(s):
+def _sym3_adj(s, full: bool = True):
     """Adjugates and determinants of symmetric 3x3 matrices.
 
     s holds the unique entries (00, 01, 02, 11, 12, 22), as a sequence
-    or along the first axis of an array; the adjugate comes back as a
-    tuple in the same order.  The inverse is adjugate / determinant.
+    or along the first axis of an array; the adjugate comes back as one
+    array in the same order, or with full False only its first row (00,
+    01, 02), all the determinant needs.  The inverse is adjugate /
+    determinant.
     """
     s00, s01, s02, s11, s12, s22 = s
-    adj = (s11 * s22 - s12 * s12, s02 * s12 - s01 * s22, s01 * s12 - s02 * s11,
-           s00 * s22 - s02 * s02, s01 * s02 - s00 * s12, s00 * s11 - s01 * s01)
+    adj = np.empty((6 if full else 3,) + np.shape(s00))
+    np.subtract(s11 * s22, s12 * s12, out=adj[0])
+    np.subtract(s02 * s12, s01 * s22, out=adj[1])
+    np.subtract(s01 * s12, s02 * s11, out=adj[2])
+    if full:
+        np.subtract(s00 * s22, s02 * s02, out=adj[3])
+        np.subtract(s01 * s02, s00 * s12, out=adj[4])
+        np.subtract(s00 * s11, s01 * s01, out=adj[5])
     return adj, s00 * adj[0] + s01 * adj[1] + s02 * adj[2]
 
 
@@ -150,9 +158,10 @@ def _out_of_plane_compliance(beam: BeamTerms, xx, xy, a, b) -> np.ndarray:
     np.add(beam.bend + a * u, b * (v - beam.couple), out=s[0])
     np.subtract(xx * u, xy * v, out=s[1])
     np.add(xy * u, xx * v, out=s[2])
-    np.add(xx * xx * beam.torsion, xy * xy * beam.tilt, out=s[3])
+    xx2, xy2 = xx * xx, xy * xy
+    np.add(xx2 * beam.torsion, xy2 * beam.tilt, out=s[3])
     np.multiply(xx * xy, beam.torsion - beam.tilt, out=s[4])
-    np.add(xy * xy * beam.torsion, xx * xx * beam.tilt, out=s[5])
+    np.add(xy2 * beam.torsion, xx2 * beam.tilt, out=s[5])
     return s
 
 
@@ -217,8 +226,7 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
         qx, qy = ox + qx, oy + qy                          # P - B_i
         s_out += _out_of_plane_compliance(link, px, py, px * qy - py * qx,
                                           -(px * qx + py * qy))
-    adj, det = _sym3_adj(s_out)
-    k_leg = np.array(adj)
+    k_leg, det = _sym3_adj(s_out)
     k_leg /= det                 # each leg's S_out^-1
     k_out = k_leg[:, 0] + k_leg[:, 1] + k_leg[:, 2]
     # a sum is finite only where every term is (an overflow flags it too)
@@ -257,7 +265,7 @@ def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Entries not ok, not finite or not positive come back as zero.
     """
     sxx, sxy, syy, szz = s
-    adj, det = _sym3_adj(k_out)
+    adj, det = _sym3_adj(k_out, full=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
         out = np.array([scale / lam, det / adj[0], scale / szz])

@@ -18,8 +18,18 @@ solution to one constraints_batch call over the whole grid.  The final
 failing grid, if still unscored, is scored once after the search: on the
 IK its gate solved, or at the bracket if every probe passed.  So the
 limiting pose and report are those of its first failing row, as without
-the gate.  The result also carries the scores of the grid at R_w itself,
-which the search has already computed.
+the gate; no other failing probe builds a pose or report.  The result
+also carries the scores of the grid at R_w itself, which the search has
+already computed.
+
+The home-optimal characteristic length l_c comes from the radius-0
+probe's own kernel pass.  Its center block holds HOME_POSE bit for bit
+when the center is HOME_POSE and n_orientation is odd (the defaults):
+the one IK, Jacobian and adjugate of the block then also give the home
+row's kappa_F terms, which performance.home_length searches, as
+characteristic_length does on a one-pose solve, to the same value.
+Otherwise HOME_POSE is appended to the block as one extra row that
+enters no verdict, report or scores.  A fixed l_c skips the search.
 """
 
 from __future__ import annotations
@@ -33,11 +43,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import performance
-from .errors import HomeUnreachable, InvalidValue
-from .kinematics import BatchIK, Pose
+from .errors import InvalidValue
+from .kinematics import HOME_POSE, BatchIK, Pose
 from .model import Architecture, DesignVector
+# characteristic_length is unused here but kept: bench/tracing.py hooks
+# workspace.characteristic_length
 from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
-                          EvalContext, characteristic_length, constraints_batch)
+                          EvalContext, Kernels, characteristic_length,
+                          constraints_batch)
 
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
@@ -101,6 +114,21 @@ def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
     return arrays
 
 
+@functools.lru_cache(maxsize=64)
+def _home_block(grid: GridSpec, center: tuple[float, float, float],
+                delta_phi: float) -> tuple[np.ndarray, int]:
+    """The center block, read-only, and the index of its HOME_POSE row;
+    HOME_POSE is appended when no row is HOME_POSE bit for bit."""
+    block = _grid_layout(grid, center, delta_phi)[0]
+    home = HOME_POSE.as_array()
+    for i, row in enumerate(block):
+        if row.tobytes() == home.tobytes():   # bit for bit: not -0.0
+            return block, i
+    out = np.vstack([block, home])
+    out.setflags(write=False)
+    return out, len(block)
+
+
 def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
     """Grid poses as a fresh (N, 3) array.
 
@@ -144,21 +172,35 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        grid: GridSpec = DEFAULT_GRID,
                        ctx: EvalContext = DEFAULT_CONTEXT,
                        l_c: float | None = None,
-                       bik: BatchIK | None = None) -> Probe:
+                       bik: BatchIK | None = None,
+                       kern: Kernels | None = None, *,
+                       detail: bool = True) -> Probe:
     """Check every grid pose of the cylinder against g1..g6.
 
     The whole grid goes to one constraints_batch call: its rows do not
     depend on their batch, so the first failing row is the same as in a
     pose-by-pose scan.  bik, when given, is ik_batch of the grid
-    (grid_array(spec, grid)) under ctx.mode; its poses are then the grid.
+    (grid_array(spec, grid)) under ctx.mode, its poses then the grid,
+    and kern, when given, kernel_batch of bik.  At radius 0, bik may
+    also hold rows after the grid (an appended home row): they are
+    scored but enter no verdict, report or scores.  detail False leaves
+    the pose and report of a failing probe None, for a caller that needs
+    them only from its final probe.
     """
     points = grid_array(spec, grid) if bik is None else bik.poses
-    res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik)
-    bad = np.flatnonzero(~res.overall)
-    if bad.size:
-        idx = int(bad[0])
-        return Probe(False, Pose(*points[idx]), res.report(idx), res)
-    return Probe(True, None, None, res)
+    res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik, kern=kern)
+    if spec.radius == 0.0 and len(points) > grid.n_orientation:
+        res = BatchConstraints(**{name: getattr(res, name)[:grid.n_orientation]
+                                  for name in BatchConstraints.__slots__})
+    if res.overall.all():
+        return Probe(True, None, None, res)
+    return _failure(points, res) if detail else Probe(False, None, None, res)
+
+
+def _failure(points: np.ndarray, res: BatchConstraints) -> Probe:
+    """The failing probe of res over points, with its first failing row."""
+    idx = int(res.overall.argmin())     # the first False
+    return Probe(False, Pose(*points[idx]), res.report(idx), res)
 
 
 def upper_radius(design: DesignVector) -> float:
@@ -195,19 +237,23 @@ def max_regular_workspace_detail(design: DesignVector,
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
     Probes above radius 0 pass the reach gate on their grid's inverse
-    kinematics first (see the module docstring).  tol must be finite and
-    > 0, or the bisection could never end.
+    kinematics first, and the radius-0 probe also resolves l_c (see the
+    module docstring).  tol must be finite and > 0, or the bisection
+    could never end.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
-    try:
-        l_c = characteristic_length(design, ctx)
-    except HomeUnreachable:
-        l_c = math.nan
-
-    # radius 0 is never gated: the GA reads violations from its report
-    at_lo = workspace_feasible(design, WorkspaceSpec(0.0, center, delta_phi),
-                               grid, ctx, l_c=l_c)
+    # radius 0 is never gated: the GA reads violations from its report.
+    # Its IK and kernel pass also resolve l_c (see the module docstring)
+    spec = WorkspaceSpec(0.0, center, delta_phi)
+    l_c, bik, kern = ctx.dexterity.characteristic_length, None, None
+    if l_c is None:
+        points, home = _home_block(grid, center, delta_phi)
+        # performance's ik_batch: the lookup the kernels' own IK goes through
+        bik = performance.ik_batch(design, points, ctx.mode)
+        l_c, kern = performance.home_length(design, bik, home)
+    at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
+                               kern=kern)
     if not at_lo.feasible:
         return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c, at_lo.scores)
 
@@ -217,9 +263,9 @@ def max_regular_workspace_detail(design: DesignVector,
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         spec = WorkspaceSpec(mid, center, delta_phi)
-        # performance's ik_batch: the lookup the kernels' own IK goes through
         bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
-        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
+        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
+                                  detail=False)
                if bik.ok().all() else None)
         if res is not None and res.feasible:
             lo, at_lo = mid, res
@@ -228,6 +274,8 @@ def max_regular_workspace_detail(design: DesignVector,
     if at_hi is None:   # score the final failing grid, on its gate's IK if any
         at_hi = workspace_feasible(design, WorkspaceSpec(hi, center, delta_phi),
                                    grid, ctx, l_c=l_c, bik=bik_hi)
+    else:
+        at_hi = _failure(bik_hi.poses, at_hi.scores)
     return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores)
 
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt import moga
-from ppmopt.model import Architecture, Bounds, DEFAULT_BOUNDS, DesignVector
+from ppmopt.model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
+                          mass)
 from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
                          decode, dominates, encode, evaluate_genome, evolve,
                          hypervolume, pareto_filter,
@@ -25,6 +26,21 @@ def _fake_eval(mass, r_w, feasible=True, tag=0) -> Evaluation:
     design = DesignVector(Architecture.PRR, 1.0, 1.0, 1.0, 0.05, 0.05)
     key = mass.hex().encode() + r_w.hex().encode() + bytes([tag])
     return Evaluation(design, mass, r_w, feasible, None, 1.0, key)
+
+
+def _decode_bits(genome, bounds):
+    """The bit-array decode that moga.decode replaced: its reference."""
+    def to_int(bits, width):
+        return (bits.astype(np.int64) << np.arange(width - 1, -1, -1)).sum(axis=-1)
+
+    arch = Architecture(int(to_int(genome[:ARCH_BITS], ARCH_BITS)) % 3 + 1)
+    v = to_int(genome[ARCH_BITS:].reshape(5, 16), 16)
+    shift = 1
+    while shift < 16:                 # Gray -> binary
+        v = v ^ (v >> shift)
+        shift <<= 1
+    lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
+    return DesignVector(arch, *(lo + v / GENE_MAX * (hi - lo)))
 
 
 class TestGenomeCodec:
@@ -48,6 +64,20 @@ class TestGenomeCodec:
             d = decode(bits, DEFAULT_BOUNDS)
             again = decode(encode(d, DEFAULT_BOUNDS), DEFAULT_BOUNDS)
             assert again == d
+
+    def test_decode_matches_bit_array_reference(self):
+        # EVOLVE_DIGEST hashes repr(mass): the fields must stay np.float64
+        rng = np.random.default_rng(17)
+        genomes = [(rng.random(N_BITS) < p).astype(np.uint8)
+                   for p in rng.uniform(0.0, 1.0, 2000)]
+        genomes += [np.full(N_BITS, bit, np.uint8) for bit in (0, 1)]
+        genomes += [np.concatenate([[1, 1], g[ARCH_BITS:]]) for g in genomes[:50]]
+        for genome in genomes:
+            for bounds in (DEFAULT_BOUNDS, WIDE_BOUNDS):
+                got, ref = decode(genome, bounds), _decode_bits(genome, bounds)
+                assert got == ref
+                assert repr(got.as_tuple()) == repr(ref.as_tuple())
+                assert repr(mass(got)) == repr(mass(ref))
 
     def test_genome_length(self):
         assert N_BITS == 2 + 5 * 16

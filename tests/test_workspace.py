@@ -9,7 +9,7 @@ from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, REPORTED, _same_bytes,
 from ppmopt import performance, workspace
 from ppmopt.errors import HomeUnreachable, InvalidValue
 from ppmopt.kinematics import DEFAULT_MODE, Branch, Pose, ik_batch
-from ppmopt.model import Architecture
+from ppmopt.model import Architecture, DesignVector
 from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
@@ -208,8 +208,7 @@ class TestWorkspaceFeasible:
 
     def test_one_ik_per_probe(self, ctx, monkeypatch):
         # Design III's final failing radius is decided by the reach gate;
-        # its l_c is resolved (and its home IK solved) before counting
-        characteristic_length(DESIGN_III, ctx)
+        # its l_c comes from the radius-0 probe's IK, so no home IK shows
         events, grids = [], []
         feasible, batch, ik = (workspace.workspace_feasible,
                                workspace.constraints_batch,
@@ -240,8 +239,9 @@ class TestWorkspaceFeasible:
         batches = [e[1] for e in events if e[0] == "batch"]
         assert sum(e[0] == "probe" for e in events) == len(batches)
         assert batches == [5] + [305] * (len(batches) - 1)
-        # the ungated radius-0 probe solves its IK inside its kernel call
-        assert events[:3] == [("probe", 0.0), ("batch", 5), ("ik", 5, True)]
+        # the ungated radius-0 probe's IK comes before its kernel call and
+        # also serves l_c
+        assert events[:3] == [("ik", 5, True), ("probe", 0.0), ("batch", 5)]
         # the bracket is never probed: the first full grid is its midpoint
         first = grid_array(WorkspaceSpec(upper_radius(DESIGN_III) / 2.0),
                            DEFAULT_GRID)
@@ -331,6 +331,52 @@ def test_reach_gate_matches_ungated_search(ctx):
                 design, ctx, center, hi)
     # the sample exercises both the search and the canonical re-score
     assert reached >= 10 and gated_final >= 2
+
+
+def test_home_row_fold_matches_lc_resolved_first():
+    # the search takes l_c from its radius-0 kernel pass; the reference
+    # resolves it first with characteristic_length and scores every probe
+    # whole (_ungated_search): l_c, R_w, limiting pose and report and the
+    # scores at R_w must agree bit for bit
+    rng = np.random.default_rng(23)
+    default, even = DEFAULT_GRID, GridSpec(5, 12, 4)
+    rotated = (0.05, -0.03, 0.3)
+    searched = EvalContext()
+    fixed = EvalContext(dexterity=DexterityConfig(characteristic_length=0.5))
+    needle = dataclasses.replace(DESIGN_I, leg_section_radius=1e-4)
+    dead = DesignVector(Architecture.RPR, 2.0, 0.8, 1.0, 0.04, 0.05)
+    designs = [DESIGN_I, DESIGN_II, DESIGN_III]
+    designs += [sample_design(rng, arch) for arch in Architecture for _ in range(2)]
+    cases = [(d, default, workspace.CENTER_DEFAULT, searched) for d in designs]
+    cases += [(d, grid, center, ctx)
+              for d in (DESIGN_I, designs[-1], needle, dead)
+              for grid, center, ctx in ((default, rotated, searched),
+                                        (even, workspace.CENTER_DEFAULT, searched),
+                                        (default, workspace.CENTER_DEFAULT, fixed))]
+    appended_at_zero = unreachable = 0
+    for design, grid, center, ctx in cases:
+        try:
+            l_c = characteristic_length(design, ctx)
+        except HomeUnreachable:
+            l_c = math.nan
+        res = max_regular_workspace_detail(design, grid, ctx, center=center)
+        assert _same_bytes(np.float64(res.characteristic_length), np.float64(l_c))
+        r_w, pose, report, _ = _ungated_search(design, ctx, center, grid=grid)
+        assert repr(res.radius) == repr(r_w)
+        assert repr(res.limiting_pose) == repr(pose)
+        assert repr(res.limiting_report) == repr(report)
+        fresh = constraints_batch(
+            design, grid_array(WorkspaceSpec(r_w, center), grid), ctx, l_c=l_c)
+        for name in fresh.__slots__:
+            assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
+        # an appended home row stays out of the radius-0 scores, which
+        # ppmopt evaluate reads its minima from
+        block, home = workspace._home_block(grid, center, workspace.DELTA_PHI_DEFAULT)
+        if r_w == 0.0 and home == grid.n_orientation:
+            assert res.scores.overall.shape == (grid.n_orientation,)
+            appended_at_zero += 1
+        unreachable += math.isnan(l_c)
+    assert appended_at_zero >= 3 and unreachable >= 2
 
 
 class TestMaxRegularWorkspace:
