@@ -31,8 +31,9 @@ import numpy as np
 
 from . import moga
 from .errors import ConfigError, PpmError
-from .kinematics import HOME_POSE
 from .model import SHORT_NAMES, Architecture, DesignVector, mass, validate
+# constraints_batch is unused here but kept: bench/tracing.py hooks
+# cli.constraints_batch
 from .performance import constraints_batch
 from .runconfig import RunConfig, default_config_yaml, load_config
 from .workspace import max_regular_workspace_detail
@@ -113,14 +114,11 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
         doc["max_workspace_radius_m"] = res.radius
         doc["characteristic_length_m"] = (None if math.isnan(res.characteristic_length)
                                           else res.characteristic_length)
-        # the l_c the search resolved (nan: home unreachable), not searched again
-        home = constraints_batch(design, HOME_POSE.as_array()[None, :], cfg.ctx,
-                                 l_c=res.characteristic_length)
+        # the search scored HOME_POSE in its radius-0 batch, with the same l_c
         doc["home"] = {
-            "constraints": dataclasses.asdict(home.report(0)),
-            "stiffness_indices": {"k_xy": float(home.kxy[0]),
-                                  "k_z": float(home.kz[0]),
-                                  "k_phiz": float(home.kphiz[0])},
+            "constraints": dataclasses.asdict(res.home),
+            "stiffness_indices": {"k_xy": res.home.k_xy, "k_z": res.home.k_z,
+                                  "k_phiz": res.home.k_phiz},
         }
         # the search already scored the grid at R_w, with the same l_c
         grid_res = res.scores

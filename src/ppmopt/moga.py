@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -501,6 +500,8 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
     all_evals: list[Evaluation] = []
     archive = ParetoArchive()
     history: list[GenerationStats] = []
+    if n_workers > 1:   # only here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1
           else contextlib.nullcontext()) as workers:
         for gen in range(cfg.generations):

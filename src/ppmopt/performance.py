@@ -238,25 +238,25 @@ def _dexterity(terms: np.ndarray, det: np.ndarray, l_c: float) -> np.ndarray:
 LC_SEARCH_RANGE = (1e-3, 10.0)
 
 
-def home_length(design: DesignVector, bik: BatchIK, row: int
+def home_length(design: DesignVector, bik: BatchIK
                 ) -> tuple[float, Kernels | None]:
-    """The home-optimal characteristic length [m] from row `row` of bik,
-    which solved HOME_POSE, and the kernel pass of bik it ran (None when
-    the row is unreachable).
+    """The home-optimal characteristic length [m] from the last row of
+    bik, which solved HOME_POSE, and the kernel pass of bik it ran (None
+    when that row is unreachable).
 
     Golden-section minimization of kappa_F(diag(1, 1, L) J_home) over
     LC_SEARCH_RANGE, to 1e-4 relative width, on that row's kappa_F
     terms.  NaN where the home pose has no inverse-kinematic solution or
     is singular.  The one l_c search: characteristic_length runs it on a
-    one-pose batch, the radius-0 workspace probe on its center block.
+    one-pose batch, the radius-0 workspace probe on its center block,
+    whose last row is HOME_POSE.
     """
-    if not bik.ok()[row]:
+    if not bik.ok()[-1]:
         return math.nan, None
     kern = kernel_batch(design, bik)
-    if _dexterity(kern.terms[:, row:row + 1], kern.adj.det[row:row + 1],
-                  1.0)[0] == 0.0:
+    if _dexterity(kern.terms[:, -1:], kern.adj.det[-1:], 1.0)[0] == 0.0:
         return math.nan, kern
-    ta, tb, tc, td = kern.terms[:, row].tolist()
+    ta, tb, tc, td = kern.terms[:, -1].tolist()
 
     def kappa(l_c: float) -> float:
         # kappa_F^2 times the constant 9 det(A)^2: the same minimizer
@@ -289,13 +289,13 @@ def characteristic_length(design: DesignVector,
     Raises HomeUnreachable when the symmetric home pose has no
     inverse-kinematic solution (or is singular there).  The cached entry
     for one-pose callers; the workspace search does not call it, as its
-    radius-0 probe resolves l_c from its own center block (see
-    workspace), with the same value.
+    radius-0 probe resolves l_c from the HOME_POSE row it appends to its
+    center block (see workspace), with the same value.
     """
     if ctx.dexterity.characteristic_length is not None:
         return ctx.dexterity.characteristic_length
     bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
-    l_c, kern = home_length(design, bik, 0)
+    l_c, kern = home_length(design, bik)
     if math.isnan(l_c):
         raise HomeUnreachable(f"design {design.as_tuple()}" if kern is None
                               else "kinematic Jacobian singular at the home pose")

@@ -12,8 +12,6 @@ import inspect
 import math
 from dataclasses import asdict, dataclass, fields
 
-import yaml
-
 from .errors import ConfigError, InvalidValue
 from .kinematics import Branch, DEFAULT_MODE, WorkingMode
 from .model import (ActuatorStiffness, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
@@ -243,6 +241,7 @@ def load_config(path: str | None) -> RunConfig:
     """Load a YAML config file (None -> all defaults)."""
     if path is None:
         return parse_config({})
+    import yaml   # only here: a run without a config file never loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

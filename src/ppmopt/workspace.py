@@ -15,21 +15,20 @@ or past a stroke limit fails every constraint check, so a probe holding
 one fails without the Jacobian, dexterity and stiffness kernels; the
 verdict is the one the kernels would give.  Other probes hand that same
 solution to one constraints_batch call over the whole grid.  The final
-failing grid, if still unscored, is scored once after the search: on the
-IK its gate solved, or at the bracket if every probe passed.  So the
-limiting pose and report are those of its first failing row, as without
-the gate; no other failing probe builds a pose or report.  The result
-also carries the scores of the grid at R_w itself, which the search has
-already computed.
+failing grid, if the gate decided it or it was never probed, is scored
+once after the search: on the IK its gate solved, or at the bracket if
+every probe passed.  So the limiting pose and report are those of its
+first failing row, as without the gate.  The result also carries the
+scores of the grid at R_w itself, which the search has already computed.
 
-The home-optimal characteristic length l_c comes from the radius-0
-probe's own kernel pass.  Its center block holds HOME_POSE bit for bit
-when the center is HOME_POSE and n_orientation is odd (the defaults):
-the one IK, Jacobian and adjugate of the block then also give the home
-row's kappa_F terms, which performance.home_length searches, as
-characteristic_length does on a one-pose solve, to the same value.
-Otherwise HOME_POSE is appended to the block as one extra row that
-enters no verdict, report or scores.  A fixed l_c skips the search.
+The radius-0 probe scores the center block with HOME_POSE appended as
+its last row, under either l_c policy.  That row is scored with the
+block but stays out of the verdict, the limiting pose and the R_w
+scores; its report is WorkspaceResult.home, the home block of ppmopt
+evaluate.  When l_c is searched, the one IK, Jacobian and adjugate of
+the block also give the home row's kappa_F terms, which
+performance.home_length searches, as characteristic_length does on a
+one-pose solve, to the same value.
 """
 
 from __future__ import annotations
@@ -116,17 +115,12 @@ def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
 
 @functools.lru_cache(maxsize=64)
 def _home_block(grid: GridSpec, center: tuple[float, float, float],
-                delta_phi: float) -> tuple[np.ndarray, int]:
-    """The center block, read-only, and the index of its HOME_POSE row;
-    HOME_POSE is appended when no row is HOME_POSE bit for bit."""
-    block = _grid_layout(grid, center, delta_phi)[0]
-    home = HOME_POSE.as_array()
-    for i, row in enumerate(block):
-        if row.tobytes() == home.tobytes():   # bit for bit: not -0.0
-            return block, i
-    out = np.vstack([block, home])
+                delta_phi: float) -> np.ndarray:
+    """The center block with HOME_POSE appended as its last row, read-only."""
+    out = np.vstack([_grid_layout(grid, center, delta_phi)[0],
+                     HOME_POSE.as_array()])
     out.setflags(write=False)
-    return out, len(block)
+    return out
 
 
 def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
@@ -160,7 +154,7 @@ def grid_points(spec: WorkspaceSpec, grid: GridSpec) -> list[Pose]:
 class Probe(NamedTuple):
     """Outcome of one cylinder check: the verdict, the first failing pose
     in grid order and its report (None when feasible), and the scores of
-    every grid row."""
+    every scored row."""
 
     feasible: bool
     pose: Pose | None
@@ -173,8 +167,7 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        ctx: EvalContext = DEFAULT_CONTEXT,
                        l_c: float | None = None,
                        bik: BatchIK | None = None,
-                       kern: Kernels | None = None, *,
-                       detail: bool = True) -> Probe:
+                       kern: Kernels | None = None) -> Probe:
     """Check every grid pose of the cylinder against g1..g6.
 
     The whole grid goes to one constraints_batch call: its rows do not
@@ -182,24 +175,15 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
     pose-by-pose scan.  bik, when given, is ik_batch of the grid
     (grid_array(spec, grid)) under ctx.mode, its poses then the grid,
     and kern, when given, kernel_batch of bik.  At radius 0, bik may
-    also hold rows after the grid (an appended home row): they are
-    scored but enter no verdict, report or scores.  detail False leaves
-    the pose and report of a failing probe None, for a caller that needs
-    them only from its final probe.
+    also hold rows after the grid (the appended home row): they are
+    scored, and kept in the scores, but enter no verdict or report.
     """
     points = grid_array(spec, grid) if bik is None else bik.poses
     res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik, kern=kern)
-    if spec.radius == 0.0 and len(points) > grid.n_orientation:
-        res = BatchConstraints(**{name: getattr(res, name)[:grid.n_orientation]
-                                  for name in BatchConstraints.__slots__})
-    if res.overall.all():
+    ok = res.overall[:grid.n_orientation] if spec.radius == 0.0 else res.overall
+    if ok.all():
         return Probe(True, None, None, res)
-    return _failure(points, res) if detail else Probe(False, None, None, res)
-
-
-def _failure(points: np.ndarray, res: BatchConstraints) -> Probe:
-    """The failing probe of res over points, with its first failing row."""
-    idx = int(res.overall.argmin())     # the first False
+    idx = int(ok.argmin())     # the first False
     return Probe(False, Pose(*points[idx]), res.report(idx), res)
 
 
@@ -224,6 +208,7 @@ class WorkspaceResult:
     limiting_report: ConstraintReport
     characteristic_length: float
     scores: BatchConstraints    # constraints_batch of the grid at radius
+    home: ConstraintReport      # HOME_POSE, the radius-0 batch's last row
 
 
 def max_regular_workspace_detail(design: DesignVector,
@@ -237,25 +222,31 @@ def max_regular_workspace_detail(design: DesignVector,
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
     Probes above radius 0 pass the reach gate on their grid's inverse
-    kinematics first, and the radius-0 probe also resolves l_c (see the
-    module docstring).  tol must be finite and > 0, or the bisection
-    could never end.
+    kinematics first, and the radius-0 probe also scores HOME_POSE and
+    resolves l_c (see the module docstring).  tol must be finite and > 0,
+    or the bisection could never end.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
     # radius 0 is never gated: the GA reads violations from its report.
-    # Its IK and kernel pass also resolve l_c (see the module docstring)
-    spec = WorkspaceSpec(0.0, center, delta_phi)
-    l_c, bik, kern = ctx.dexterity.characteristic_length, None, None
+    # Its batch also holds HOME_POSE, whose row resolves l_c and gives the
+    # home report (see the module docstring)
+    spec = WorkspaceSpec(0.0, center, delta_phi)    # checks center and band
+    # performance's ik_batch: the lookup the kernels' own IK goes through
+    bik = performance.ik_batch(design, _home_block(grid, center, delta_phi),
+                               ctx.mode)
+    l_c, kern = ctx.dexterity.characteristic_length, None
     if l_c is None:
-        points, home = _home_block(grid, center, delta_phi)
-        # performance's ik_batch: the lookup the kernels' own IK goes through
-        bik = performance.ik_batch(design, points, ctx.mode)
-        l_c, kern = performance.home_length(design, bik, home)
+        l_c, kern = performance.home_length(design, bik)
     at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
                                kern=kern)
+    scored = at_lo.scores
+    home = scored.report(-1)
+    at_lo = at_lo._replace(scores=BatchConstraints(
+        **{name: getattr(scored, name)[:-1] for name in scored.__slots__}))
     if not at_lo.feasible:
-        return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c, at_lo.scores)
+        return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c,
+                               at_lo.scores, home)
 
     # the bracket itself always fails (see upper_radius), so it is not probed
     lo, hi = 0.0, upper_radius(design)
@@ -264,8 +255,7 @@ def max_regular_workspace_detail(design: DesignVector,
         mid = 0.5 * (lo + hi)
         spec = WorkspaceSpec(mid, center, delta_phi)
         bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
-        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
-                                  detail=False)
+        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
                if bik.ok().all() else None)
         if res is not None and res.feasible:
             lo, at_lo = mid, res
@@ -274,9 +264,7 @@ def max_regular_workspace_detail(design: DesignVector,
     if at_hi is None:   # score the final failing grid, on its gate's IK if any
         at_hi = workspace_feasible(design, WorkspaceSpec(hi, center, delta_phi),
                                    grid, ctx, l_c=l_c, bik=bik_hi)
-    else:
-        at_hi = _failure(bik_hi.poses, at_hi.scores)
-    return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores)
+    return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores, home)
 
 
 def max_regular_workspace(design: DesignVector, grid: GridSpec = DEFAULT_GRID,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,11 +16,25 @@ import yaml
 from ppmopt import moga
 from ppmopt.cli import OPTIMIZER_NOTE, main, parse_design
 from ppmopt.errors import ConfigError
+from ppmopt.kinematics import HOME_POSE
 from ppmopt.model import Architecture
-from ppmopt.performance import EvalContext
+from ppmopt.performance import EvalContext, constraints_batch
 from ppmopt.runconfig import default_config_yaml, load_config, parse_config
 
 DESIGN_I_ARG = "d=1,R=1.412,r=0.319,L_b=0.620,r_j=0.026,r_p=0.023"
+
+#: An RPR design whose home pose has no inverse-kinematic solution.
+DEAD_RPR_ARG = "d=2,R=2.0,r=0.8,L_b=1.0,r_j=0.04,r_p=0.05"
+
+#: Configs the home block is checked under: a rotated center, an even
+#: n_orientation and a fixed l_c besides the defaults.
+HOME_CONFIGS = {
+    "default": "",
+    "rotated_center": "workspace: {center: [0.05, -0.03, 0.3]}\n",
+    "even_orientations": "workspace: {grid: {n_radial: 5, n_angular: 12, "
+                         "n_orientation: 4}}\n",
+    "fixed_lc": "dexterity: {characteristic_length: 0.5}\n",
+}
 
 TINY_CFG = {
     "moga": {"population": 12, "generations": 4, "seed": 11},
@@ -336,6 +351,19 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out == "[]"
 
 
+def test_serial_run_leaves_multiprocessing_and_yaml_out():
+    # a process pool starts only for more than one worker and YAML is read
+    # only from a config file, so a serial run without one loads neither
+    out = _run_in_fresh_interpreter(
+        "import sys, ppmopt.cli\n"
+        "from ppmopt.moga import MogaConfig, evolve\n"
+        "from ppmopt.runconfig import load_config\n"
+        "load_config(None)\n"
+        "evolve(MogaConfig(2, 1))\n"
+        "print(sorted(m for m in ('multiprocessing', 'yaml') if m in sys.modules))\n")
+    assert out == "[]"
+
+
 def test_cli_import_spawns_no_process():
     # an import-time helper such as ctypes.util.find_library runs ldconfig
     # in a child process, which would add tens of ms to every command
@@ -381,6 +409,32 @@ class TestEvaluate:
         assert doc["home"]["constraints"]["overall"] is True
         assert doc["workspace"]["min_inverse_condition"] >= 0.1
         assert doc["working_mode"] == ["PLUS", "PLUS", "PLUS"]
+
+    @pytest.mark.parametrize("config", list(HOME_CONFIGS))
+    @pytest.mark.parametrize("design", [DESIGN_I_ARG, DEAD_RPR_ARG],
+                             ids=["design_i", "home_unreachable_rpr"])
+    def test_home_block_matches_one_pose_solve(self, tmp_path, design, config):
+        # the home block comes from the search's radius-0 batch: it keeps
+        # the bytes of a one-pose solve of HOME_POSE at the report's l_c
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text("bounds: {lower: {r: 0.1}}\n" + HOME_CONFIGS[config],
+                            encoding="utf-8")
+        out = tmp_path / "rep.json"
+        main(["evaluate", "--config", str(cfg_path), "--design", design,
+              "--out", str(out)])
+        doc = json.loads(out.read_text())
+        l_c = doc["characteristic_length_m"]
+        home = constraints_batch(parse_design(design),
+                                 HOME_POSE.as_array()[None, :],
+                                 load_config(str(cfg_path)).ctx,
+                                 l_c=math.nan if l_c is None else l_c)
+        expected = {"constraints": dataclasses.asdict(home.report(0)),
+                    "stiffness_indices": {"k_xy": float(home.kxy[0]),
+                                          "k_z": float(home.kz[0]),
+                                          "k_phiz": float(home.kphiz[0])}}
+        assert (json.dumps(doc["home"], sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+        assert (l_c is None) == (design == DEAD_RPR_ARG and config != "fixed_lc")
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -8,7 +8,7 @@ from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, REPORTED, _same_bytes,
                       sample_design)
 from ppmopt import performance, workspace
 from ppmopt.errors import HomeUnreachable, InvalidValue
-from ppmopt.kinematics import DEFAULT_MODE, Branch, Pose, ik_batch
+from ppmopt.kinematics import DEFAULT_MODE, HOME_POSE, Branch, Pose, ik_batch
 from ppmopt.model import Architecture, DesignVector
 from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
@@ -235,13 +235,13 @@ class TestWorkspaceFeasible:
         res = max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, ctx, tol=tol)
         assert res.radius > 0.0
         # every kernel call is one probe's whole grid: the center block
-        # first, then full grids
+        # with HOME_POSE appended first, then full grids
         batches = [e[1] for e in events if e[0] == "batch"]
         assert sum(e[0] == "probe" for e in events) == len(batches)
-        assert batches == [5] + [305] * (len(batches) - 1)
+        assert batches == [6] + [305] * (len(batches) - 1)
         # the ungated radius-0 probe's IK comes before its kernel call and
         # also serves l_c
-        assert events[:3] == [("ik", 5, True), ("probe", 0.0), ("batch", 5)]
+        assert events[:3] == [("ik", 6, True), ("probe", 0.0), ("batch", 6)]
         # the bracket is never probed: the first full grid is its midpoint
         first = grid_array(WorkspaceSpec(upper_radius(DESIGN_III) / 2.0),
                            DEFAULT_GRID)
@@ -353,7 +353,11 @@ def test_home_row_fold_matches_lc_resolved_first():
               for grid, center, ctx in ((default, rotated, searched),
                                         (even, workspace.CENTER_DEFAULT, searched),
                                         (default, workspace.CENTER_DEFAULT, fixed))]
-    appended_at_zero = unreachable = 0
+    # singular at home (dexterity 0 there) yet R_w > 0 around a rotated
+    # center: the failing home row must stay out of the verdict
+    singular = DesignVector(Architecture.RPR, 2.0, 0.8, 1.5, 0.04, 0.05)
+    cases.append((singular, default, rotated, fixed))
+    appended_at_zero = unreachable = home_fails_inside = 0
     for design, grid, center, ctx in cases:
         try:
             l_c = characteristic_length(design, ctx)
@@ -369,14 +373,19 @@ def test_home_row_fold_matches_lc_resolved_first():
             design, grid_array(WorkspaceSpec(r_w, center), grid), ctx, l_c=l_c)
         for name in fresh.__slots__:
             assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
-        # an appended home row stays out of the radius-0 scores, which
-        # ppmopt evaluate reads its minima from
-        block, home = workspace._home_block(grid, center, workspace.DELTA_PHI_DEFAULT)
-        if r_w == 0.0 and home == grid.n_orientation:
+        # the appended home row stays out of the radius-0 scores, which
+        # ppmopt evaluate reads its minima from, and is its home report
+        block = workspace._home_block(grid, center, workspace.DELTA_PHI_DEFAULT)
+        assert _same_bytes(block[-1], HOME_POSE.as_array())
+        if r_w == 0.0:
             assert res.scores.overall.shape == (grid.n_orientation,)
             appended_at_zero += 1
+        home = constraints_batch(design, HOME_POSE.as_array()[None, :], ctx,
+                                 l_c=res.characteristic_length).report(0)
+        assert repr(res.home) == repr(home)
         unreachable += math.isnan(l_c)
-    assert appended_at_zero >= 3 and unreachable >= 2
+        home_fails_inside += r_w > 0.0 and not res.home.overall
+    assert appended_at_zero >= 3 and unreachable >= 2 and home_fails_inside >= 1
 
 
 class TestMaxRegularWorkspace:
