@@ -1,8 +1,10 @@
 """Design evaluation and multiobjective optimization of planar parallel
 manipulators (3-PRR, 3-RPR, 3-RRR)."""
 
+from types import ModuleType as _Module
+
 from .errors import (ConfigError, HomeUnreachable, InvalidValue, ModeViolation,
-                     OutOfBounds, PpmError, SingularStiffness, Unreachable)
+                     PpmError, SingularStiffness, Unreachable)
 from .kinematics import (AnchorLayout, Branch, DEFAULT_MODE, HOME_POSE,
                          JacobianPair, Pose, WorkingMode, anchor_layout,
                          inverse_kinematics, jacobian)
@@ -24,4 +26,6 @@ from .workspace import (GridSpec, WorkspaceSpec, grid_points,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _Module)]

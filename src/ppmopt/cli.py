@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import moga
-from .errors import ConfigError, PpmError
+from .errors import ConfigError, InvalidValue, PpmError
 from .model import SHORT_NAMES, Architecture, DesignVector, mass, validate
 # constraints_batch is unused here but kept: bench/tracing.py hooks
 # cli.constraints_batch
@@ -311,8 +311,11 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             cfg = load_config(args.config)
             if args.seed is not None:
-                cfg = dataclasses.replace(
-                    cfg, moga=dataclasses.replace(cfg.moga, seed=args.seed))
+                try:
+                    moga_cfg = dataclasses.replace(cfg.moga, seed=args.seed)
+                except InvalidValue as exc:
+                    raise ConfigError("moga.seed", str(exc))
+                cfg = dataclasses.replace(cfg, moga=moga_cfg)
             if args.threads is not None:
                 cfg = dataclasses.replace(cfg, threads=args.threads)
             return cmd_optimize(cfg, args.out or cfg.output_dir)

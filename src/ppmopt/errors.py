@@ -4,25 +4,16 @@ Every failure mode that callers are expected to branch on gets exactly
 one class, raised alike wherever it arises.  Every one-pose call solves
 its pose through kinematics.solve_pose, so a pose a leg cannot take
 raises Unreachable (ModeViolation for a PRR root outside its rail
-travel) for the first such leg; a physical parameter outside its domain
-raises InvalidValue naming the field.  Anything else surfaces as a plain
-ValueError from the offending numpy call.  No solver here iterates to a
-tolerance, so none can fail to converge; the Newton forward kinematics
-is a test oracle.
+travel) for the first such leg; a physical parameter outside its domain,
+a design variable outside its box included, raises InvalidValue naming
+the field.  Anything else surfaces as a plain ValueError from the
+offending numpy call.  No solver here iterates to a tolerance, so none
+can fail to converge; the Newton forward kinematics is a test oracle.
 """
 
 
 class PpmError(Exception):
     """Base class for all ppmopt errors."""
-
-
-class OutOfBounds(PpmError):
-    """A design variable lies outside its allowed range."""
-
-    def __init__(self, field: str, value: float, lo: float, hi: float):
-        self.field = field
-        self.value = value
-        super().__init__(f"{field}={value} outside [{lo}, {hi}]")
 
 
 class Unreachable(PpmError):

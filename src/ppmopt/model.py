@@ -17,10 +17,11 @@ in motion count: actuators are fixed to the base and carry no mass here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import InvalidValue, OutOfBounds
+from .errors import InvalidValue
 
 
 class Architecture(IntEnum):
@@ -91,6 +92,16 @@ def check_finite(obj, names: tuple[str, ...], positive: bool = True) -> None:
                                value)
 
 
+def check_counts(obj, rules: tuple[tuple[str, int], ...]) -> None:
+    """Raise InvalidValue for the first (name, least) rule whose field of
+    obj is not an integer >= least; a bool is not an integer here."""
+    for name, least in rules:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                           and value >= least):
+            raise InvalidValue(name, f"an integer >= {least}", value)
+
+
 @dataclass(frozen=True)
 class Material:
     """Homogeneous isotropic link material."""
@@ -151,16 +162,15 @@ class Wrench:
 
 
 def validate(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> DesignVector:
-    """Check a design against its box, then reject every length not > 0.
-
-    Returns the design unchanged when acceptable.  A zero section can
-    never carry load and a negative length mirrors the design and its
-    mass, so both raise InvalidValue even where the box allows them.
+    """Check a design against its box, then reject every length not > 0
+    (even where the box allows it: a zero section can never carry load,
+    a negative length mirrors the design and its mass).  The first field
+    that fails raises InvalidValue; otherwise the design is returned.
     """
     values = design.as_tuple()[1:]
     for name, v, lo, hi in zip(SHORT_NAMES, values, bounds.lower, bounds.upper):
         if not math.isfinite(v) or v < lo or v > hi:
-            raise OutOfBounds(name, v, lo, hi)
+            raise InvalidValue(name, f"inside [{lo}, {hi}]", v)
     for name, v in zip(SHORT_NAMES, values):
         if not v > 0.0:
             raise InvalidValue(name, "> 0", v)

@@ -31,9 +31,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InvalidValue, PpmError
-from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector, mass,
-                    validate)
+from .errors import PpmError
+from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
+                    check_counts, mass, validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
 from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT, DEFAULT_GRID,
                         DELTA_PHI_DEFAULT, GridSpec,
@@ -70,10 +70,7 @@ class MogaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise InvalidValue("population", ">= 2", self.population)
-        if self.generations < 1:
-            raise InvalidValue("generations", ">= 1", self.generations)
+        check_counts(self, (("population", 2), ("generations", 1), ("seed", 0)))
 
 
 # ---------------------------------------------------------------------------

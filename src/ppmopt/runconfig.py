@@ -49,7 +49,6 @@ class RunConfig:
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,
                  "a finite length > 0"),
-                ("moga.seed", self.moga.seed >= 0, "an integer >= 0"),
                 ("threads", self.threads >= 0, "0 (all cores) or a worker count")):
             if not ok:
                 raise ConfigError(path, f"must be {rule}")

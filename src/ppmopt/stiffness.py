@@ -297,8 +297,10 @@ def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
     """6x6 Cartesian stiffness of the platform: the sum over the legs.
 
     Raises as kinematics.inverse_kinematics does where a leg cannot take
-    the pose, and SingularStiffness where det A = 0 or a leg term is not
-    finite.
+    the pose, and SingularStiffness only where det A is exactly 0 or a
+    leg term is not finite.  Where rounding leaves det A just off 0, K is
+    finite with a vanishing index (the aligned RPR at HOME_POSE: det A =
+    -4.8e-17, k_phiz ~ 1e-26); inverse_condition returns 0 there.
     """
     bik = solve_pose(design, pose, mode)
     jac = jacobian_batch(design, bik)

@@ -8,6 +8,8 @@ deterministic grid (center poses first, then rings radial-major), and the
 maximal radius is found by bisection, which makes R_w a deterministic
 function of the design vector.  The bisection starts from [0,
 upper_radius]; no grid passes at that bracket, so it is never probed.
+A failing radius-0 probe closes the bracket at [0, 0]: no radius is
+bisected, and that probe gives the limiting pose.
 
 Each bisection probe at a radius > 0 builds its grid once and solves the
 inverse kinematics of every grid pose once.  A pose that is unreachable
@@ -22,20 +24,19 @@ first failing row, as without the gate.  The result also carries the
 scores of the grid at R_w itself, which the search has already computed.
 
 The radius-0 probe scores the center block with HOME_POSE appended as
-its last row, under either l_c policy.  That row is scored with the
-block but stays out of the verdict, the limiting pose and the R_w
-scores; its report is WorkspaceResult.home, the home block of ppmopt
-evaluate.  When l_c is searched, the one IK, Jacobian and adjugate of
-the block also give the home row's kappa_F terms, which
-performance.home_length searches, as characteristic_length does on a
-one-pose solve, to the same value.
+its last row, under either l_c policy; the grid's cached layout holds
+that block.  The home row is scored with the block but stays out of the
+verdict, the limiting pose and the R_w scores; its report is
+WorkspaceResult.home, the home block of ppmopt evaluate.  When l_c is
+searched, the one IK, Jacobian and adjugate of the block also give the
+home row's kappa_F terms, which performance.home_length searches, as
+characteristic_length does on a one-pose solve, to the same value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +45,7 @@ import numpy as np
 from . import performance
 from .errors import InvalidValue
 from .kinematics import HOME_POSE, BatchIK, Pose
-from .model import Architecture, DesignVector
+from .model import Architecture, DesignVector, check_counts
 # characteristic_length is unused here but kept: bench/tracing.py hooks
 # workspace.characteristic_length
 from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
@@ -85,10 +86,8 @@ class GridSpec:
     n_orientation: int = 5
 
     def __post_init__(self):
-        for name, least in (("n_radial", 1), ("n_angular", 2), ("n_orientation", 2)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise InvalidValue(name, f"an integer >= {least}", value)
+        check_counts(self, (("n_radial", 1), ("n_angular", 2),
+                            ("n_orientation", 2)))
 
 
 DEFAULT_GRID = GridSpec()
@@ -98,29 +97,21 @@ DEFAULT_GRID = GridSpec()
 def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
                  delta_phi: float) -> tuple[np.ndarray, ...]:
     """The radius-independent part of a grid, as read-only arrays: the
-    (n_orientation, 3) center block, the orientation band, the ring
-    numbers 1..n_radial as a column, and cos / sin of the ring angles."""
+    (n_orientation, 3) center block with HOME_POSE appended as its last
+    row, the orientation band, the ring numbers 1..n_radial as a column,
+    and cos / sin of the ring angles."""
     xc, yc, pc = center
     phis = np.linspace(pc - delta_phi / 2.0, pc + delta_phi / 2.0,
                        grid.n_orientation)
-    block = np.column_stack([np.full(grid.n_orientation, xc),
-                             np.full(grid.n_orientation, yc), phis])
+    block = np.vstack([np.column_stack([np.full(grid.n_orientation, xc),
+                                        np.full(grid.n_orientation, yc), phis]),
+                       HOME_POSE.as_array()])
     ang = 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular
     k = np.arange(1, grid.n_radial + 1, dtype=float)[:, None]
     arrays = (block, phis, k, np.cos(ang), np.sin(ang))
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def _home_block(grid: GridSpec, center: tuple[float, float, float],
-                delta_phi: float) -> np.ndarray:
-    """The center block with HOME_POSE appended as its last row, read-only."""
-    out = np.vstack([_grid_layout(grid, center, delta_phi)[0],
-                     HOME_POSE.as_array()])
-    out.setflags(write=False)
-    return out
 
 
 def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
@@ -132,6 +123,7 @@ def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
     Ring k of n_radial sits at radius * k / n_radial.
     """
     block, phis, k, cos, sin = _grid_layout(grid, spec.center, spec.delta_phi)
+    block = block[:-1]      # the center block, without the home row
     if spec.radius == 0.0:
         return block.copy()
     xc, yc, _ = spec.center
@@ -233,7 +225,7 @@ def max_regular_workspace_detail(design: DesignVector,
     # home report (see the module docstring)
     spec = WorkspaceSpec(0.0, center, delta_phi)    # checks center and band
     # performance's ik_batch: the lookup the kernels' own IK goes through
-    bik = performance.ik_batch(design, _home_block(grid, center, delta_phi),
+    bik = performance.ik_batch(design, _grid_layout(grid, center, delta_phi)[0],
                                ctx.mode)
     l_c, kern = ctx.dexterity.characteristic_length, None
     if l_c is None:
@@ -244,13 +236,11 @@ def max_regular_workspace_detail(design: DesignVector,
     home = scored.report(-1)
     at_lo = at_lo._replace(scores=BatchConstraints(
         **{name: getattr(scored, name)[:-1] for name in scored.__slots__}))
-    if not at_lo.feasible:
-        return WorkspaceResult(0.0, at_lo.pose, at_lo.report, l_c,
-                               at_lo.scores, home)
-
-    # the bracket itself always fails (see upper_radius), so it is not probed
-    lo, hi = 0.0, upper_radius(design)
-    at_hi, bik_hi = None, None   # hi's probe (None if gated or unprobed), IK
+    # the bracket itself always fails (see upper_radius), so it is not
+    # probed; a failing radius 0 closes it at once
+    lo, hi = 0.0, upper_radius(design) if at_lo.feasible else 0.0
+    # hi's probe (None if gated or unprobed) and IK
+    at_hi, bik_hi = (None if at_lo.feasible else at_lo), None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         spec = WorkspaceSpec(mid, center, delta_phi)

@@ -4,6 +4,7 @@ raises one error class."""
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,14 @@ def test_readme_library_imports_are_exported():
     assert names and names <= set(ppmopt.__all__), names - set(ppmopt.__all__)
 
 
+def test_all_holds_no_module():
+    assert not [name for name in ppmopt.__all__
+                if isinstance(getattr(ppmopt, name), types.ModuleType)]
+    star = {}
+    exec("from ppmopt import *", star)
+    assert "workspace" not in star and "DesignVector" in star
+
+
 def test_oracles_import_no_private_name():
     oracles = sorted((ROOT / "tests").glob("*_oracle.py"))
     assert len(oracles) >= 3
@@ -49,7 +58,7 @@ def test_error_classes_pinned():
                   if isinstance(getattr(ppmopt, name), type)
                   and issubclass(getattr(ppmopt, name), Exception)) == [
         "ConfigError", "HomeUnreachable", "InvalidValue", "ModeViolation",
-        "OutOfBounds", "PpmError", "SingularStiffness", "Unreachable"]
+        "PpmError", "SingularStiffness", "Unreachable"]
 
 
 #: l_c fixed, so the RPR, singular at its home pose, still has a dexterity

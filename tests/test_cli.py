@@ -396,6 +396,14 @@ class TestEvaluate:
         assert code == 2
         assert str(tmp_path / out.split("/")[0]) in capsys.readouterr().err
 
+    def test_default_out_writes_into_working_directory(self, tiny_config,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["evaluate", "--config", tiny_config,
+                     "--design", DESIGN_I_ARG])
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["feasible"]
+
     def test_feasible_design_report(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["evaluate", "--config", tiny_config,
@@ -504,7 +512,8 @@ class TestEvaluate:
         code = main(["evaluate", "--config", tiny_config,
                      "--design", big, "--out", str(out)])
         assert code == 3
-        assert "outside" in json.loads(out.read_text())["error"]
+        error = json.loads(out.read_text())["error"]
+        assert error.startswith("R must be inside [")
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import DESIGN_I, DESIGN_II, DESIGN_III, REPORTED, WIDE_BOUNDS
-from ppmopt.errors import InvalidValue, OutOfBounds
+from ppmopt.errors import InvalidValue
 from ppmopt.model import (ActuatorStiffness, Architecture, Bounds, DEFAULT_BOUNDS,
                           DEFAULT_MATERIAL, SHORT_NAMES, DesignVector, Material,
                           Wrench, link_mass, mass, steel, validate)
@@ -23,7 +23,7 @@ class TestValidate:
 
     def test_out_of_bounds_carries_field(self):
         bad = DesignVector(Architecture.PRR, 4.5, 1.0, 1.0, 0.05, 0.05)
-        with pytest.raises(OutOfBounds) as err:
+        with pytest.raises(InvalidValue) as err:
             validate(bad)
         assert err.value.field == "R"
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt import moga
+from ppmopt.errors import InvalidValue
 from ppmopt.model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
                           mass)
 from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
@@ -269,6 +270,16 @@ class TestHypervolume:
 @pytest.fixture(scope="module")
 def tiny_run():
     return evolve(TINY)
+
+
+class TestMogaConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("population", 2.5), ("generations", True)])
+    def test_value_evolve_cannot_run_rejected(self, field, value):
+        # each once constructed and then failed, or ran a bool, in evolve
+        with pytest.raises(InvalidValue, match=field) as exc:
+            MogaConfig(**{"population": 30, "generations": 10, field: value})
+        assert exc.value.field == field
 
 
 class TestEvolve:

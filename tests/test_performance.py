@@ -48,6 +48,11 @@ class TestFrobeniusCondition:
         assert frobenius_condition(3.7 * m) == pytest.approx(
             frobenius_condition(m), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            frobenius_condition(np.ones(shape))
+
 
 class TestCharacteristicLength:
     def test_fixed_policy_passthrough(self):

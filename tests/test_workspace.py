@@ -375,7 +375,8 @@ def test_home_row_fold_matches_lc_resolved_first():
             assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
         # the appended home row stays out of the radius-0 scores, which
         # ppmopt evaluate reads its minima from, and is its home report
-        block = workspace._home_block(grid, center, workspace.DELTA_PHI_DEFAULT)
+        block, *_ = workspace._grid_layout(grid, center,
+                                           workspace.DELTA_PHI_DEFAULT)
         assert _same_bytes(block[-1], HOME_POSE.as_array())
         if r_w == 0.0:
             assert res.scores.overall.shape == (grid.n_orientation,)
