@@ -95,8 +95,7 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
     doc: dict = {
         "design": _design_row(design),
         "working_mode": [b.name for b in cfg.ctx.mode],
-        "stiffness_thresholds": dict(zip(("k_xy", "k_z", "k_phiz"),
-                                         cfg.ctx.stiffness_limits())),
+        "stiffness_thresholds": dataclasses.asdict(cfg.ctx.limits),
         "dexterity_threshold": cfg.ctx.dexterity.threshold,
         "mass_kg": mass(design, cfg.ctx.material),
     }

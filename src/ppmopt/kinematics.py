@@ -101,9 +101,9 @@ class AnchorLayout:
     travels from rail_starts[i] along rail_directions[i]; each rail is a
     full triangle side, traversed corner to corner, facing platform
     vertex C_i.  Both rail fields are None for the other architectures.
-    The *_cols fields hold the platform points, the leg origins (rail
-    starts for the PRR, corners otherwise) and the rails as (2, 3, 1)
-    columns (component, leg, pose) for the batch path.
+    Each point array is read-only and held once; the batch path reads it
+    as (2, 3, 1) columns (component, leg, pose) through the view
+    points.T[:, :, None].
     """
 
     base_points: np.ndarray       # (3, 2), triangle corners in label order
@@ -111,9 +111,6 @@ class AnchorLayout:
     rail_starts: np.ndarray | None      # (3, 2) for PRR
     rail_directions: np.ndarray | None  # (3, 2) for PRR
     rail_length: float            # sqrt(3) R, the usable prismatic travel
-    platform_cols: np.ndarray
-    origin_cols: np.ndarray
-    rail_cols: np.ndarray | None  # for PRR
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +141,10 @@ def anchor_layout(design: DesignVector) -> AnchorLayout:
         ends = base[[0, 2, 1]]
         side = ends - starts
         rails = side / np.linalg.norm(side, axis=1, keepdims=True)
-    cols = [None if arr is None else np.ascontiguousarray(arr.T)[:, :, None]
-            for arr in (plat, base if starts is None else starts, rails)]
-    for arr in (base, plat, starts, rails, *cols):
+    for arr in (base, plat, starts, rails):
         if arr is not None:
             arr.setflags(write=False)
-    return AnchorLayout(base, plat, starts, rails, SQRT3 * design.base_radius,
-                        *cols)
+    return AnchorLayout(base, plat, starts, rails, SQRT3 * design.base_radius)
 
 
 class BatchIK(NamedTuple):
@@ -197,7 +191,7 @@ def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
     both (2, 3, N), for an (N, 3) pose array."""
     px, py, phi = poses.T
     cphi, sphi = np.cos(phi), np.sin(phi)
-    cx, cy = layout.platform_cols                    # platform frame
+    cx, cy = layout.platform_points.T[:, :, None]    # platform frame
     c_world = np.empty((2, 3, poses.shape[0]))
     moment = np.empty_like(c_world)
     ry, rx = moment                                  # moment = (-ry, rx)
@@ -227,7 +221,9 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
     n = poses.shape[0]
     c_world, moment = _platform_anchors(layout, poses)
 
-    a = layout.origin_cols
+    # the leg origins: rail starts for the PRR, base corners otherwise
+    a = (layout.base_points if layout.rail_starts is None
+         else layout.rail_starts).T[:, :, None]
     w = c_world - a
     wx, wy = w
     sign = _mode_signs(mode)
@@ -241,7 +237,7 @@ def ik_batch(design: DesignVector, poses: np.ndarray,
         elbow = np.broadcast_to(a, (2, 3, n))
         q = rho
     elif arch is Architecture.PRR:
-        u = layout.rail_cols
+        u = layout.rail_directions.T[:, :, None]
         s = wx * u[0] + wy * u[1]
         h2 = wx * wx + wy * wy - s * s
         disc = lb * lb - h2
@@ -284,7 +280,7 @@ def jacobian_batch(design: DesignVector, bik: BatchIK) -> tuple[np.ndarray, np.n
     if arch is Architecture.RPR:
         b = np.ones((3, n))
     elif arch is Architecture.PRR:
-        ux, uy = anchor_layout(design).rail_cols
+        ux, uy = anchor_layout(design).rail_directions.T[:, :, None]
         b = dx * ux + dy * uy
     else:
         lx, ly = bik.proximal

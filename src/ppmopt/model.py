@@ -74,7 +74,8 @@ class Bounds:
     def __post_init__(self):
         for name, lo, hi in zip(SHORT_NAMES, self.lower, self.upper):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bounds for {name} invalid: [{lo}, {hi}]")
+                raise InvalidValue(name, "bounded by finite lower <= upper",
+                                   [lo, hi])
 
 
 #: Default box: R, r, L_b in [0.5, 4] m; r_j, r_p in [0, 0.1] m.

@@ -160,10 +160,6 @@ class EvalContext:
     dexterity: DexterityConfig = DexterityConfig()
     mode: WorkingMode = DEFAULT_MODE
 
-    def stiffness_limits(self) -> tuple[float, float, float]:
-        """Required (k_xy, k_z, k_phiz)."""
-        return (self.limits.k_xy, self.limits.k_z, self.limits.k_phiz)
-
 
 DEFAULT_CONTEXT = EvalContext()
 
@@ -404,12 +400,12 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     else:
         kinv, kxy, kz, kphiz = np.zeros((4, n))
 
-    lim_xy, lim_z, lim_phiz = ctx.stiffness_limits()
+    lim = ctx.limits
     g1 = np.full(n, g1_flag)
     g3 = kinv >= ctx.dexterity.threshold
-    g4 = kxy >= lim_xy
-    g5 = kz >= lim_z
-    g6 = kphiz >= lim_phiz
+    g4 = kxy >= lim.k_xy
+    g5 = kz >= lim.k_z
+    g6 = kphiz >= lim.k_phiz
     overall = g1 & g2 & g3 & g4 & g5 & g6 & ik
     return BatchConstraints(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, g6=g6, ik=ik,
                             kinv=kinv, kxy=kxy, kz=kz, kphiz=kphiz,

@@ -123,27 +123,21 @@ _number_or_null.__name__ = "a number or null"   # named in _convert's errors
 _string.__name__ = "a string"
 
 
-def _rejected(sec: _Section, exc: ValueError) -> ConfigError:
-    """The ConfigError for a value the section's dataclass rejected, at
-    the key path of the field when the error names one."""
-    if isinstance(exc, InvalidValue):
-        return ConfigError(sec._join(exc.field), str(exc))
-    return ConfigError(sec.path, str(exc))
-
-
 def _read(sec: _Section, cls, **given):
     """Build the dataclass cls from a section whose keys are its field names.
 
     Each field not in given is read from the key of the same name,
     defaulting to the field's default and converted to that default's
-    type.  Leftover keys and values cls rejects are config errors.
+    type.  Leftover keys are config errors, and so is a value cls
+    rejects: every section dataclass raises InvalidValue for it, which
+    names the field, so the error carries that field's key path.
     """
     values = {f.name: sec.take(f.name, f.default, type(f.default))
               for f in fields(cls) if f.name not in given}
     try:
         obj = cls(**values, **given)
-    except ValueError as exc:
-        raise _rejected(sec, exc)
+    except InvalidValue as exc:
+        raise ConfigError(sec._join(exc.field), str(exc))
     sec.finish()
     return obj
 
@@ -158,8 +152,8 @@ def _parse_bounds(sec: _Section) -> Bounds:
     sec.finish()
     try:
         return Bounds(lower=lower, upper=upper)
-    except ValueError as exc:
-        raise ConfigError(sec.path or "bounds", str(exc))
+    except InvalidValue as exc:   # reported at the box, which both sides set
+        raise ConfigError(sec.path, str(exc))
 
 
 def _parse_material(sec: _Section) -> Material:
@@ -178,8 +172,8 @@ def _parse_material(sec: _Section) -> Material:
         return (steel(density, young, poisson) if shear is None
                 else Material(density=density, young_modulus=young,
                               shear_modulus=shear))
-    except ValueError as exc:
-        raise _rejected(sec, exc)
+    except InvalidValue as exc:
+        raise ConfigError(sec._join(exc.field), str(exc))
 
 
 def _parse_mode(value, path: str) -> WorkingMode:

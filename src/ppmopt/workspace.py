@@ -44,7 +44,7 @@ import numpy as np
 
 from . import performance
 from .errors import InvalidValue
-from .kinematics import HOME_POSE, BatchIK, Pose
+from .kinematics import HOME_POSE, BatchIK, Pose, anchor_layout
 from .model import Architecture, DesignVector, check_counts
 # characteristic_length is unused here but kept: bench/tracing.py hooks
 # workspace.characteristic_length
@@ -66,11 +66,11 @@ class WorkspaceSpec:
     delta_phi: float = DELTA_PHI_DEFAULT           # total band [rad]
 
     def __post_init__(self):
-        # written so that NaN fails both tests
-        if not (0.0 <= self.radius < math.inf and 0.0 < self.delta_phi < math.inf):
-            raise ValueError("workspace radius must be finite and >= 0, band "
-                             f"finite and > 0; got radius {self.radius}, "
-                             f"band {self.delta_phi}")
+        # written so that NaN fails each test
+        if not 0.0 <= self.radius < math.inf:
+            raise InvalidValue("radius", "finite and >= 0", self.radius)
+        if not 0.0 < self.delta_phi < math.inf:
+            raise InvalidValue("delta_phi", "a finite band > 0", self.delta_phi)
         if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
             raise InvalidValue("center", "three finite numbers", self.center)
 
@@ -138,11 +138,6 @@ def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def grid_points(spec: WorkspaceSpec, grid: GridSpec) -> list[Pose]:
-    """Grid poses as Pose objects, in evaluation order."""
-    return [Pose(*row) for row in grid_array(spec, grid)]
-
-
 class Probe(NamedTuple):
     """Outcome of one cylinder check: the verdict, the first failing pose
     in grid order and its report (None when feasible), and the scores of
@@ -184,7 +179,7 @@ def upper_radius(design: DesignVector) -> float:
     directions sum to zero, so the outer ring has a pose this far or more
     from the base center: PRR feet stay inside the base circle, and two
     RPR/RRR base corners lie >= 60 degrees off it, out of their legs' reach."""
-    ext = {Architecture.PRR: math.sqrt(3.0) * design.base_radius + design.link_length,
+    ext = {Architecture.PRR: anchor_layout(design).rail_length + design.link_length,
            Architecture.RPR: design.link_length,
            Architecture.RRR: 2.0 * design.link_length}[design.architecture]
     return design.base_radius + design.platform_radius + ext

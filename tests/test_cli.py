@@ -64,7 +64,7 @@ class TestConfig:
     def test_defaults_parse_cleanly(self):
         cfg = parse_config(yaml.safe_load(default_config_yaml()))
         assert cfg.moga.population == 30
-        assert cfg.ctx.stiffness_limits()[0] == pytest.approx(1e6)
+        assert cfg.ctx.limits.k_xy == pytest.approx(1e6)
 
     def test_empty_config_equals_defaults(self):
         # the whole resolved config, not just the evaluation context
@@ -240,7 +240,7 @@ class TestConfig:
                                   f"interpret {value!r} as a number or null")
 
     def test_inverted_bounds_name_the_config_key(self):
-        with pytest.raises(ConfigError, match="bounds for L_b invalid") as err:
+        with pytest.raises(ConfigError, match="L_b must be bounded by") as err:
             parse_config({"bounds": {"lower": {"L_b": 2.0}, "upper": {"L_b": 1.0}}})
         assert err.value.path == "bounds"
 

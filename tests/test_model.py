@@ -53,6 +53,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             Bounds(lower=(1.0, 0.5, 0.5, 0.0, 0.0), upper=(0.5, 4.0, 4.0, 0.1, 0.1))
 
+    def test_bad_bounds_name_the_variable(self):
+        for lower, upper in ((2.0, 1.0), (0.5, math.nan)):
+            with pytest.raises(InvalidValue) as err:
+                Bounds(lower=(0.5, 0.5, lower, 0.0, 0.0),
+                       upper=(4.0, 4.0, upper, 0.1, 0.1))
+            assert err.value.field == "L_b"
+
 
 class TestMass:
     @pytest.mark.parametrize("design,name,rtol", [

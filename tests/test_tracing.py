@@ -5,13 +5,33 @@ the test suite instead."""
 import importlib.util
 import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trace_targets_exist():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load(TRACING, "bench_tracing")
     for name, (modules, attr, _) in tracing.TARGETS.items():
         for module in modules:
             assert callable(getattr(module, attr, None)), (name, module.__name__)
+
+
+def test_workloads_lookups_exist(monkeypatch):
+    # the workloads import their tracing helpers as a top-level module
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = _load(BENCH / "workloads.py", "bench_workloads")
+    # the names the workloads look up only when they run
+    for path in ("moga.evaluate_genome", "moga.evolve", "moga.dominates",
+                 "cli.cmd_evaluate", "performance.constraints_batch",
+                 "LC_CACHE.cache_clear"):
+        obj = workloads
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), path

@@ -13,7 +13,7 @@ from ppmopt.model import Architecture, DesignVector
 from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
-                              grid_points, max_regular_workspace,
+                              max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
                               workspace_feasible)
 
@@ -42,12 +42,12 @@ def _grid_array_loop(spec, grid, phase=0.0):
 
 class TestGridPoints:
     def test_zero_radius_center_only(self):
-        poses = grid_points(WorkspaceSpec(0.0), GridSpec(5, 12, 5))
+        poses = grid_array(WorkspaceSpec(0.0), GridSpec(5, 12, 5))
         assert len(poses) == 5
-        assert all(p.p_x == 0.0 and p.p_y == 0.0 for p in poses)
+        assert (poses[:, :2] == 0.0).all()
 
     def test_default_count(self):
-        poses = grid_points(WorkspaceSpec(0.5), GridSpec(5, 12, 5))
+        poses = grid_array(WorkspaceSpec(0.5), GridSpec(5, 12, 5))
         assert len(poses) == 5 * 12 * 5 + 5
 
     def test_positions_inside_cylinder(self):
@@ -109,8 +109,11 @@ class TestWorkspaceSpec:
         (math.nan, 0.3), (-0.1, 0.3), (math.inf, 0.3), (0.0, math.nan),
         (0.0, math.inf), (0.0, 0.0), (0.2, -0.3)])
     def test_invalid_spec_rejected(self, radius, delta_phi):
-        with pytest.raises(ValueError, match="band"):
+        with pytest.raises(ValueError) as err:
             WorkspaceSpec(radius, delta_phi=delta_phi)
+        # the first bad field is named: the radius, else the band
+        bad = "delta_phi" if 0.0 <= radius < math.inf else "radius"
+        assert isinstance(err.value, InvalidValue) and err.value.field == bad
 
     @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0),
                                         (math.inf, 0.0, 0.0),
