@@ -161,9 +161,8 @@ def _pareto_rows(entries, seed: int) -> list[list[str]]:
     rows = []
     for e in entries:
         d, *x = e.design.as_tuple()
-        lc = e.characteristic_length
         rows.append([str(d), *map(_num, x), _num(e.mass), _num(e.r_w),
-                     ("nan" if math.isnan(lc) else _num(lc)), str(seed)])
+                     _num(e.characteristic_length), str(seed)])
     return rows
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ModeViolation, Unreachable
-from .model import Architecture, DesignVector
+from .model import Architecture, DesignVector, check_finite
 
 # Polar angles of the base triangle corners: A1A2 horizontal, apex up.
 VERTEX_ANGLES = (7.0 * math.pi / 6.0, 11.0 * math.pi / 6.0, math.pi / 2.0)
@@ -68,8 +68,7 @@ class Pose:
     phi: float  # [rad], stored normalized to (-pi, pi]; kept as given there
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.p_x, self.p_y, self.phi))):
-            raise ValueError("pose components must be finite")
+        check_finite(self, ("p_x", "p_y", "phi"), positive=False)
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
     def as_array(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PpmError
+from .errors import InvalidValue, PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
                     check_counts, mass, validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
@@ -266,36 +266,22 @@ class ParetoArchive:
 
 
 def pareto_filter(points: list[Evaluation]) -> ParetoArchive:
-    """Non-dominated feasible subset, deduplicated.
+    """Non-dominated feasible subset, sorted by radius ascending.
 
-    Duplicates are dropped at two levels: identical genome lattice points,
-    and identical objective pairs (first occurrence wins), which keeps the
-    front strictly co-monotone in (mass, r_w).
+    The stable sort visits mass ascending, radius descending on ties, so
+    among equal objective pairs the first occurrence wins the sweep: a
+    genome scored twice, or two keys that decode to one design, is kept
+    once, and the front is strictly co-monotone in (mass, r_w).
     """
-    seen_keys: set[bytes] = set()
-    seen_obj: set[tuple[float, float]] = set()
-    unique: list[Evaluation] = []
-    for e in points:
-        if not e.feasible or e.key in seen_keys:
-            continue
-        obj = (e.mass, e.r_w)
-        if obj in seen_obj:
-            continue
-        seen_keys.add(e.key)
-        seen_obj.add(obj)
-        unique.append(e)
-    if not unique:
-        return ParetoArchive()
-    masses = np.array([e.mass for e in unique])
-    radii = np.array([e.r_w for e in unique])
-    order = np.lexsort((-radii, masses))      # mass asc, radius desc on ties
+    feasible = [e for e in points if e.feasible]
+    masses = np.array([e.mass for e in feasible])
+    radii = np.array([e.r_w for e in feasible])
     keep: list[Evaluation] = []
     best = -math.inf
-    for idx in order:
+    for idx in np.lexsort((-radii, masses)):
         if radii[idx] > best:
-            keep.append(unique[idx])
+            keep.append(feasible[idx])
             best = radii[idx]
-    keep.sort(key=lambda e: (e.r_w, e.mass))
     return ParetoArchive(entries=tuple(keep))
 
 
@@ -488,7 +474,7 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
     progress, when given, is called with each generation's stats.
     """
     if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+        raise InvalidValue("threads", ">= 0 (0 = all cores)", threads)
     n_workers = (os.cpu_count() or 1) if threads == 0 else threads
     search = (bounds, grid, ctx, tol, center, delta_phi)
     rng = np.random.default_rng(cfg.seed)

@@ -332,24 +332,25 @@ class ConstraintReport:
 
 
 class BatchConstraints:
-    """Struct-of-arrays constraint outcome over a pose batch."""
+    """Struct-of-arrays constraint outcome over a pose batch: 12 arrays,
+    given positionally in __slots__ order, which is ConstraintReport's
+    field order.  The pinned digests and the benchmark's posemap digest
+    and tracer read the arrays by these slot names, in this order."""
 
     __slots__ = ("g1", "g2", "g3", "g4", "g5", "g6", "ik", "kinv",
                  "kxy", "kz", "kphiz", "overall")
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    def __init__(self, *arrays: np.ndarray):
+        for name, arr in zip(self.__slots__, arrays, strict=True):
+            setattr(self, name, arr)
 
     def report(self, idx: int) -> ConstraintReport:
-        return ConstraintReport(
-            g1_geometry=bool(self.g1[idx]), g2_stroke=bool(self.g2[idx]),
-            g3_dexterity=bool(self.g3[idx]), g4_kxy=bool(self.g4[idx]),
-            g5_kz=bool(self.g5[idx]), g6_kphiz=bool(self.g6[idx]),
-            ik_reachable=bool(self.ik[idx]),
-            inverse_condition=float(self.kinv[idx]),
-            k_xy=float(self.kxy[idx]), k_z=float(self.kz[idx]),
-            k_phiz=float(self.kphiz[idx]), overall=bool(self.overall[idx]))
+        return ConstraintReport(*[getattr(self, n).item(idx)
+                                  for n in self.__slots__])
+
+    def rows(self, sel) -> "BatchConstraints":
+        """The outcome of the rows that sel selects, field by field."""
+        return BatchConstraints(*[getattr(self, n)[sel] for n in self.__slots__])
 
 
 def geometry_ok(design: DesignVector) -> bool:
@@ -407,9 +408,8 @@ def constraints_batch(design: DesignVector, poses: np.ndarray,
     g5 = kz >= lim.k_z
     g6 = kphiz >= lim.k_phiz
     overall = g1 & g2 & g3 & g4 & g5 & g6 & ik
-    return BatchConstraints(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, g6=g6, ik=ik,
-                            kinv=kinv, kxy=kxy, kz=kz, kphiz=kphiz,
-                            overall=overall)
+    return BatchConstraints(g1, g2, g3, g4, g5, g6, ik, kinv, kxy, kz, kphiz,
+                            overall)
 
 
 def evaluate_constraints(design: DesignVector, pose: Pose,

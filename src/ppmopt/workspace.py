@@ -214,7 +214,7 @@ def max_regular_workspace_detail(design: DesignVector,
     or the bisection could never end.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"bisection tolerance must be finite and > 0, got {tol}")
+        raise InvalidValue("tol", "finite and > 0", tol)
     # radius 0 is never gated: the GA reads violations from its report.
     # Its batch also holds HOME_POSE, whose row resolves l_c and gives the
     # home report (see the module docstring)
@@ -227,10 +227,8 @@ def max_regular_workspace_detail(design: DesignVector,
         l_c, kern = performance.home_length(design, bik)
     at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
                                kern=kern)
-    scored = at_lo.scores
-    home = scored.report(-1)
-    at_lo = at_lo._replace(scores=BatchConstraints(
-        **{name: getattr(scored, name)[:-1] for name in scored.__slots__}))
+    home = at_lo.scores.report(-1)
+    at_lo = at_lo._replace(scores=at_lo.scores.rows(slice(-1)))
     # the bracket itself always fails (see upper_radius), so it is not
     # probed; a failing radius 0 closes it at once
     lo, hi = 0.0, upper_radius(design) if at_lo.feasible else 0.0

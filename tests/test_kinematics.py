@@ -7,7 +7,7 @@ import pytest
 from chain_oracle import NoConvergence, closure_residuals, forward_refine
 from conftest import DESIGN_I, sample_design, sample_pose
 from conftest import _same_bytes
-from ppmopt.errors import ModeViolation, Unreachable
+from ppmopt.errors import InvalidValue, ModeViolation, Unreachable
 from ppmopt.kinematics import (DEFAULT_MODE, Branch, HOME_POSE, Pose,
                                anchor_layout, ik_batch, inverse_kinematics,
                                jacobian, jacobian_batch, wrap_angle)
@@ -78,8 +78,10 @@ class TestPose:
     @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
                                       (0.0, 0.0, -math.inf)])
     def test_non_finite_component_rejected(self, pose):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as err:
             Pose(*pose)
+        field = ("p_x", "p_y", "phi")[[math.isfinite(v) for v in pose].index(False)]
+        assert type(err.value) is InvalidValue and err.value.field == field
 
 
 class TestInverseKinematics:

@@ -13,8 +13,8 @@ from ppmopt.errors import InvalidValue
 from ppmopt.model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
                           mass)
 from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
-                         decode, dominates, encode, evaluate_genome, evolve,
-                         hypervolume, pareto_filter,
+                         ParetoArchive, decode, dominates, encode,
+                         evaluate_genome, evolve, hypervolume, pareto_filter,
                          per_architecture_fronts, sobol_doe)
 from ppmopt.performance import DEFAULT_CONTEXT
 from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
@@ -206,22 +206,29 @@ class TestParetoFilter:
 
     def test_infeasible_dropped(self):
         archive = pareto_filter([_fake_eval(1.0, 1.0, feasible=False)])
-        assert len(archive) == 0
+        assert archive == pareto_filter([]) == ParetoArchive()
 
     def test_idempotent_and_matches_brute_force(self):
         rng = np.random.default_rng(31)
-        pts = [_fake_eval(float(m), float(w), tag=i % 251)
-               for i, (m, w) in enumerate(zip(rng.uniform(0, 100, 1000),
-                                              rng.uniform(0, 2, 1000)))]
-        archive = pareto_filter(pts)
-        again = pareto_filter(list(archive.entries))
-        assert [e.key for e in again.entries] == [e.key for e in archive.entries]
-        # O(n^2) reference filter
-        brute = []
-        for p in pts:
-            if not any(dominates(q, p) for q in pts):
-                brute.append((p.mass, p.r_w))
-        assert sorted(brute) == sorted((e.mass, e.r_w) for e in archive.entries)
+        mass, r_w = rng.uniform(0, 100, 1000), rng.uniform(0, 2, 1000)
+        # a lattice-rounded copy whose 10 front points each recur ~33 times
+        lattice = np.floor(mass / 10.0)
+        for ms, ws in ((mass, r_w), (lattice, lattice + np.floor(1.5 * r_w))):
+            pts = [_fake_eval(float(m), float(w), tag=i % 251)
+                   for i, (m, w) in enumerate(zip(ms, ws))]
+            archive = pareto_filter(pts)
+            again = pareto_filter(list(archive.entries))
+            assert [e.key for e in again.entries] == [e.key for e in archive.entries]
+            # O(n^2) reference filter
+            brute = set()
+            for p in pts:
+                if not any(dominates(q, p) for q in pts):
+                    brute.add((p.mass, p.r_w))
+            assert sorted(brute) == sorted((e.mass, e.r_w) for e in archive.entries)
+            first = {}
+            for p in pts:
+                first.setdefault((p.mass, p.r_w), p)
+            assert all(e is first[e.mass, e.r_w] for e in archive.entries)
 
     def test_front_sorted_and_co_monotone(self):
         rng = np.random.default_rng(37)
@@ -238,6 +245,9 @@ class TestParetoFilter:
         a = _fake_eval(1.0, 1.0, tag=1)
         b = Evaluation(a.design, a.mass, a.r_w, True, None, 1.0, a.key)
         assert len(pareto_filter([a, b])) == 1
+        # equal records: identity tells which one survives
+        assert [id(e) for e in pareto_filter([a, b]).entries] == [id(a)]
+        assert [id(e) for e in pareto_filter([b, a]).entries] == [id(b)]
 
     def test_duplicate_objectives_keep_the_first(self):
         # architecture codes 0 and 3 both decode to the PRR: two keys, one
@@ -343,8 +353,9 @@ class TestEvolve:
         assert calls == collections.Counter(keys)
 
     def test_negative_threads_rejected(self):
-        with pytest.raises(ValueError, match="threads"):
+        with pytest.raises(ValueError, match="threads") as err:
             evolve(MogaConfig(population=6, generations=2, seed=3), threads=-3)
+        assert type(err.value) is InvalidValue and err.value.field == "threads"
 
 
 class TestPerArchitectureFronts:

@@ -9,13 +9,14 @@ import types
 import numpy as np
 import pytest
 
-from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design, sample_pose
+from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, _same_bytes,
+                      sample_design, sample_pose)
 from ppmopt import performance, stiffness
 from ppmopt.errors import HomeUnreachable, SingularStiffness, Unreachable
 from ppmopt.kinematics import HOME_POSE, Pose, jacobian, jacobian_batch
 from ppmopt.model import DEFAULT_MATERIAL, Architecture, DesignVector, Wrench
 from ppmopt.performance import (AccuracySpec, BatchConstraints,
-                                DexterityConfig, EvalContext,
+                                ConstraintReport, DexterityConfig, EvalContext,
                                 StiffnessLimits, characteristic_length,
                                 constraints_batch, evaluate_constraints,
                                 frobenius_condition, inverse_condition)
@@ -276,6 +277,51 @@ class TestBatchScalarConsistency:
                     got = getattr(part, name)
                     want = getattr(batch, name)[start:start + size]
                     assert got.tobytes() == want.tobytes(), (size, start, name)
+
+    def test_report_reads_slots_in_field_order(self):
+        # report reads a row by position alone; the reference names every
+        # ConstraintReport field's slot by hand
+        def reference(b, i):
+            return ConstraintReport(
+                g1_geometry=bool(b.g1[i]), g2_stroke=bool(b.g2[i]),
+                g3_dexterity=bool(b.g3[i]), g4_kxy=bool(b.g4[i]),
+                g5_kz=bool(b.g5[i]), g6_kphiz=bool(b.g6[i]),
+                ik_reachable=bool(b.ik[i]), inverse_condition=float(b.kinv[i]),
+                k_xy=float(b.kxy[i]), k_z=float(b.kz[i]),
+                k_phiz=float(b.kphiz[i]), overall=bool(b.overall[i]))
+
+        poses = grid_array(WorkspaceSpec(0.8), GridSpec())
+        loose = constraints_batch(DESIGN_I, poses)
+        ok = loose.ik & loose.g2
+        # limits at the medians, so g3..g6 each pass on some rows only
+        tight = EvalContext(
+            limits=StiffnessLimits(*(float(np.median(getattr(loose, n)[ok]))
+                                     for n in ("kxy", "kz", "kphiz"))),
+            dexterity=DexterityConfig(float(np.median(loose.kinv[ok]))))
+        batch = constraints_batch(DESIGN_I, poses, tight)
+        for name in ("g2", "g3", "g4", "g5", "g6", "ik", "overall"):
+            assert 0 < getattr(batch, name).sum() < len(poses), name
+        # and no two of the flags g1..g6 alike, so a swap shows
+        assert len({tuple(getattr(batch, n)) for n in BatchConstraints.__slots__
+                    if n.startswith("g")}) == 6
+        for i in range(len(poses)):
+            got, want = batch.report(i), reference(batch, i)
+            assert got == want, i
+            assert ([type(v) for v in dataclasses.astuple(got)]
+                    == [type(v) for v in dataclasses.astuple(want)])
+        assert batch.report(-1) == reference(batch, -1)
+
+    def test_rows_split_a_joint_call_bit_for_bit(self):
+        # two grids of one design scored in one call, then split, give
+        # each grid's own call: the precondition of lockstep scoring
+        use = EvalContext(dexterity=DexterityConfig(characteristic_length=0.7))
+        a = grid_array(WorkspaceSpec(0.3), GridSpec())
+        b = grid_array(WorkspaceSpec(0.8, (0.05, -0.03, 0.3)), GridSpec(3, 8, 4))
+        joint = constraints_batch(DESIGN_I, np.vstack([a, b]), use)
+        for part, sel in ((a, slice(len(a))), (b, slice(len(a), None))):
+            alone, cut = constraints_batch(DESIGN_I, part, use), joint.rows(sel)
+            for name in BatchConstraints.__slots__:
+                assert _same_bytes(getattr(cut, name), getattr(alone, name)), name
 
 
 #: sha256 of every BatchConstraints field, in __slots__ order, and of the

@@ -35,3 +35,13 @@ def test_workloads_lookups_exist(monkeypatch):
         for part in path.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), path
+
+
+def test_constraint_slots_pinned():
+    # the posemap digest and the tracer read BatchConstraints by these
+    # names in this order; an emptied or reordered __slots__ would still
+    # run, only with a different digest
+    from ppmopt import performance
+    assert performance.BatchConstraints.__slots__ == (
+        "g1", "g2", "g3", "g4", "g5", "g6", "ik", "kinv", "kxy", "kz", "kphiz",
+        "overall")

@@ -448,8 +448,9 @@ class TestMaxRegularWorkspace:
 
     def test_nan_bisection_tol_rejected(self, ctx):
         # a zero or negative tol would never end the bisection loop
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx, tol=math.nan)
+        assert type(err.value) is InvalidValue and err.value.field == "tol"
 
     def test_upper_radius_brackets_reach(self):
         assert upper_radius(DESIGN_I) > 2.0   # far beyond any real workspace
