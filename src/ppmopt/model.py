@@ -72,6 +72,9 @@ class Bounds:
     upper: tuple[float, float, float, float, float]
 
     def __post_init__(self):
+        for side, values in (("lower", self.lower), ("upper", self.upper)):
+            if len(values) != len(SHORT_NAMES):
+                raise InvalidValue(side, f"{len(SHORT_NAMES)} values", values)
         for name, lo, hi in zip(SHORT_NAMES, self.lower, self.upper):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise InvalidValue(name, "bounded by finite lower <= upper",

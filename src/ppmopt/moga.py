@@ -28,10 +28,11 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InvalidValue, PpmError
+from .errors import PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
                     check_counts, mass, validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
@@ -44,6 +45,7 @@ GENE_MAX = (1 << GENE_BITS) - 1
 ARCH_BITS = 2
 N_VARS = 5
 N_BITS = ARCH_BITS + N_VARS * GENE_BITS   # 82-bit DNA string
+_KEY_PAD = -N_BITS % 8                    # zero bits ending a packed key
 
 #: Reference point for the hypervolume history (mass cap, radius floor).
 HV_REF_MASS = 5000.0
@@ -76,10 +78,6 @@ class MogaConfig:
 # ---------------------------------------------------------------------------
 # Genome codec
 
-def _to_gray(v: np.ndarray) -> np.ndarray:
-    return v ^ (v >> 1)
-
-
 def _from_gray(g: int) -> int:
     shift = 1
     while shift < GENE_BITS:
@@ -88,23 +86,20 @@ def _from_gray(g: int) -> int:
     return g
 
 
-def _int_to_bits(v: np.ndarray, width: int) -> np.ndarray:
-    """MSB-first bit expansion of unsigned integers, shape (..., width)."""
-    shifts = np.arange(width - 1, -1, -1)
-    return ((v[..., None] >> shifts) & 1).astype(np.uint8)
-
-
 def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
-    """Design -> 82-bit genome (architecture gene + Gray-coded variables)."""
+    """Design -> 82-bit genome: the bits, MSB first, of one integer that
+    holds the 2-bit architecture code d - 1, then each variable's 16-bit
+    lattice index v Gray-coded as v ^ v >> 1; _decode_key reads it back."""
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
     x = np.array(design.as_tuple()[1:])
     with np.errstate(invalid="ignore"):
         frac = np.where(hi > lo, (x - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
     idx = np.clip(np.rint(frac * GENE_MAX), 0, GENE_MAX).astype(np.int64)
-    arch_bits = _int_to_bits(np.array(int(design.architecture) - 1), ARCH_BITS)
-    gene_bits = _int_to_bits(_to_gray(idx), GENE_BITS).reshape(-1)
-    return np.concatenate([arch_bits, gene_bits])
+    bits = int(design.architecture) - 1
+    for v in idx.tolist():
+        bits = bits << GENE_BITS | (v ^ v >> 1) & GENE_MAX
+    return _unpack((bits << _KEY_PAD).to_bytes((N_BITS + _KEY_PAD) // 8, "big"))
 
 
 def decode(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS) -> DesignVector:
@@ -118,7 +113,7 @@ def genome_key(genome: np.ndarray) -> bytes:
 
 def _decode_key(key: bytes, bounds: Bounds) -> DesignVector:
     """decode of the genome packed in key, read as one Python integer."""
-    bits = int.from_bytes(key, "big") >> (8 * len(key) - N_BITS)
+    bits = int.from_bytes(key, "big") >> _KEY_PAD
     idx = np.array([_from_gray(bits >> (i * GENE_BITS) & GENE_MAX)
                     for i in range(N_VARS - 1, -1, -1)], dtype=np.int64)
     arch = Architecture((bits >> (N_VARS * GENE_BITS)) % 3 + 1)
@@ -371,10 +366,6 @@ class _Tournament:
         """The genome of a fresh tournament winner."""
         return _unpack(self.pool[self.pick()].key)
 
-    def compare(self, i: int, j: int) -> bool:
-        """True when i is the better of the pair."""
-        return self._better(i, j) == i
-
 
 # ---------------------------------------------------------------------------
 # Variation operators
@@ -392,8 +383,8 @@ def _directional_crossover(tour: _Tournament, bounds: Bounds,
     x0 = np.array(tour.pool[i0].design.as_tuple()[1:])
     x1 = np.array(tour.pool[i1].design.as_tuple()[1:])
     x2 = np.array(tour.pool[i2].design.as_tuple()[1:])
-    s1 = 1.0 if tour.compare(i0, i1) else -1.0
-    s2 = 1.0 if tour.compare(i0, i2) else -1.0
+    s1 = 1.0 if tour._better(i0, i1) == i0 else -1.0
+    s2 = 1.0 if tour._better(i0, i2) == i0 else -1.0
     t1, t2 = rng.random(2)
     child = x0 + 0.5 * t1 * s1 * (x0 - x1) + 0.5 * t2 * s2 * (x0 - x2)
     child = np.clip(child, bounds.lower, bounds.upper)
@@ -473,8 +464,7 @@ def evolve(cfg: MogaConfig, bounds: Bounds = DEFAULT_BOUNDS,
     reproduce identical results bit-for-bit, with any thread count.
     progress, when given, is called with each generation's stats.
     """
-    if threads < 0:
-        raise InvalidValue("threads", ">= 0 (0 = all cores)", threads)
+    check_counts(SimpleNamespace(threads=threads), (("threads", 0),))
     n_workers = (os.cpu_count() or 1) if threads == 0 else threads
     search = (bounds, grid, ctx, tol, center, delta_phi)
     rng = np.random.default_rng(cfg.seed)

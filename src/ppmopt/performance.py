@@ -234,19 +234,21 @@ def _dexterity(terms: np.ndarray, det: np.ndarray, l_c: float) -> np.ndarray:
 LC_SEARCH_RANGE = (1e-3, 10.0)
 
 
-def home_length(design: DesignVector, bik: BatchIK
+def home_length(design: DesignVector, bik: BatchIK, ctx: EvalContext
                 ) -> tuple[float, Kernels | None]:
-    """The home-optimal characteristic length [m] from the last row of
-    bik, which solved HOME_POSE, and the kernel pass of bik it ran (None
-    when that row is unreachable).
+    """The characteristic length [m] under ctx's l_c policy, which lives
+    here alone, and the kernel pass of bik it ran (None if it ran none).
 
-    Golden-section minimization of kappa_F(diag(1, 1, L) J_home) over
-    LC_SEARCH_RANGE, to 1e-4 relative width, on that row's kappa_F
-    terms.  NaN where the home pose has no inverse-kinematic solution or
-    is singular.  The one l_c search: characteristic_length runs it on a
-    one-pose batch, the radius-0 workspace probe on its center block,
-    whose last row is HOME_POSE.
+    A fixed ctx.dexterity.characteristic_length is returned as it is.
+    Otherwise the home-optimal length: golden-section minimization of
+    kappa_F(diag(1, 1, L) J_home) over LC_SEARCH_RANGE, to 1e-4 relative
+    width, on the kappa_F terms of bik's last row, which solved
+    HOME_POSE; NaN where the home pose has no inverse-kinematic solution
+    or is singular.  characteristic_length runs it on a one-pose batch,
+    the radius-0 workspace probe on its center block.
     """
+    if ctx.dexterity.characteristic_length is not None:
+        return ctx.dexterity.characteristic_length, None
     if not bik.ok()[-1]:
         return math.nan, None
     kern = kernel_batch(design, bik)
@@ -278,20 +280,16 @@ def home_length(design: DesignVector, bik: BatchIK
 @lru_cache(maxsize=4096)
 def characteristic_length(design: DesignVector,
                           ctx: EvalContext = DEFAULT_CONTEXT) -> float:
-    """Normalization length for the rotational twist component [m].
-
-    The fixed ctx.dexterity.characteristic_length, else the home-optimal
-    length that home_length searches on a one-pose solve of HOME_POSE.
-    Raises HomeUnreachable when the symmetric home pose has no
-    inverse-kinematic solution (or is singular there).  The cached entry
-    for one-pose callers; the workspace search does not call it, as its
-    radius-0 probe resolves l_c from the HOME_POSE row it appends to its
-    center block (see workspace), with the same value.
+    """Normalization length for the rotational twist component [m]:
+    home_length, which owns the l_c policy, on a one-pose solve of
+    HOME_POSE.  Raises HomeUnreachable when the home-optimal length is
+    searched and the home pose has no inverse-kinematic solution (or is
+    singular there).  The cached entry for one-pose callers; the
+    workspace search runs home_length on its radius-0 block instead (see
+    workspace), to the same value.
     """
-    if ctx.dexterity.characteristic_length is not None:
-        return ctx.dexterity.characteristic_length
     bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
-    l_c, kern = home_length(design, bik)
+    l_c, kern = home_length(design, bik, ctx)
     if math.isnan(l_c):
         raise HomeUnreachable(f"design {design.as_tuple()}" if kern is None
                               else "kinematic Jacobian singular at the home pose")

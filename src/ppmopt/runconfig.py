@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ConfigError, InvalidValue
 from .kinematics import Branch, DEFAULT_MODE, WorkingMode
 from .model import (ActuatorStiffness, Bounds, DEFAULT_BOUNDS, DEFAULT_MATERIAL,
-                    SHORT_NAMES, Material, Wrench, steel)
+                    SHORT_NAMES, Material, Wrench, check_counts, steel)
 from .moga import MogaConfig
 from .performance import (AccuracySpec, DexterityConfig, EvalContext,
                           StiffnessLimits)
@@ -43,15 +43,18 @@ class RunConfig:
         # checked here, not in parse_config, so that command-line overrides
         # applied with dataclasses.replace are checked too
         for path, ok, rule in (
-                ("workspace.center", all(math.isfinite(v) for v in self.center),
-                 "three finite numbers"),
+                ("workspace.center", len(self.center) == 3
+                 and all(map(math.isfinite, self.center)), "three finite numbers"),
                 ("workspace.delta_phi_deg", 0.0 < self.delta_phi_deg < math.inf,
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,
-                 "a finite length > 0"),
-                ("threads", self.threads >= 0, "0 (all cores) or a worker count")):
+                 "a finite length > 0")):
             if not ok:
                 raise ConfigError(path, f"must be {rule}")
+        try:    # the one count rule: an integer >= 0 (0 = all cores)
+            check_counts(self, (("threads", 0),))
+        except InvalidValue as exc:
+            raise ConfigError("threads", str(exc)) from None
 
     @property
     def delta_phi(self) -> float:

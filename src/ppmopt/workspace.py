@@ -24,13 +24,13 @@ first failing row, as without the gate.  The result also carries the
 scores of the grid at R_w itself, which the search has already computed.
 
 The radius-0 probe scores the center block with HOME_POSE appended as
-its last row, under either l_c policy; the grid's cached layout holds
-that block.  The home row is scored with the block but stays out of the
-verdict, the limiting pose and the R_w scores; its report is
-WorkspaceResult.home, the home block of ppmopt evaluate.  When l_c is
-searched, the one IK, Jacobian and adjugate of the block also give the
-home row's kappa_F terms, which performance.home_length searches, as
-characteristic_length does on a one-pose solve, to the same value.
+its last row; the grid's cached layout holds that block.  The home row
+is scored with the block but stays out of the verdict, the limiting
+pose and the R_w scores; its report is WorkspaceResult.home, the home
+block of ppmopt evaluate.  performance.home_length, where the l_c
+policy lives, resolves l_c on the block's IK: a fixed length as it is,
+else a search on the home row's kappa_F terms from the block's one
+kernel pass, to the value characteristic_length gives.
 """
 
 from __future__ import annotations
@@ -222,9 +222,7 @@ def max_regular_workspace_detail(design: DesignVector,
     # performance's ik_batch: the lookup the kernels' own IK goes through
     bik = performance.ik_batch(design, _grid_layout(grid, center, delta_phi)[0],
                                ctx.mode)
-    l_c, kern = ctx.dexterity.characteristic_length, None
-    if l_c is None:
-        l_c, kern = performance.home_length(design, bik)
+    l_c, kern = performance.home_length(design, bik, ctx)
     at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
                                kern=kern)
     home = at_lo.scores.report(-1)

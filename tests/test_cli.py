@@ -232,6 +232,21 @@ class TestConfig:
             parse_config(data)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("field,value,path", [
+        ("threads", -1, "threads"),
+        ("threads", 2.5, "threads"),
+        ("threads", True, "threads"),
+        ("center", (0.0, 0.0), "workspace.center"),
+        ("center", (0.0, 0.0, 0.0, 0.0), "workspace.center")],
+        ids=["threads-negative", "threads-float", "threads-true",
+             "center-two", "center-four"])
+    def test_replaced_value_rejected_with_path(self, field, value, path):
+        # command-line overrides go through dataclasses.replace, which
+        # RunConfig checks by the parser's rules
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(load_config(None), **{field: value})
+        assert err.value.path == path
+
     @pytest.mark.parametrize("value", ["abc", True])
     def test_characteristic_length_error_names_its_kind(self, value):
         with pytest.raises(ConfigError) as err:

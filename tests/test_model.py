@@ -59,6 +59,13 @@ class TestValidate:
                 Bounds(lower=(0.5, 0.5, lower, 0.0, 0.0),
                        upper=(4.0, 4.0, upper, 0.1, 0.1))
             assert err.value.field == "L_b"
+        # a side without exactly five entries: zip would leave some unchecked
+        for side, n in (("lower", 4), ("upper", 4), ("lower", 6)):
+            sides = {"lower": DEFAULT_BOUNDS.lower, "upper": DEFAULT_BOUNDS.upper}
+            sides[side] = (sides[side] * 2)[:n]
+            with pytest.raises(InvalidValue) as err:
+                Bounds(**sides)
+            assert err.value.field == side
 
 
 class TestMass:

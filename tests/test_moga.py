@@ -44,7 +44,42 @@ def _decode_bits(genome, bounds):
     return DesignVector(arch, *(lo + v / GENE_MAX * (hi - lo)))
 
 
+def _encode_bits(design, bounds):
+    """encode as numpy bit arrays, MSB first: the reference for the one
+    integer that encode builds."""
+    lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
+    x = np.array(design.as_tuple()[1:])
+    with np.errstate(invalid="ignore"):
+        frac = np.where(hi > lo, (x - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
+    idx = np.clip(np.rint(frac * GENE_MAX), 0, GENE_MAX).astype(np.int64)
+
+    def bits(v, width):
+        return ((v[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+    return np.concatenate([bits(np.array(int(design.architecture) - 1), ARCH_BITS),
+                           bits(idx ^ (idx >> 1), 16).reshape(-1)])
+
+
 class TestGenomeCodec:
+    def test_encode_matches_bit_array_reference(self):
+        rng = np.random.default_rng(29)
+        flat = Bounds(lower=(1.0, 0.5, 0.7, 0.05, 0.0),
+                      upper=(1.0, 4.0, 0.7, 0.1, 0.0))   # lo == hi on three
+        for bounds in (DEFAULT_BOUNDS, WIDE_BOUNDS, flat):
+            lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
+            span = np.where(hi > lo, hi - lo, 1.0)
+            for i in range(3400):
+                # in the box, out of it on either side, on its corners, NaN
+                x = lo + (rng.integers(0, 2, 5) * (hi - lo) if i % 5 == 0
+                          else rng.uniform(-0.25, 1.25, 5) * span)
+                if i % 11 == 0:
+                    x[i % 5] = np.nan
+                d = DesignVector(Architecture(i % 3 + 1), *x)
+                with np.errstate(invalid="ignore"):     # NaN cast to int
+                    got, ref = encode(d, bounds), _encode_bits(d, bounds)
+                assert got.dtype == ref.dtype and got.shape == (N_BITS,)
+                assert np.array_equal(got, ref), (d, bounds)
+
     def test_round_trip_within_quantization(self):
         rng = np.random.default_rng(3)
         step = (np.array(DEFAULT_BOUNDS.upper) - DEFAULT_BOUNDS.lower) / GENE_MAX
@@ -353,9 +388,13 @@ class TestEvolve:
         assert calls == collections.Counter(keys)
 
     def test_negative_threads_rejected(self):
-        with pytest.raises(ValueError, match="threads") as err:
-            evolve(MogaConfig(population=6, generations=2, seed=3), threads=-3)
-        assert type(err.value) is InvalidValue and err.value.field == "threads"
+        # the count rule of check_counts: an integer >= 0, not a bool
+        for threads in (-3, 2.5, True):
+            with pytest.raises(ValueError, match="threads") as err:
+                evolve(MogaConfig(population=6, generations=2, seed=3),
+                       threads=threads)
+            assert type(err.value) is InvalidValue
+            assert err.value.field == "threads"
 
 
 class TestPerArchitectureFronts:

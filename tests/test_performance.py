@@ -13,13 +13,14 @@ from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, _same_bytes,
                       sample_design, sample_pose)
 from ppmopt import performance, stiffness
 from ppmopt.errors import HomeUnreachable, SingularStiffness, Unreachable
-from ppmopt.kinematics import HOME_POSE, Pose, jacobian, jacobian_batch
+from ppmopt.kinematics import HOME_POSE, Pose, ik_batch, jacobian, jacobian_batch
 from ppmopt.model import DEFAULT_MATERIAL, Architecture, DesignVector, Wrench
 from ppmopt.performance import (AccuracySpec, BatchConstraints,
                                 ConstraintReport, DexterityConfig, EvalContext,
                                 StiffnessLimits, characteristic_length,
                                 constraints_batch, evaluate_constraints,
-                                frobenius_condition, inverse_condition)
+                                frobenius_condition, home_length,
+                                inverse_condition)
 from ppmopt.workspace import GridSpec, WorkspaceSpec, grid_array
 
 
@@ -56,9 +57,18 @@ class TestFrobeniusCondition:
 
 
 class TestCharacteristicLength:
-    def test_fixed_policy_passthrough(self):
+    def test_fixed_policy_passthrough(self, monkeypatch):
         ctx = EvalContext(dexterity=DexterityConfig(characteristic_length=1.0))
         assert characteristic_length(DESIGN_I, ctx) == 1.0
+        # home_length owns the policy: a fixed length runs no kernel pass,
+        # also where the home pose is unreachable or singular (aligned RPR)
+        monkeypatch.setattr(performance, "kernel_batch", None)
+        for design in (DESIGN_I,
+                       DesignVector(Architecture.RPR, 2.0, 0.8, 1.0, 0.04, 0.05),
+                       DesignVector(Architecture.RPR, 2.0, 0.8, 1.5, 0.04, 0.05)):
+            bik = ik_batch(design, HOME_POSE.as_array()[None, :], ctx.mode)
+            assert home_length(design, bik, ctx) == (1.0, None)
+            assert characteristic_length(design, ctx) == 1.0
 
     def test_home_optimum_is_stationary(self, ctx):
         l_c = characteristic_length(DESIGN_I, ctx)

@@ -3,6 +3,7 @@ drops or renames one breaks it only at benchmark time; this catches it in
 the test suite instead."""
 
 import importlib.util
+import inspect
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -35,6 +36,16 @@ def test_workloads_lookups_exist(monkeypatch):
         for part in path.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), path
+    # the positional call shapes the workloads make: a product change that
+    # breaks one fails here first, not at benchmark time
+    for fn, n_args, kwargs in (
+            (workloads.max_regular_workspace_detail, 6, {}),
+            (workloads.moga.evolve, 5, {"threads": 1}),
+            (workloads.workspace_feasible, 5, {}),
+            (workloads.performance.constraints_batch, 3, {"l_c": 0.5}),
+            (workloads.cli.cmd_evaluate, 3, {}),
+            (workloads.LC_CACHE, 2, {})):
+        inspect.signature(fn).bind(*range(n_args), **kwargs)
 
 
 def test_constraint_slots_pinned():
