@@ -27,14 +27,15 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import PpmError
+from .errors import InvalidValue, PpmError
 from .model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
-                    check_counts, mass, validate)
+                    SHORT_NAMES, check_counts, mass, validate)
 from .performance import ConstraintReport, DEFAULT_CONTEXT, EvalContext
 from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT, DEFAULT_GRID,
                         DELTA_PHI_DEFAULT, GridSpec,
@@ -89,12 +90,17 @@ def _from_gray(g: int) -> int:
 def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
     """Design -> 82-bit genome: the bits, MSB first, of one integer that
     holds the 2-bit architecture code d - 1, then each variable's 16-bit
-    lattice index v Gray-coded as v ^ v >> 1; _decode_key reads it back."""
+    lattice index v Gray-coded as v ^ v >> 1; _decode_key reads it back.
+    A value outside the box takes the nearest end's index; a NaN has none
+    and raises InvalidValue."""
+    values = design.as_tuple()[1:]
+    for name, v in zip(SHORT_NAMES, values):
+        if math.isnan(v):
+            raise InvalidValue(name, "a number", v)
     lo = np.asarray(bounds.lower)
     hi = np.asarray(bounds.upper)
-    x = np.array(design.as_tuple()[1:])
-    with np.errstate(invalid="ignore"):
-        frac = np.where(hi > lo, (x - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
+    x = np.array(values)
+    frac = np.where(hi > lo, (x - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
     idx = np.clip(np.rint(frac * GENE_MAX), 0, GENE_MAX).astype(np.int64)
     bits = int(design.architecture) - 1
     for v in idx.tolist():
@@ -192,28 +198,30 @@ def sobol_doe(n: int, bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
-    """One evaluated design: objectives plus the limiting-pose evidence.
-
-    violations counts the failed constraint flags at the limiting pose
-    (0 for feasible designs); the tournament uses it to steer infeasible
-    individuals toward the feasible region.
-    """
+    """One evaluated design: objectives plus the limiting-pose evidence,
+    which its verdict is read off."""
 
     design: DesignVector
     mass: float                # [kg]
     r_w: float                 # [m], 0 for infeasible designs
-    feasible: bool
-    report: ConstraintReport | None
+    report: ConstraintReport | None   # limiting pose's; None when invalid
     characteristic_length: float  # [m], nan when home-unreachable
     key: bytes                 # packed genome, identity on the lattice
-    violations: int = 0
 
+    @property
+    def feasible(self) -> bool:
+        return self.r_w > 0.0
 
-def _count_violations(report: ConstraintReport) -> int:
-    return sum(not flag for flag in
-               (report.g1_geometry, report.g2_stroke, report.g3_dexterity,
-                report.g4_kxy, report.g5_kz, report.g6_kphiz,
-                report.ik_reachable))
+    @cached_property
+    def violations(self) -> int:
+        """Failed constraint flags at the limiting pose, 0 when feasible
+        and 9 when invalid: the tournament steers infeasible designs by it."""
+        if self.feasible:
+            return 0
+        r = self.report
+        return 9 if r is None else sum(not flag for flag in (
+            r.g1_geometry, r.g2_stroke, r.g3_dexterity, r.g4_kxy, r.g5_kz,
+            r.g6_kphiz, r.ik_reachable))
 
 
 def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
@@ -230,15 +238,11 @@ def evaluate_genome(genome: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS,
     try:
         validate(design, bounds)
     except PpmError:
-        return Evaluation(design, m, 0.0, False, None, math.nan, key,
-                          violations=9)
+        return Evaluation(design, m, 0.0, None, math.nan, key)
     res = max_regular_workspace_detail(design, grid, ctx, tol, center,
                                        delta_phi)
-    feasible = bool(res.radius > 0.0)
-    return Evaluation(design, m, float(res.radius), feasible,
-                      res.limiting_report, float(res.characteristic_length),
-                      key, violations=0 if feasible
-                      else _count_violations(res.limiting_report))
+    return Evaluation(design, m, float(res.radius), res.limiting_report,
+                      float(res.characteristic_length), key)
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,13 @@ class BeamTerms(NamedTuple):
 
 
 def _beam_terms(length, section_radius, material: Material) -> BeamTerms:
+    """The terms of a rod; all infinite where its section is so thin that
+    r**4 underflows to 0."""
     e, g = material.young_modulus, material.shear_modulus
     area = np.pi * section_radius**2
     i_bend = np.pi * section_radius**4 / 4.0   # I_y = I_z for a circle
+    if i_bend == 0.0:
+        return BeamTerms(*[np.full(np.shape(length), np.inf)] * 5)
     i_tors = 2.0 * i_bend                      # I_x = I_y + I_z
     return BeamTerms(axial=length / (e * area),
                      bend=length**3 / (3.0 * e * i_bend),
@@ -101,12 +105,14 @@ def beam_compliance(length: float, section_radius: float,
     The 6x6 view of the beam terms stiffness_batch uses.  Local frame: x
     along the beam axis, spring at the free tip, coordinates (dx, dy, dz,
     dphi_x, dphi_y, dphi_z).  The two bend/shear couplings carry opposite
-    signs about y and z, which keeps the matrix symmetric.
+    signs about y and z, which keeps the matrix symmetric.  A section too
+    thin for float arithmetic gives infinite entries.
     """
     for name, value in (("length", length), ("section_radius", section_radius)):
         if not value > 0.0:
             raise InvalidValue(name, "> 0", value)
-    t = _beam_terms(length, section_radius, material)
+    with np.errstate(over="ignore"):   # a subnormal r**4 overflows to inf
+        t = _beam_terms(length, section_radius, material)
     c = np.diag([t.axial, t.bend, t.bend, t.torsion, t.tilt, t.tilt])
     c[1, 5] = c[5, 1] = t.couple
     c[2, 4] = c[4, 2] = -t.couple
@@ -195,42 +201,45 @@ def stiffness_batch(design: DesignVector, bik: BatchIK,
     dx, dy, mz = amat                    # w_i; mz: its moment about P
     ox, oy = -bik.moment[1], bik.moment[0]               # o_i = P - C_i
     od = ox * dx + oy * dy
-    bar = _beam_terms(r, design.platform_section_radius, material)
-    # the RPR strut flexes over its extension q, every other link over L_b
-    link = _beam_terms(bik.q if arch is Architecture.RPR
-                       else design.link_length, design.leg_section_radius,
-                       material)
+    # a section too thin for r**4 gives infinite terms (see _beam_terms):
+    # the NaNs and infinities they spread only clear ok
+    with np.errstate(invalid="ignore", over="ignore"):
+        bar = _beam_terms(r, design.platform_section_radius, material)
+        # the RPR strut flexes over its extension q, every other link over L_b
+        link = _beam_terms(bik.q if arch is Architecture.RPR
+                           else design.link_length, design.leg_section_radius,
+                           material)
 
-    # In plane each spring carries the unit leg wrench w_i.  The actuator
-    # sees B_ii of it.  The platform bar (spring at P, axis o_i / r) sees
-    # the force o_i.d_i / r along it, -mz / r across it and the moment mz.
-    # The distal link carries w_i as a force along itself through its tip
-    # C_i, so it only stretches.  The force also runs through the tip B_i
-    # of the RRR proximal link, at an angle to that link's axis.
-    c = (b_ii * b_ii / actuator.for_architecture(arch)
-         + od * od * (bar.axial / (r * r))
-         + mz * mz * (bar.bend / (r * r) - 2.0 * bar.couple / r + bar.tilt)
-         + link.axial)
-    # Out of plane, spring by spring: the bar at P, and the distal link at
-    # C_i, whose offset o_i to P gives a = mz and b = -o_i.d_i.  Sums over
-    # springs and legs are written out term by term: a numpy reduction
-    # may order its terms by batch shape, and a pose must come out
-    # bit-identical alone and in any batch.
-    s_out = _out_of_plane_compliance(bar, ox / r, oy / r, 0.0, 0.0)
-    s_out += _out_of_plane_compliance(link, dx, dy, mz, -od)
-    if arch is Architecture.RRR:
-        px, py = bik.proximal / design.link_length
-        along, across = px * dx + py * dy, px * dy - py * dx
-        c = c + along * along * link.axial + across * across * link.bend
-        qx, qy = bik.c_world - bik.elbow
-        qx, qy = ox + qx, oy + qy                          # P - B_i
-        s_out += _out_of_plane_compliance(link, px, py, px * qy - py * qx,
-                                          -(px * qx + py * qy))
-    k_leg, det = _sym3_adj(s_out)
-    k_leg /= det                 # each leg's S_out^-1
-    k_out = k_leg[:, 0] + k_leg[:, 1] + k_leg[:, 2]
-    # a sum is finite only where every term is (an overflow flags it too)
-    ok = np.isfinite(c[0] + c[1] + c[2] + k_out.sum(axis=0))
+        # In plane each spring carries the unit leg wrench w_i.  The actuator
+        # sees B_ii of it.  The platform bar (spring at P, axis o_i / r) sees
+        # the force o_i.d_i / r along it, -mz / r across it and the moment mz.
+        # The distal link carries w_i as a force along itself through its tip
+        # C_i, so it only stretches.  The force also runs through the tip B_i
+        # of the RRR proximal link, at an angle to that link's axis.
+        c = (b_ii * b_ii / actuator.for_architecture(arch)
+             + od * od * (bar.axial / (r * r))
+             + mz * mz * (bar.bend / (r * r) - 2.0 * bar.couple / r + bar.tilt)
+             + link.axial)
+        # Out of plane, spring by spring: the bar at P, and the distal link at
+        # C_i, whose offset o_i to P gives a = mz and b = -o_i.d_i.  Sums over
+        # springs and legs are written out term by term: a numpy reduction
+        # may order its terms by batch shape, and a pose must come out
+        # bit-identical alone and in any batch.
+        s_out = _out_of_plane_compliance(bar, ox / r, oy / r, 0.0, 0.0)
+        s_out += _out_of_plane_compliance(link, dx, dy, mz, -od)
+        if arch is Architecture.RRR:
+            px, py = bik.proximal / design.link_length
+            along, across = px * dx + py * dy, px * dy - py * dx
+            c = c + along * along * link.axial + across * across * link.bend
+            qx, qy = bik.c_world - bik.elbow
+            qx, qy = ox + qx, oy + qy                          # P - B_i
+            s_out += _out_of_plane_compliance(link, px, py, px * qy - py * qx,
+                                              -(px * qx + py * qy))
+        k_leg, det = _sym3_adj(s_out)
+        k_leg /= det                 # each leg's S_out^-1
+        k_out = k_leg[:, 0] + k_leg[:, 1] + k_leg[:, 2]
+        # a sum is finite only where every term is (an overflow flags it too)
+        ok = np.isfinite(c[0] + c[1] + c[2] + k_out.sum(axis=0))
     return LegTerms(c, k_out), ok
 
 
@@ -244,14 +253,16 @@ def stiffness_indices_batch(legs: LegTerms, adj: Adjugate, ok: np.ndarray
     pose with det A = 0 gets all three indices 0.
     """
     c = legs.c
-    xc = adj.x * c
     s = np.empty((4,) + c.shape)
-    np.multiply(xc, adj.x, out=s[0])
-    np.multiply(xc, adj.y, out=s[1])
-    np.multiply(adj.y * c, adj.y, out=s[2])
-    np.multiply(adj.z * adj.z, c, out=s[3])
-    return _indices(adj.det * adj.det, s[:, 0] + s[:, 1] + s[:, 2],
-                    legs.k_out, ok)
+    # a c that is not ok may be inf or NaN: _indices zeroes its indices
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xc = adj.x * c
+        np.multiply(xc, adj.x, out=s[0])
+        np.multiply(xc, adj.y, out=s[1])
+        np.multiply(adj.y * c, adj.y, out=s[2])
+        np.multiply(adj.z * adj.z, c, out=s[3])
+        return _indices(adj.det * adj.det, s[:, 0] + s[:, 1] + s[:, 2],
+                        legs.k_out, ok)
 
 
 def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,13 +273,13 @@ def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (the worst in-plane force direction; the block is symmetric PSD, so
     sigma_max is its largest eigenvalue), the torsional index
     1/C_phiz_phiz and the axial index 1/C_zz = det(K_out) / adj(K_out)_zz.
-    Entries not ok, not finite or not positive come back as zero.
+    Entries not ok, not finite or not positive come back as zero; the
+    caller silences the floating-point warnings they raise.
     """
     sxx, sxy, syy, szz = s
     adj, det = _sym3_adj(k_out, full=False)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
-        out = np.array([scale / lam, det / adj[0], scale / szz])
+    lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
+    out = np.array([scale / lam, det / adj[0], scale / szz])
     good = ok & ((out > 0.0) & (out < np.inf)).all(axis=0)
     return tuple(np.where(good, out, 0.0))
 
@@ -331,7 +342,9 @@ def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
     k_in, k_out = (k[np.ix_(blk, blk)].reshape(9, 1)[_UPPER]
                    for blk in (IN_PLANE, OUT_OF_PLANE))
     adj, det = _sym3_adj(k_in)
-    kxy, kz, kphiz = _indices(det, (adj[0], adj[1], adj[3], adj[5]), k_out, True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kxy, kz, kphiz = _indices(det, (adj[0], adj[1], adj[3], adj[5]), k_out,
+                                  True)
     if kxy[0] == 0.0:
         raise SingularStiffness()
     return kxy[0], kz[0], kphiz[0]

@@ -521,6 +521,20 @@ class TestEvaluate:
         assert doc["feasible"] is False
         assert doc["home"]["constraints"]["g4_kxy"] is False
 
+    @pytest.mark.parametrize("sections", ["r_j=1e-100,r_p=0.023",
+                                          "r_j=0.026,r_p=1e-100"])
+    def test_thin_section_exit_3_with_report(self, tmp_path, capsys, sections):
+        # r**4 underflows to 0: an infinitely compliant spring scores zero
+        # stiffness
+        out = tmp_path / "thin.json"
+        code = main(["evaluate", "--design", "d=1,R=1.412,r=0.6,L_b=0.9,"
+                     + sections, "--out", str(out)])
+        assert code == 3 and capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is False and doc["max_workspace_radius_m"] == 0.0
+        assert doc["home"]["stiffness_indices"] == {
+            "k_xy": 0.0, "k_z": 0.0, "k_phiz": 0.0}
+
     def test_out_of_bounds_design_exit_3(self, tiny_config, tmp_path):
         out = tmp_path / "oob.json"
         big = DESIGN_I_ARG.replace("R=1.412", "R=9.0")

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import DESIGN_II, WIDE_BOUNDS
 from ppmopt import moga
 from ppmopt.errors import InvalidValue
 from ppmopt.model import (Architecture, Bounds, DEFAULT_BOUNDS, DesignVector,
-                          mass)
+                          SHORT_NAMES, mass)
 from ppmopt.moga import (ARCH_BITS, GENE_MAX, Evaluation, MogaConfig, N_BITS,
                          ParetoArchive, decode, dominates, encode,
                          evaluate_genome, evolve, hypervolume, pareto_filter,
@@ -21,12 +22,15 @@ from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
                               max_regular_workspace_detail)
 
 TINY = MogaConfig(population=12, generations=5, seed=3)
+# r_j in [0, 1e-90]: every valid section's r**4 underflows to 0
+NEEDLE_BOUNDS = Bounds(lower=DEFAULT_BOUNDS.lower,
+                       upper=DEFAULT_BOUNDS.upper[:3] + (1e-90, 0.1))
 
 
-def _fake_eval(mass, r_w, feasible=True, tag=0) -> Evaluation:
+def _fake_eval(mass, r_w, tag=0) -> Evaluation:
     design = DesignVector(Architecture.PRR, 1.0, 1.0, 1.0, 0.05, 0.05)
     key = mass.hex().encode() + r_w.hex().encode() + bytes([tag])
-    return Evaluation(design, mass, r_w, feasible, None, 1.0, key)
+    return Evaluation(design, mass, r_w, None, 1.0, key)
 
 
 def _decode_bits(genome, bounds):
@@ -75,10 +79,16 @@ class TestGenomeCodec:
                 if i % 11 == 0:
                     x[i % 5] = np.nan
                 d = DesignVector(Architecture(i % 3 + 1), *x)
-                with np.errstate(invalid="ignore"):     # NaN cast to int
-                    got, ref = encode(d, bounds), _encode_bits(d, bounds)
+                if i % 11 == 0:       # a NaN has no lattice index
+                    with pytest.raises(InvalidValue) as err:
+                        encode(d, bounds)
+                    assert err.value.field == SHORT_NAMES[i % 5]
+                    continue
+                got, ref = encode(d, bounds), _encode_bits(d, bounds)
                 assert got.dtype == ref.dtype and got.shape == (N_BITS,)
                 assert np.array_equal(got, ref), (d, bounds)
+        with pytest.raises(InvalidValue, match="R must be a number"):
+            encode(DesignVector(Architecture.PRR, np.nan, 1.0, 1.0, 0.05, 0.05))
 
     def test_round_trip_within_quantization(self):
         rng = np.random.default_rng(3)
@@ -193,6 +203,19 @@ class TestEvaluateGenome:
         ev = evaluate_genome(encode(mirrored, box), box)
         assert ev.violations == 9 and not ev.feasible and ev.r_w == 0.0
 
+    def test_verdict_read_off_r_w_and_report(self, tiny_run):
+        assert [f.name for f in dataclasses.fields(Evaluation)] == [
+            "design", "mass", "r_w", "report", "characteristic_length", "key"]
+        scored = [e for e in tiny_run.evaluations if e.report is not None]
+        assert any(e.feasible for e in scored)
+        assert any(not e.feasible for e in scored)
+        for e in scored:
+            flags = dataclasses.astuple(e.report)[:7]     # g1..g6, ik
+            assert e.violations == (0 if e.feasible else flags.count(False))
+            back = pickle.loads(pickle.dumps(e))         # as the pool returns it
+            assert (back.feasible, back.violations) == (e.feasible, e.violations)
+        assert _fake_eval(1.0, 0.0).violations == 9      # invalid: no report
+
     def test_deterministic(self):
         genome = encode(DesignVector(Architecture.PRR, 1.4, 0.6, 1.0, 0.03, 0.04),
                         WIDE_BOUNDS)
@@ -207,9 +230,12 @@ class TestEvaluateGenome:
     def test_any_genome_scores_finite(self, bits):
         genome = np.array([(bits >> i) & 1 for i in range(N_BITS)],
                           dtype=np.uint8)
-        ev = evaluate_genome(genome)
-        assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
-        assert ev.r_w >= 0.0 and ev.feasible == (ev.r_w > 0.0)
+        for bounds in (DEFAULT_BOUNDS, NEEDLE_BOUNDS):
+            ev = evaluate_genome(genome, bounds)
+            assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
+            assert ev.r_w >= 0.0 and (ev.violations == 0) == ev.feasible
+        # r**4 of every leg section in NEEDLE_BOUNDS underflows to 0
+        assert not ev.feasible
 
     @pytest.mark.parametrize("arch_code", range(4))
     def test_box_corner_genomes_score_finite(self, arch_code):
@@ -225,7 +251,7 @@ class TestEvaluateGenome:
             assert design.architecture == Architecture(arch_code % 3 + 1)
             ev = evaluate_genome(genome)
             assert math.isfinite(ev.mass) and math.isfinite(ev.r_w)
-            assert ev.r_w >= 0.0 and ev.feasible == (ev.r_w > 0.0)
+            assert ev.r_w >= 0.0 and (ev.violations == 0) == ev.feasible
 
 
 class TestParetoFilter:
@@ -240,7 +266,7 @@ class TestParetoFilter:
         assert len(archive) == 1
 
     def test_infeasible_dropped(self):
-        archive = pareto_filter([_fake_eval(1.0, 1.0, feasible=False)])
+        archive = pareto_filter([_fake_eval(1.0, 0.0)])
         assert archive == pareto_filter([]) == ParetoArchive()
 
     def test_idempotent_and_matches_brute_force(self):
@@ -278,7 +304,7 @@ class TestParetoFilter:
 
     def test_duplicate_genomes_collapse(self):
         a = _fake_eval(1.0, 1.0, tag=1)
-        b = Evaluation(a.design, a.mass, a.r_w, True, None, 1.0, a.key)
+        b = Evaluation(a.design, a.mass, a.r_w, None, 1.0, a.key)
         assert len(pareto_filter([a, b])) == 1
         # equal records: identity tells which one survives
         assert [id(e) for e in pareto_filter([a, b]).entries] == [id(a)]

@@ -58,6 +58,16 @@ class TestBeamCompliance:
         assert c[1, 5] > 0 and c[5, 1] > 0
         assert c[2, 4] < 0 and c[4, 2] < 0
 
+    def test_thin_section_infinite(self):
+        # 1e-100**4 underflows to 0: the rod has infinite compliance
+        c = beam_compliance(0.62, 1e-100, DEFAULT_MATERIAL)
+        assert np.isinf(np.diag(c)).all()
+        assert np.isinf(c[1, 5]) and c[1, 5] == -c[2, 4]
+        # a subnormal r**4 overflows its bending terms, also as a float64
+        for radius in (3e-81, np.float64(3e-81)):
+            c = beam_compliance(0.62, radius, DEFAULT_MATERIAL)
+            assert np.isfinite(c[0, 0]) and np.isinf(c[1, 1])
+
     def test_degenerate_beam(self):
         nan = float("nan")
         for length, radius, field in ((0.0, 0.05, "length"),
@@ -199,6 +209,25 @@ class TestPlatformStiffness:
         k1 = platform_stiffness(base, HOME_POSE, DEFAULT_MATERIAL, rigid_act)
         k2 = platform_stiffness(d2, HOME_POSE, DEFAULT_MATERIAL, rigid_act)
         assert (np.diag(k2)[:3] >= 4.0 * np.diag(k1)[:3] * (1 - 1e-9)).all()
+
+    @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.name)
+    @pytest.mark.parametrize("field", ["leg_section_radius",
+                                       "platform_section_radius"])
+    @pytest.mark.parametrize("radius", [1e-100, np.float64(1e-100),
+                                        np.float64(1e-79)],
+                             ids=["float", "float64", "float64-subnormal"])
+    def test_thin_section_is_singular(self, arch, field, radius):
+        # r**4 underflows to 0 (or to a subnormal whose terms overflow):
+        # the spring's compliance is infinite, so no pose has a stiffness
+        rng = np.random.default_rng(13)
+        d = dataclasses.replace(sample_design(rng, arch), **{field: radius})
+        pose = sample_pose(rng, d)
+        with pytest.raises(SingularStiffness):
+            platform_stiffness(d, pose, DEFAULT_MATERIAL)
+        res = constraints_batch(d, np.array([pose.as_array()] * 3),
+                                EvalContext(), l_c=0.5)
+        assert res.ik.all() and not (res.g4 | res.g5 | res.g6).any()
+        assert not (res.kxy.any() or res.kz.any() or res.kphiz.any())
 
 
 class TestStiffnessIndices:

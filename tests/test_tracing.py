@@ -48,6 +48,15 @@ def test_workloads_lookups_exist(monkeypatch):
         inspect.signature(fn).bind(*range(n_args), **kwargs)
 
 
+def test_evolve_workload_check_passes(monkeypatch, tmp_path):
+    # the one benchmark pin tier-1 covers nowhere else: EVOLVE_DIGEST, the
+    # archive of the workload's 30 x 10 GA (about 1 s), through its own check
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = _load(BENCH / "workloads.py", "bench_workloads")
+    op = workloads.Evolve(0, str(tmp_path)).run(0)
+    assert (op.attempted, op.failed) == (300, 0)
+
+
 def test_constraint_slots_pinned():
     # the posemap digest and the tracer read BatchConstraints by these
     # names in this order; an emptied or reordered __slots__ would still
