@@ -16,10 +16,9 @@ from .moga import (Evaluation, MogaConfig, MogaResult, ParetoArchive, decode,
                    pareto_filter, per_architecture_fronts, sobol_doe)
 from .performance import (AccuracySpec, ConstraintReport, DexterityConfig,
                           EvalContext, StiffnessLimits, characteristic_length,
-                          evaluate_constraints, frobenius_condition,
-                          inverse_condition)
+                          evaluate_constraints, inverse_condition)
 from .runconfig import RunConfig, default_config_yaml, load_config, parse_config
-from .stiffness import beam_compliance, platform_stiffness, stiffness_indices
+from .stiffness import beam_compliance, platform_stiffness
 from .workspace import (GridSpec, WorkspaceSpec, max_regular_workspace,
                         max_regular_workspace_detail, workspace_feasible)
 

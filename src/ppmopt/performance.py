@@ -164,20 +164,6 @@ class EvalContext:
 DEFAULT_CONTEXT = EvalContext()
 
 
-def frobenius_condition(m: np.ndarray) -> float:
-    """Frobenius condition number of a square matrix; +inf when singular."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("frobenius_condition expects a square matrix")
-    g = m.T @ m
-    try:
-        tr_inv = np.trace(np.linalg.inv(g))
-    except np.linalg.LinAlgError:
-        return math.inf
-    val = math.sqrt(abs(np.trace(g) * tr_inv)) / m.shape[0]
-    return val if math.isfinite(val) else math.inf
-
-
 def _kappa_terms(amat: np.ndarray, b: np.ndarray, adj: Adjugate) -> np.ndarray:
     """The terms (a, b', c, d) of the closed form, shape (4, N)."""
     dx, dy, mz = amat

@@ -19,7 +19,7 @@ couples nothing across them, so each leg stiffness K_i and the platform
 stiffness are exactly block-diagonal, and both blocks have the closed
 forms below.  The full 6-dof screw model is the reference for them: it
 lives in tests/screw_oracle.py, and tests/kkt_oracle.py reduces it with
-no block structure assumed.
+no block structure assumed and reads the indices off a full 6x6 inverse.
 
 In plane, the two passive revolutes of a leg sit at the two ends of its
 distal link, so the only wrench the leg can carry is a force along that
@@ -119,11 +119,9 @@ def beam_compliance(length: float, section_radius: float,
     return c
 
 
-#: Row, column and row-major position of each unique entry (00, 01, 02,
-#: 11, 12, 22) of a symmetric 3x3 matrix, and the unique entry behind
-#: each row-major entry.
+#: Row and column of each unique entry (00, 01, 02, 11, 12, 22) of a
+#: symmetric 3x3 matrix, and the unique entry behind each row-major entry.
 _UPPER_ROW, _UPPER_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
-_UPPER = 3 * _UPPER_ROW + _UPPER_COL
 _SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
@@ -249,38 +247,27 @@ def stiffness_indices_batch(legs: LegTerms, adj: Adjugate, ok: np.ndarray
 
     adj is adjugate_batch(A).  In plane the compliance is
     C_in = A^-1 diag(c) A^-T = adj(A) diag(c) adj(A)^T / det(A)^2, so
-    each entry is one sum over the legs and no stiffness is inverted; a
-    pose with det A = 0 gets all three indices 0.
+    each entry is one sum over the legs and no stiffness is inverted.
+    k_xy is 1/sigma_max of the (dx, dy) block of C_in, the worst in-plane
+    force direction (its largest eigenvalue: the block is symmetric PSD),
+    k_phiz 1/C_phiz_phiz and k_z 1/C_zz = det(K_out) / adj(K_out)_zz.  A
+    pose with any index not finite and > 0, as at det A = 0, gets all 0.
     """
     c = legs.c
     s = np.empty((4,) + c.shape)
-    # a c that is not ok may be inf or NaN: _indices zeroes its indices
+    # a c that is not ok may be inf or NaN: its indices are zeroed below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xc = adj.x * c
         np.multiply(xc, adj.x, out=s[0])
         np.multiply(xc, adj.y, out=s[1])
         np.multiply(adj.y * c, adj.y, out=s[2])
         np.multiply(adj.z * adj.z, c, out=s[3])
-        return _indices(adj.det * adj.det, s[:, 0] + s[:, 1] + s[:, 2],
-                        legs.k_out, ok)
-
-
-def _indices(scale, s, k_out, ok) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indices from the compliance C_in = s / scale and K_out.
-
-    s holds the (xx, xy, yy, phi_z phi_z) entries of C_in times scale > 0.
-    The planar index is 1/sigma_max of the 2x2 (dx, dy) block of C_in
-    (the worst in-plane force direction; the block is symmetric PSD, so
-    sigma_max is its largest eigenvalue), the torsional index
-    1/C_phiz_phiz and the axial index 1/C_zz = det(K_out) / adj(K_out)_zz.
-    Entries not ok, not finite or not positive come back as zero; the
-    caller silences the floating-point warnings they raise.
-    """
-    sxx, sxy, syy, szz = s
-    adj, det = _sym3_adj(k_out, full=False)
-    lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
-    out = np.array([scale / lam, det / adj[0], scale / szz])
-    good = ok & ((out > 0.0) & (out < np.inf)).all(axis=0)
+        scale = adj.det * adj.det
+        sxx, sxy, syy, szz = s[:, 0] + s[:, 1] + s[:, 2]   # C_in * scale
+        k_adj, k_det = _sym3_adj(legs.k_out, full=False)
+        lam = 0.5 * (sxx + syy) + np.hypot(0.5 * (sxx - syy), sxy)
+        out = np.array([scale / lam, k_det / k_adj[0], scale / szz])
+        good = ok & ((out > 0.0) & (out < np.inf)).all(axis=0)
     return tuple(np.where(good, out, 0.0))
 
 
@@ -290,7 +277,7 @@ def stiffness_matrix(amat: np.ndarray, legs: LegTerms) -> np.ndarray:
     K_in = A^T diag(1/c) A on (dx, dy, dphi_z) and K_out on (dz, dphi_x,
     dphi_y), summed over the legs term by term; nothing couples the two
     blocks.  K_in is singular where A is: rows with det A = 0 come back
-    zero, so stiffness_indices rejects them.
+    zero, so platform_stiffness rejects them.
     """
     n = amat.shape[-1]
     k_in = (amat / legs.c)[_UPPER_ROW] * amat[_UPPER_COL]
@@ -320,31 +307,3 @@ def platform_stiffness(design: DesignVector, pose: Pose, material: Material,
     if not (bool(ok[0]) and k.any()):
         raise SingularStiffness()
     return k
-
-
-def stiffness_indices(k: np.ndarray) -> tuple[float, float, float]:
-    """Worst-case translational and torsional stiffness indices of K.
-
-    With C = K^-1: the planar index is 1/sigma_max of the 2x2 (dx, dy)
-    compliance block (worst in-plane force direction), the axial index is
-    1/C_zz and the torsional index 1/C_phiz_phiz.  K must be block-diagonal
-    between (dx, dy, dphi_z) and (dz, dphi_x, dphi_y), as every planar
-    design's is: ValueError otherwise.  The in-plane compliance is taken
-    as adj(K_in) / det(K_in), the form stiffness_indices_batch uses with
-    adj(A).  Raises SingularStiffness where that form gives zeros.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 stiffness matrix, got shape {k.shape}")
-    if (k[np.ix_(IN_PLANE, OUT_OF_PLANE)] != 0.0).any() \
-            or (k[np.ix_(OUT_OF_PLANE, IN_PLANE)] != 0.0).any():
-        raise ValueError("stiffness couples in-plane and out-of-plane motion")
-    k_in, k_out = (k[np.ix_(blk, blk)].reshape(9, 1)[_UPPER]
-                   for blk in (IN_PLANE, OUT_OF_PLANE))
-    adj, det = _sym3_adj(k_in)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kxy, kz, kphiz = _indices(det, (adj[0], adj[1], adj[3], adj[5]), k_out,
-                                  True)
-    if kxy[0] == 0.0:
-        raise SingularStiffness()
-    return kxy[0], kz[0], kphiz[0]

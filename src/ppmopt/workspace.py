@@ -73,6 +73,8 @@ class WorkspaceSpec:
             raise InvalidValue("delta_phi", "a finite band > 0", self.delta_phi)
         if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
             raise InvalidValue("center", "three finite numbers", self.center)
+        # kept as a tuple of floats, which the grid layout cache keys on
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,8 @@ def max_regular_workspace_detail(design: DesignVector,
     # home report (see the module docstring)
     spec = WorkspaceSpec(0.0, center, delta_phi)    # checks center and band
     # performance's ik_batch: the lookup the kernels' own IK goes through
-    bik = performance.ik_batch(design, _grid_layout(grid, center, delta_phi)[0],
+    bik = performance.ik_batch(design,
+                               _grid_layout(grid, spec.center, delta_phi)[0],
                                ctx.mode)
     l_c, kern = performance.home_length(design, bik, ctx)
     at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,

@@ -18,6 +18,7 @@ from scipy.stats import spearmanr
 
 from chain_oracle import (NoConvergence, closure_residuals, fd_screws,
                           forward_refine)
+from condition_oracle import frobenius_condition
 from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, sample_design,
                       sample_pose)
 from kkt_oracle import kkt_leg_stiffness
@@ -26,7 +27,6 @@ from ppmopt.kinematics import Pose, ik_batch, inverse_kinematics, jacobian
 from ppmopt.model import Architecture, DEFAULT_MATERIAL, mass
 from ppmopt.moga import (MogaConfig, dominates, evolve, pareto_filter,
                          per_architecture_fronts)
-from ppmopt.performance import frobenius_condition
 from ppmopt.stiffness import beam_compliance
 from ppmopt.workspace import max_regular_workspace
 from screw_oracle import leg_model, leg_models_batch

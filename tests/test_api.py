@@ -45,7 +45,7 @@ def test_all_holds_no_module():
 
 def test_oracles_import_no_private_name():
     oracles = sorted((ROOT / "tests").glob("*_oracle.py"))
-    assert len(oracles) >= 3
+    assert len(oracles) >= 4
     for path in oracles:
         for module, name in _ppmopt_imports(path.read_text()):
             parts = (*module.split("."), name)
@@ -59,6 +59,27 @@ def test_error_classes_pinned():
                   and issubclass(getattr(ppmopt, name), Exception)) == [
         "ConfigError", "HomeUnreachable", "InvalidValue", "ModeViolation",
         "PpmError", "SingularStiffness", "Unreachable"]
+
+
+def test_public_names_pinned():
+    # adding or removing a public name must show up here
+    assert sorted(ppmopt.__all__) == [
+        "AccuracySpec", "ActuatorStiffness", "AnchorLayout", "Architecture",
+        "Bounds", "Branch", "ConfigError", "ConstraintReport", "DEFAULT_BOUNDS",
+        "DEFAULT_MATERIAL", "DEFAULT_MODE", "DesignVector", "DexterityConfig",
+        "EvalContext", "Evaluation", "GridSpec", "HOME_POSE", "HomeUnreachable",
+        "InvalidValue", "JacobianPair", "Material", "ModeViolation",
+        "MogaConfig", "MogaResult", "ParetoArchive", "Pose", "PpmError",
+        "RunConfig", "SingularStiffness", "StiffnessLimits", "Unreachable",
+        "WorkingMode", "WorkspaceSpec", "Wrench", "anchor_layout",
+        "beam_compliance", "characteristic_length", "decode",
+        "default_config_yaml", "dominates", "encode", "evaluate_constraints",
+        "evaluate_genome", "evolve", "hypervolume", "inverse_condition",
+        "inverse_kinematics", "jacobian", "load_config", "mass",
+        "max_regular_workspace", "max_regular_workspace_detail",
+        "pareto_filter", "parse_config", "per_architecture_fronts",
+        "platform_stiffness", "sobol_doe", "steel", "validate",
+        "workspace_feasible"]
 
 
 #: l_c fixed, so the RPR, singular at its home pose, still has a dexterity

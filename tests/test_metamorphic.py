@@ -1,0 +1,69 @@
+"""Metamorphic oracles: how the whole pipeline's outputs must transform
+when its inputs are transformed, checked end to end.
+
+Scale by 2: doubling every length of a design scales a rod's axial and
+bending compliances per unit length as the physics requires, so with the
+prismatic actuator stiffness doubled and the revolute one times 8, every
+translational stiffness doubles and the torsional one grows 8-fold.  With
+the k_xy and k_z limits doubled, k_phiz's times 8 and the bisection tol
+doubled, every verdict is unchanged and the search retraces itself at
+twice the scale.  Powers of two scale floats without rounding, so R_w, the
+limiting pose, the indices and the mass come out exact.  The l_c search
+interval does not scale, so l_c and 1/kappa_F are only close.
+"""
+
+import dataclasses
+
+import pytest
+
+from conftest import DESIGN_I, DESIGN_II, DESIGN_III
+from ppmopt.model import ActuatorStiffness, Architecture, DesignVector, mass
+from ppmopt.performance import EvalContext
+from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
+                              max_regular_workspace_detail)
+
+RRR = DesignVector(Architecture.RRR, 1.5, 0.5, 0.9, 0.05, 0.05)
+
+
+def _scaled(design: DesignVector, ctx: EvalContext, tol: float):
+    """The design, context and tol of the same problem at twice the scale."""
+    lengths = ("base_radius", "platform_radius", "link_length",
+               "leg_section_radius", "platform_section_radius")
+    lim = ctx.limits
+    return (dataclasses.replace(design, **{f: 2.0 * getattr(design, f)
+                                           for f in lengths}),
+            dataclasses.replace(
+                ctx,
+                actuator=ActuatorStiffness(2.0 * ctx.actuator.prismatic,
+                                           8.0 * ctx.actuator.revolute),
+                limits=dataclasses.replace(lim, k_xy=2.0 * lim.k_xy,
+                                           k_z=2.0 * lim.k_z,
+                                           k_phiz=8.0 * lim.k_phiz)),
+            2.0 * tol)
+
+
+@pytest.mark.parametrize("design", [DESIGN_I, DESIGN_II, DESIGN_III, RRR],
+                         ids=["design-i", "design-ii", "design-iii", "rrr"])
+def test_scale_by_two(design):
+    ctx, tol = EvalContext(), BISECTION_TOL_DEFAULT
+    big, big_ctx, big_tol = _scaled(design, ctx, tol)
+    res = max_regular_workspace_detail(design, DEFAULT_GRID, ctx, tol)
+    got = max_regular_workspace_detail(big, DEFAULT_GRID, big_ctx, big_tol)
+    assert res.radius > 0.0
+    assert got.radius == 2.0 * res.radius
+    assert mass(big, big_ctx.material) == 8.0 * mass(design, ctx.material)
+    pose, big_pose = res.limiting_pose, got.limiting_pose
+    assert (big_pose.p_x, big_pose.p_y, big_pose.phi) == (
+        2.0 * pose.p_x, 2.0 * pose.p_y, pose.phi)
+    for rep, big_rep in ((res.limiting_report, got.limiting_report),
+                         (res.home, got.home)):
+        assert (big_rep.k_xy, big_rep.k_z, big_rep.k_phiz) == (
+            2.0 * rep.k_xy, 2.0 * rep.k_z, 8.0 * rep.k_phiz)
+        flags = [f.name for f in dataclasses.fields(rep)
+                 if isinstance(getattr(rep, f.name), bool)]
+        assert [getattr(big_rep, f) for f in flags] == \
+            [getattr(rep, f) for f in flags]
+        assert big_rep.inverse_condition == pytest.approx(
+            rep.inverse_condition, rel=1e-4)
+    assert got.characteristic_length == pytest.approx(
+        2.0 * res.characteristic_length, rel=1e-4)

@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from condition_oracle import frobenius_condition
 from conftest import (DESIGN_I, DESIGN_II, DESIGN_III, _same_bytes,
                       sample_design, sample_pose)
 from ppmopt import performance, stiffness
@@ -19,8 +20,7 @@ from ppmopt.performance import (AccuracySpec, BatchConstraints,
                                 ConstraintReport, DexterityConfig, EvalContext,
                                 StiffnessLimits, characteristic_length,
                                 constraints_batch, evaluate_constraints,
-                                frobenius_condition, home_length,
-                                inverse_condition)
+                                home_length, inverse_condition)
 from ppmopt.workspace import GridSpec, WorkspaceSpec, grid_array
 
 

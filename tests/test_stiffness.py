@@ -15,8 +15,8 @@ from ppmopt.model import (ActuatorStiffness, Architecture, DEFAULT_MATERIAL,
 from ppmopt.performance import DexterityConfig, EvalContext, constraints_batch
 from ppmopt.stiffness import (DEFAULT_ACTUATOR, IN_PLANE, OUT_OF_PLANE,
                               beam_compliance, platform_stiffness,
-                              stiffness_batch, stiffness_indices,
-                              stiffness_indices_batch, stiffness_matrix)
+                              stiffness_batch, stiffness_indices_batch,
+                              stiffness_matrix)
 from screw_oracle import leg_model, leg_models_batch
 
 E = DEFAULT_MATERIAL.young_modulus
@@ -231,18 +231,15 @@ class TestPlatformStiffness:
 
 
 class TestStiffnessIndices:
-    def test_diagonal_matrix(self):
-        k = np.diag([2e6, 2e6, 3e5, 1e4, 1e4, 7e3])
-        kxy, kz, kphiz = stiffness_indices(k)
-        assert kxy == pytest.approx(2e6, rel=1e-12)
-        assert kz == pytest.approx(3e5, rel=1e-12)
-        assert kphiz == pytest.approx(7e3, rel=1e-12)
-
     def test_worst_direction_property(self):
+        # k_xy as constraints_batch scores it: the stiffness in the worst
+        # in-plane force direction of inv(K)
         rng = np.random.default_rng(59)
         d = sample_design(rng, Architecture.PRR)
-        k = platform_stiffness(d, sample_pose(rng, d), DEFAULT_MATERIAL)
-        kxy = stiffness_indices(k)[0]
+        pose = sample_pose(rng, d)
+        k = platform_stiffness(d, pose, DEFAULT_MATERIAL)
+        kxy = constraints_batch(d, pose.as_array()[None, :], EvalContext(),
+                                l_c=0.5).kxy[0]
         c_xy = np.linalg.inv(k)[:2, :2]
         worst = 0.0
         for ang in np.linspace(0, 2 * math.pi, 100, endpoint=False):
@@ -252,22 +249,9 @@ class TestStiffnessIndices:
             worst = max(worst, disp)
         assert worst == pytest.approx(1.0 / kxy, rel=1e-3)
 
-    def test_singular_matrix_rejected(self):
-        k = np.zeros((6, 6))
-        with pytest.raises(SingularStiffness):
-            stiffness_indices(k)
-
-    def test_coupled_matrix_rejected(self):
-        k = np.diag([2e6, 2e6, 3e5, 1e4, 1e4, 7e3])
-        k[0, 3] = k[3, 0] = 1.0
-        with pytest.raises(ValueError):
-            stiffness_indices(k)
-
-    def test_non_6x6_matrix_rejected(self):
-        with pytest.raises(ValueError, match="6x6"):
-            stiffness_indices(np.eye(5))
-
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_stiffness_matrix(self):
+        # the compliance-form indices against the full inverse of the
+        # product's own 6x6 K
         rng = np.random.default_rng(61)
         d = sample_design(rng, Architecture.RRR)
         poses = np.stack([sample_pose(rng, d).as_array() for _ in range(8)])
@@ -275,27 +259,10 @@ class TestStiffnessIndices:
         amat, b = jacobian_batch(d, bik)
         legs, ok = stiffness_batch(d, bik, (amat, b), DEFAULT_MATERIAL)
         assert ok.all()
-        kxy, kz, kphiz = stiffness_indices_batch(legs, adjugate_batch(amat), ok)
-        k = stiffness_matrix(amat, legs)
-        for i in range(len(poses)):
-            sx, sz, sp = stiffness_indices(k[i])
-            assert kxy[i] == pytest.approx(sx, rel=1e-9)
-            assert kz[i] == pytest.approx(sz, rel=1e-9)
-            assert kphiz[i] == pytest.approx(sp, rel=1e-9)
-
-    def test_invariant_under_base_frame_rotation(self):
-        rng = np.random.default_rng(67)
-        d = sample_design(rng, Architecture.PRR)
-        k = platform_stiffness(d, HOME_POSE, DEFAULT_MATERIAL)
-        ref = stiffness_indices(k)
-        for ang in (0.3, 1.1, 2.0):
-            c, s = math.cos(ang), math.sin(ang)
-            r3 = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-            rot6 = np.zeros((6, 6))
-            rot6[:3, :3] = r3
-            rot6[3:, 3:] = r3
-            rotated = stiffness_indices(rot6 @ k @ rot6.T)
-            assert rotated == pytest.approx(ref, rel=1e-9)
+        got = np.stack(stiffness_indices_batch(legs, adjugate_batch(amat), ok),
+                       axis=1)
+        want = np.stack([kkt_indices(k) for k in stiffness_matrix(amat, legs)])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 class TestKKTOracle:
@@ -367,8 +334,6 @@ class TestKKTOracle:
                 assert index[1] == 0.0 and (index[[0, 2]] > 0.0).all()
             k = stiffness_matrix(amat, legs)
             assert (k[1] == 0.0).all() and k[[0, 2]].any(axis=(1, 2)).all()
-            with pytest.raises(SingularStiffness):
-                stiffness_indices(k[1])
 
 
 @pytest.mark.parametrize("arch", list(Architecture))
@@ -467,7 +432,7 @@ class TestConstraintPath:
         for d, poses in self._cases(rng, arch):
             res = constraints_batch(d, poses, self.CTX)
             for i, row in enumerate(poses):
-                want = stiffness_indices(platform_stiffness(
-                    d, Pose(*row), DEFAULT_MATERIAL))
+                want = kkt_indices(platform_stiffness(d, Pose(*row),
+                                                      DEFAULT_MATERIAL))
                 got = (res.kxy[i], res.kz[i], res.kphiz[i])
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

@@ -12,6 +12,7 @@ from ppmopt.kinematics import DEFAULT_MODE, HOME_POSE, Branch, Pose, ik_batch
 from ppmopt.model import Architecture, DesignVector
 from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
+from ppmopt.runconfig import load_config
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
                               max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
@@ -135,6 +136,31 @@ class TestWorkspaceSpec:
         with pytest.raises(InvalidValue, match="center"):
             max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
                                          center=center)
+
+    def test_center_of_any_sequence_kind(self, ctx):
+        # a list or ndarray center is kept as a tuple of floats, which the
+        # grid layout cache can key on; a RunConfig passes its own through
+        centers = [(0.0, 0.0, 0.0), [0.0, 0.0, 0.0], np.zeros(3), [0, 0, 0]]
+        for center in centers:
+            spec = WorkspaceSpec(0.1, center)
+            assert spec.center == (0.0, 0.0, 0.0)
+            assert type(spec.center) is tuple
+            assert all(type(v) is float for v in spec.center)
+            assert workspace_feasible(DESIGN_I, spec, DEFAULT_GRID, ctx).feasible
+        cfg = dataclasses.replace(load_config(None), center=[0.0, 0.0, 0.0])
+        results = [max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                                center=center)
+                   for center in centers]
+        results.append(max_regular_workspace_detail(
+            DESIGN_I, cfg.grid, cfg.ctx, cfg.bisection_tol, cfg.center,
+            cfg.delta_phi))
+        ref = results[0]
+        for res in results[1:]:
+            assert dataclasses.replace(res, scores=None) == \
+                dataclasses.replace(ref, scores=None)
+            assert all(_same_bytes(getattr(res.scores, name),
+                                   getattr(ref.scores, name))
+                       for name in ref.scores.__slots__)
 
 
 class TestGridSpec:
