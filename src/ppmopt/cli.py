@@ -32,11 +32,9 @@ import numpy as np
 from . import moga
 from .errors import ConfigError, InvalidValue, PpmError
 from .model import SHORT_NAMES, Architecture, DesignVector, mass, validate
-# constraints_batch is unused here but kept: bench/tracing.py hooks
-# cli.constraints_batch
 from .performance import constraints_batch
 from .runconfig import RunConfig, default_config_yaml, load_config
-from .workspace import max_regular_workspace_detail
+from .workspace import WorkspaceSpec, grid_array, max_regular_workspace_detail
 
 _DESIGN_KEYS = ("d", *SHORT_NAMES)
 PARETO_HEADER = [*_DESIGN_KEYS, "mass_kg", "R_w_m", "L_c_m", "seed"]
@@ -119,8 +117,10 @@ def cmd_evaluate(cfg: RunConfig, design: DesignVector, out_path: str) -> int:
             "stiffness_indices": {"k_xy": res.home.k_xy, "k_z": res.home.k_z,
                                   "k_phiz": res.home.k_phiz},
         }
-        # the search already scored the grid at R_w, with the same l_c
-        grid_res = res.scores
+        # the full grid at R_w, with the search's l_c
+        at_r_w = WorkspaceSpec(res.radius, cfg.center, cfg.delta_phi)
+        grid_res = constraints_batch(design, grid_array(at_r_w, cfg.grid),
+                                     cfg.ctx, l_c=res.characteristic_length)
         doc["workspace"] = {
             "feasible": feasible,
             "min_inverse_condition": float(grid_res.kinv.min()),

@@ -20,7 +20,7 @@ from .moga import MogaConfig
 from .performance import (AccuracySpec, DexterityConfig, EvalContext,
                           StiffnessLimits)
 from .workspace import (BISECTION_TOL_DEFAULT, CENTER_DEFAULT,
-                        DELTA_PHI_DEFAULT, GridSpec)
+                        DELTA_PHI_DEFAULT, GridSpec, WorkspaceSpec)
 
 _STEEL_POISSON = inspect.signature(steel).parameters["poisson_ratio"].default
 
@@ -42,9 +42,12 @@ class RunConfig:
     def __post_init__(self):
         # checked here, not in parse_config, so that command-line overrides
         # applied with dataclasses.replace are checked too
+        try:    # WorkspaceSpec owns the center rule
+            WorkspaceSpec(0.0, self.center)
+        except InvalidValue:
+            raise ConfigError("workspace.center",
+                              "must be three finite numbers") from None
         for path, ok, rule in (
-                ("workspace.center", len(self.center) == 3
-                 and all(map(math.isfinite, self.center)), "three finite numbers"),
                 ("workspace.delta_phi_deg", 0.0 < self.delta_phi_deg < math.inf,
                  "a finite angle > 0"),
                 ("workspace.bisection_tol", 0.0 < self.bisection_tol < math.inf,

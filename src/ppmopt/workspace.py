@@ -11,32 +11,54 @@ upper_radius]; no grid passes at that bracket, so it is never probed.
 A failing radius-0 probe closes the bracket at [0, 0]: no radius is
 bisected, and that probe gives the limiting pose.
 
-Each bisection probe at a radius > 0 builds its grid once and solves the
-inverse kinematics of every grid pose once.  A pose that is unreachable
-or past a stroke limit fails every constraint check, so a probe holding
-one fails without the Jacobian, dexterity and stiffness kernels; the
-verdict is the one the kernels would give.  Other probes hand that same
-solution to one constraints_batch call over the whole grid.  The final
-failing grid, if the gate decided it or it was never probed, is scored
-once after the search: on the IK its gate solved, or at the bracket if
-every probe passed.  So the limiting pose and report are those of its
-first failing row, as without the gate.  The result also carries the
-scores of the grid at R_w itself, which the search has already computed.
+Sector probes.  Base, platform and rails are 3-fold symmetric about the
+base center: a pose turned by 120 degrees about it, at the same phi, is
+the same pose with the legs relabeled.  So when x_c = y_c = 0, every leg
+takes the same branch and n_angular is a multiple of 3, a probe above
+radius 0 scores only the sector, the center block and ring directions
+0 .. n_angular/3 - 1, whose rows are bit for bit those of the full grid.
+Every failing row has a failing image in the sector at or before it, so
+the sector's first failing row is the full grid's.  Otherwise probes
+score full grids, in the same loop.  Images agree only to about 1e-12
+relative, so a sector with a row whose 1/kappa_F, k_xy, k_z or k_phiz
+lies within SECTOR_TIE of its limit is scored on its full grid instead.
+The guard covers those four values only: reach and stroke (the ik flag
+and g2) are thresholds on IK values too, and a pose within rounding of
+one could part from its image, which would move R_w by one bisection
+step.  No checked design or config showed one.
+
+Lookahead.  On sectors, each step solves, in one ik_batch call, the
+grids of its midpoint and of the midpoints it may bisect next, LOOKAHEAD
+levels in all; one whose bracket is within tol is left out, so the
+midpoints and the stopping rule are those of a bisection one probe at a
+time.  Full grids are probed one level per call: three of them per call
+cost more than the calls saved.  A grid with a pose that is unreachable
+or past a stroke limit fails every constraint check, so it fails
+without the Jacobian, dexterity and stiffness kernels (the reach gate);
+one constraints_batch call scores the other grids, and none runs if
+every grid is gated.  The final failing grid, if the gate decided it or
+it was never probed, is scored once after the search: on the IK its
+gate solved, or at the bracket if every probe passed.  So the limiting
+pose and report are those of the first failing row of the final failing
+grid, as without the sector, the lookahead or the gate.  The search
+keeps no scores of the grid at R_w; ppmopt evaluate scores that grid
+itself.
 
 The radius-0 probe scores the center block with HOME_POSE appended as
 its last row; the grid's cached layout holds that block.  The home row
-is scored with the block but stays out of the verdict, the limiting
-pose and the R_w scores; its report is WorkspaceResult.home, the home
-block of ppmopt evaluate.  performance.home_length, where the l_c
-policy lives, resolves l_c on the block's IK: a fixed length as it is,
-else a search on the home row's kappa_F terms from the block's one
-kernel pass, to the value characteristic_length gives.
+is scored with the block but stays out of the verdict and the limiting
+pose; its report is WorkspaceResult.home, the home block of ppmopt
+evaluate.  performance.home_length, where the l_c policy lives, resolves
+l_c on the block's IK: a fixed length as it is, else a search on the
+home row's kappa_F terms from the block's one kernel pass, to the value
+characteristic_length gives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +77,12 @@ from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
 BISECTION_TOL_DEFAULT = 1e-3            # [m], final bracket width on R_w
+#: Bisection levels each kernel call advances on sector probes; 1 and 3
+#: both ran slower there, and on full grids 2 ran slower than 1.
+LOOKAHEAD = 2
+#: Relative distance to a g3-g6 limit within which a sector row decides
+#: nothing: its 120-degree images agree only to about 1e-12 relative.
+SECTOR_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,7 +99,13 @@ class WorkspaceSpec:
             raise InvalidValue("radius", "finite and >= 0", self.radius)
         if not 0.0 < self.delta_phi < math.inf:
             raise InvalidValue("delta_phi", "a finite band > 0", self.delta_phi)
-        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
+        try:
+            ok = len(self.center) == 3 and all(
+                isinstance(v, numbers.Real) and math.isfinite(v)
+                for v in self.center)
+        except TypeError:       # no length
+            ok = False
+        if not ok:
             raise InvalidValue("center", "three finite numbers", self.center)
         # kept as a tuple of floats, which the grid layout cache keys on
         object.__setattr__(self, "center", tuple(map(float, self.center)))
@@ -116,6 +150,25 @@ def _grid_layout(grid: GridSpec, center: tuple[float, float, float],
     return arrays
 
 
+def _grids(radii: list[float], grid: GridSpec,
+           center: tuple[float, float, float], delta_phi: float,
+           n_dir: int) -> np.ndarray:
+    """The grids at radii (each > 0), one after another in a fresh
+    (len(radii) * rows, 3) array, each with ring directions 0..n_dir-1
+    of every ring only; with n_dir = n_angular, grid_array's grids."""
+    block, phis, k, cos, sin = _grid_layout(grid, center, delta_phi)
+    xc, yc, _ = center
+    n_o = grid.n_orientation
+    rad = np.array(radii)[:, None, None] * k / grid.n_radial
+    out = np.empty((len(radii), n_o * (1 + grid.n_radial * n_dir), 3))
+    out[:, :n_o] = block[:-1]   # the center block, without the home row
+    rings = out[:, n_o:].reshape(len(radii), grid.n_radial, n_dir, n_o, 3)
+    rings[..., 0] = (xc + rad * cos[:n_dir])[..., None]
+    rings[..., 1] = (yc + rad * sin[:n_dir])[..., None]
+    rings[..., 2] = phis
+    return out.reshape(-1, 3)
+
+
 def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
     """Grid poses as a fresh (N, 3) array.
 
@@ -124,20 +177,10 @@ def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
     the orientation band.  A zero radius yields only the center block.
     Ring k of n_radial sits at radius * k / n_radial.
     """
-    block, phis, k, cos, sin = _grid_layout(grid, spec.center, spec.delta_phi)
-    block = block[:-1]      # the center block, without the home row
     if spec.radius == 0.0:
-        return block.copy()
-    xc, yc, _ = spec.center
-    n_o = grid.n_orientation
-    rad = spec.radius * k / grid.n_radial
-    out = np.empty((n_o * (1 + grid.n_radial * grid.n_angular), 3))
-    out[:n_o] = block
-    rings = out[n_o:].reshape(grid.n_radial, grid.n_angular, n_o, 3)
-    rings[..., 0] = (xc + rad * cos)[..., None]
-    rings[..., 1] = (yc + rad * sin)[..., None]
-    rings[..., 2] = phis
-    return out
+        return _grid_layout(grid, spec.center, spec.delta_phi)[0][:-1].copy()
+    return _grids([spec.radius], grid, spec.center, spec.delta_phi,
+                  grid.n_angular)
 
 
 class Probe(NamedTuple):
@@ -149,6 +192,17 @@ class Probe(NamedTuple):
     pose: Pose | None
     report: ConstraintReport | None
     scores: BatchConstraints
+
+
+def _first_failure(res: BatchConstraints, points: np.ndarray, rows: slice
+                   ) -> tuple[Pose, ConstraintReport] | None:
+    """The first failing row among rows of res, scored on points, as its
+    pose and report; None if every one passes."""
+    ok = res.overall[rows]
+    if ok.all():
+        return None
+    idx = rows.start + int(ok.argmin())     # the first False
+    return Pose(*points[idx]), res.report(idx)
 
 
 def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
@@ -169,11 +223,9 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
     """
     points = grid_array(spec, grid) if bik is None else bik.poses
     res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik, kern=kern)
-    ok = res.overall[:grid.n_orientation] if spec.radius == 0.0 else res.overall
-    if ok.all():
-        return Probe(True, None, None, res)
-    idx = int(ok.argmin())     # the first False
-    return Probe(False, Pose(*points[idx]), res.report(idx), res)
+    n = grid.n_orientation if spec.radius == 0.0 else len(points)
+    fail = _first_failure(res, points, slice(0, n))
+    return Probe(fail is None, *(fail or (None, None)), res)
 
 
 def upper_radius(design: DesignVector) -> float:
@@ -196,8 +248,36 @@ class WorkspaceResult:
     limiting_pose: Pose
     limiting_report: ConstraintReport
     characteristic_length: float
-    scores: BatchConstraints    # constraints_batch of the grid at radius
     home: ConstraintReport      # HOME_POSE, the radius-0 batch's last row
+
+
+def _lookahead(lo: float, hi: float, tol: float,
+               depth: int) -> list[float | None]:
+    """The midpoints of the next depth bisection levels from [lo, hi] in
+    heap order: node i's children 2i+1 and 2i+2 are the midpoints
+    bisected next if node i's probe fails or passes.  None where the
+    bracket is within tol, as the search stops there."""
+    brackets: list = [(lo, hi)] + [None] * (2 ** depth - 2)
+    for i in range(2 ** (depth - 1) - 1):
+        if brackets[i] is not None:
+            a, b = brackets[i]
+            m = 0.5 * (a + b)
+            brackets[2 * i + 1:2 * i + 3] = [
+                (x, y) if y - x > tol else None for x, y in ((a, m), (m, b))]
+    return [None if b is None else 0.5 * (b[0] + b[1]) for b in brackets]
+
+
+def _ties(res: BatchConstraints, ctx: EvalContext) -> np.ndarray:
+    """Rows whose 1/kappa_F, k_xy, k_z or k_phiz lies within SECTOR_TIE
+    (relative) of its limit, where a sector row may part from its
+    120-degree images (see the module docstring)."""
+    lim = ctx.limits
+    tie = np.zeros(res.kinv.shape, dtype=bool)
+    for value, limit in ((res.kinv, ctx.dexterity.threshold),
+                         (res.kxy, lim.k_xy), (res.kz, lim.k_z),
+                         (res.kphiz, lim.k_phiz)):
+        tie |= np.abs(value - limit) < SECTOR_TIE * limit
+    return tie
 
 
 def max_regular_workspace_detail(design: DesignVector,
@@ -210,10 +290,11 @@ def max_regular_workspace_detail(design: DesignVector,
 
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
-    Probes above radius 0 pass the reach gate on their grid's inverse
-    kinematics first, and the radius-0 probe also scores HOME_POSE and
-    resolves l_c (see the module docstring).  tol must be finite and > 0,
-    or the bisection could never end.
+    Probes above radius 0 score the sector, LOOKAHEAD levels per kernel
+    call, when the design's symmetry allows, behind the reach gate; the
+    radius-0 probe also scores HOME_POSE and resolves l_c (see the module
+    docstring).  tol must be finite and > 0, or the bisection could never
+    end.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidValue("tol", "finite and > 0", tol)
@@ -221,34 +302,68 @@ def max_regular_workspace_detail(design: DesignVector,
     # Its batch also holds HOME_POSE, whose row resolves l_c and gives the
     # home report (see the module docstring)
     spec = WorkspaceSpec(0.0, center, delta_phi)    # checks center and band
+    center = spec.center
     # performance's ik_batch: the lookup the kernels' own IK goes through
     bik = performance.ik_batch(design,
-                               _grid_layout(grid, spec.center, delta_phi)[0],
+                               _grid_layout(grid, center, delta_phi)[0],
                                ctx.mode)
     l_c, kern = performance.home_length(design, bik, ctx)
-    at_lo = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
-                               kern=kern)
-    home = at_lo.scores.report(-1)
-    at_lo = at_lo._replace(scores=at_lo.scores.rows(slice(-1)))
+    at_0 = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
+                              kern=kern)
+    home = at_0.scores.report(-1)
     # the bracket itself always fails (see upper_radius), so it is not
     # probed; a failing radius 0 closes it at once
-    lo, hi = 0.0, upper_radius(design) if at_lo.feasible else 0.0
-    # hi's probe (None if gated or unprobed) and IK
-    at_hi, bik_hi = (None if at_lo.feasible else at_lo), None
+    lo, hi = 0.0, upper_radius(design) if at_0.feasible else 0.0
+    # hi's first failing (pose, report), None if gated or unprobed, and
+    # the IK batch its grid was solved in, with that grid's rows
+    limiting, at_hi = None if at_0.feasible else at_0[1:3], None
+    sector = (center[0] == center[1] == 0.0 and len(set(ctx.mode)) == 1
+              and grid.n_angular % 3 == 0)
+    n_dir, depth = ((grid.n_angular // 3, LOOKAHEAD) if sector
+                    else (grid.n_angular, 1))
+    n = grid.n_orientation * (1 + grid.n_radial * n_dir)   # rows per grid
+
+    def decide(radius, res, points, rows, tie):
+        """First failure of one scored grid, a tied sector's on its full
+        grid."""
+        if tie is not None and tie[rows].any():
+            probe = workspace_feasible(design, WorkspaceSpec(radius, center,
+                                                             delta_phi),
+                                       grid, ctx, l_c=l_c)
+            return None if probe.feasible else probe[1:3]
+        return _first_failure(res, points, rows)
+
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        spec = WorkspaceSpec(mid, center, delta_phi)
-        bik = performance.ik_batch(design, grid_array(spec, grid), ctx.mode)
-        res = (workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik)
-               if bik.ok().all() else None)
-        if res is not None and res.feasible:
-            lo, at_lo = mid, res
-        else:
-            hi, at_hi, bik_hi = mid, res, bik
-    if at_hi is None:   # score the final failing grid, on its gate's IK if any
-        at_hi = workspace_feasible(design, WorkspaceSpec(hi, center, delta_phi),
-                                   grid, ctx, l_c=l_c, bik=bik_hi)
-    return WorkspaceResult(lo, at_hi.pose, at_hi.report, l_c, at_lo.scores, home)
+        mids = _lookahead(lo, hi, tol, depth)
+        live = [i for i, m in enumerate(mids) if m is not None]
+        bik = performance.ik_batch(
+            design, _grids([mids[i] for i in live], grid, center, delta_phi,
+                           n_dir), ctx.mode)
+        ok = bik.ok()
+        block = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(live)}
+        scored = [i for i in live if ok[block[i]].all()]
+        rows = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(scored)}
+        if scored:      # one kernel call over the grids the gate passed
+            sub = bik if len(scored) == len(live) else bik.rows(
+                np.r_[tuple(block[i] for i in scored)])
+            res = constraints_batch(design, sub.poses, ctx, l_c=l_c, bik=sub)
+            tie = _ties(res, ctx) if sector else None
+        i = 0     # walk the outcomes down from the step's midpoint
+        while i < len(mids) and mids[i] is not None:
+            fail = (decide(mids[i], res, sub.poses, rows[i], tie)
+                    if i in rows else None)
+            if i in rows and fail is None:
+                lo, i = mids[i], 2 * i + 2
+            else:       # failed, or gated with its report still unscored
+                hi, limiting, at_hi = mids[i], fail, (bik, block[i])
+                i = 2 * i + 1
+    if limiting is None:    # score the final failing grid, on its gate's IK if any
+        bik_hi = (at_hi[0].rows(at_hi[1]) if at_hi else performance.ik_batch(
+            design, _grids([hi], grid, center, delta_phi, n_dir), ctx.mode))
+        res = constraints_batch(design, bik_hi.poses, ctx, l_c=l_c, bik=bik_hi)
+        limiting = decide(hi, res, bik_hi.poses, slice(0, n),
+                          _ties(res, ctx) if sector else None)
+    return WorkspaceResult(lo, *limiting, l_c, home)
 
 
 def max_regular_workspace(design: DesignVector, grid: GridSpec = DEFAULT_GRID,

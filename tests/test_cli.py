@@ -20,6 +20,7 @@ from ppmopt.kinematics import HOME_POSE
 from ppmopt.model import Architecture
 from ppmopt.performance import EvalContext, constraints_batch
 from ppmopt.runconfig import default_config_yaml, load_config, parse_config
+from ppmopt.workspace import WorkspaceSpec, grid_array
 
 DESIGN_I_ARG = "d=1,R=1.412,r=0.319,L_b=0.620,r_j=0.026,r_p=0.023"
 
@@ -237,9 +238,13 @@ class TestConfig:
         ("threads", 2.5, "threads"),
         ("threads", True, "threads"),
         ("center", (0.0, 0.0), "workspace.center"),
-        ("center", (0.0, 0.0, 0.0, 0.0), "workspace.center")],
+        ("center", (0.0, 0.0, 0.0, 0.0), "workspace.center"),
+        ("center", "abc", "workspace.center"),
+        ("center", 5, "workspace.center"),
+        ("center", (None, 0.0, 0.0), "workspace.center")],
         ids=["threads-negative", "threads-float", "threads-true",
-             "center-two", "center-four"])
+             "center-two", "center-four", "center-string", "center-scalar",
+             "center-none"])
     def test_replaced_value_rejected_with_path(self, field, value, path):
         # command-line overrides go through dataclasses.replace, which
         # RunConfig checks by the parser's rules
@@ -458,6 +463,34 @@ class TestEvaluate:
         assert (json.dumps(doc["home"], sort_keys=True)
                 == json.dumps(expected, sort_keys=True))
         assert (l_c is None) == (design == DEAD_RPR_ARG and config != "fixed_lc")
+
+    @pytest.mark.parametrize("config", list(HOME_CONFIGS))
+    @pytest.mark.parametrize("design", [
+        DESIGN_I_ARG, DEAD_RPR_ARG,
+        "d=3,R=1.5,r=0.5,L_b=0.9,r_j=0.05,r_p=0.05"],
+        ids=["design_i", "home_unreachable_rpr", "rrr"])
+    def test_workspace_minima_match_full_grid_at_r_w(self, tmp_path, design,
+                                                     config):
+        # the minima come from the full grid at the reported R_w, scored
+        # afresh here with l_c resolved on its own: the same bytes
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text("bounds: {lower: {r: 0.1}}\n" + HOME_CONFIGS[config],
+                            encoding="utf-8")
+        out = tmp_path / "rep.json"
+        main(["evaluate", "--config", str(cfg_path), "--design", design,
+              "--out", str(out)])
+        doc = json.loads(out.read_text())
+        cfg = load_config(str(cfg_path))
+        spec = WorkspaceSpec(doc["max_workspace_radius_m"], cfg.center,
+                             cfg.delta_phi)
+        fresh = constraints_batch(parse_design(design),
+                                  grid_array(spec, cfg.grid), cfg.ctx)
+        got = doc["workspace"]
+        for key, name in (("min_inverse_condition", "kinv"),
+                          ("min_k_xy", "kxy"), ("min_k_z", "kz"),
+                          ("min_k_phiz", "kphiz")):
+            assert repr(got[key]) == repr(float(getattr(fresh, name).min()))
+        assert (spec.radius > 0.0) == (design != DEAD_RPR_ARG)
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -10,16 +10,26 @@ doubled, every verdict is unchanged and the search retraces itself at
 twice the scale.  Powers of two scale floats without rounding, so R_w, the
 limiting pose, the indices and the mass come out exact.  The l_c search
 interval does not scale, so l_c and 1/kappa_F are only close.
+
+Turn by 120 degrees: the base, the platform and the rails are 3-fold
+symmetric about the base center, so a pose turned by 120 degrees about
+it, at the same phi, is the same pose with the legs relabeled.  Where
+every leg takes the same branch, each grid row and its two images on the
+rings score alike: the same flags, and g3-g6 values equal up to rounding.
+The workspace search's sector probes rely on it.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from conftest import DESIGN_I, DESIGN_II, DESIGN_III
+from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design
+from ppmopt.kinematics import Branch
 from ppmopt.model import ActuatorStiffness, Architecture, DesignVector, mass
-from ppmopt.performance import EvalContext
+from ppmopt.performance import EvalContext, constraints_batch
 from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
+                              WorkspaceSpec, grid_array,
                               max_regular_workspace_detail)
 
 RRR = DesignVector(Architecture.RRR, 1.5, 0.5, 0.9, 0.05, 0.05)
@@ -67,3 +77,37 @@ def test_scale_by_two(design):
             rep.inverse_condition, rel=1e-4)
     assert got.characteristic_length == pytest.approx(
         2.0 * res.characteristic_length, rel=1e-4)
+
+
+@pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.name)
+def test_turn_by_120_degrees(arch):
+    rng = np.random.default_rng(9)
+    grid = DEFAULT_GRID       # 12 ring directions: j, j + 4 and j + 8
+    n_o = grid.n_orientation
+    scored = 0
+    for branch in Branch:
+        ctx = EvalContext(mode=(branch,) * 3)
+        for _ in range(6):
+            design = sample_design(rng, arch)
+            for frac in (0.1, 0.3, 0.6):    # reachable rows and not
+                spec = WorkspaceSpec(frac * design.base_radius,
+                                     (0.0, 0.0, float(rng.uniform(-1.0, 1.0))))
+                res = constraints_batch(design, grid_array(spec, grid), ctx)
+
+                def rings(name):    # (ring, image, direction, orientation)
+                    return getattr(res, name)[n_o:].reshape(
+                        grid.n_radial, 3, grid.n_angular // 3, n_o)
+
+                for name in res.__slots__:
+                    a = rings(name)
+                    if a.dtype == bool:
+                        assert (a == a[:, [1, 2, 0]]).all(), name
+                # away from singular rows, where 1/kappa_F tends to 0
+                away = rings("kinv") >= 1e-4
+                for name in ("kinv", "kxy", "kz", "kphiz"):
+                    a = rings(name)
+                    np.testing.assert_allclose(a[:, [1, 2, 0]][away], a[away],
+                                               rtol=1e-11, atol=0.0)
+                scored += int(away.sum())
+    print(f"[SYMMETRY {arch.name}] {scored} image pairs compared")
+    assert scored >= 200

@@ -118,10 +118,14 @@ class TestWorkspaceSpec:
 
     @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0),
                                         (math.inf, 0.0, 0.0),
-                                        (0.0, 0.0, -math.inf)])
+                                        (0.0, 0.0, -math.inf),
+                                        "abc", 5, (None, 0.0, 0.0)])
     def test_non_finite_center_rejected(self, center):
-        with pytest.raises(ValueError, match="center"):
+        # a string, a scalar or a None element is no center either: each
+        # names the field, not a bare TypeError
+        with pytest.raises(InvalidValue, match="center") as exc:
             WorkspaceSpec(0.1, center=center)
+        assert exc.value.field == "center"
 
     def test_nan_band_rejected_by_search(self, ctx):
         with pytest.raises(ValueError, match="band"):
@@ -154,13 +158,7 @@ class TestWorkspaceSpec:
         results.append(max_regular_workspace_detail(
             DESIGN_I, cfg.grid, cfg.ctx, cfg.bisection_tol, cfg.center,
             cfg.delta_phi))
-        ref = results[0]
-        for res in results[1:]:
-            assert dataclasses.replace(res, scores=None) == \
-                dataclasses.replace(ref, scores=None)
-            assert all(_same_bytes(getattr(res.scores, name),
-                                   getattr(ref.scores, name))
-                       for name in ref.scores.__slots__)
+        assert all(res == results[0] for res in results[1:])
 
 
 class TestGridSpec:
@@ -237,8 +235,11 @@ class TestWorkspaceFeasible:
 
     def test_one_ik_per_probe(self, ctx, monkeypatch):
         # Design III's final failing radius is decided by the reach gate;
-        # its l_c comes from the radius-0 probe's IK, so no home IK shows
-        events, grids = [], []
+        # its l_c comes from the radius-0 probe's IK, so no home IK shows.
+        # Above radius 0 every step probes sectors: one IK over the sectors
+        # of its midpoint and of both next midpoints, then at most one
+        # kernel call over those the gate passed
+        events, grids, passed = [], [], []
         feasible, batch, ik = (workspace.workspace_feasible,
                                workspace.constraints_batch,
                                performance.ik_batch)
@@ -249,12 +250,14 @@ class TestWorkspaceFeasible:
 
         def counted_batch(*args, **kwargs):
             events.append(("batch", len(args[1])))
+            grids.append(args[1])
             return batch(*args, **kwargs)
 
         def counted_ik(*args, **kwargs):
             bik = ik(*args, **kwargs)
-            events.append(("ik", len(args[1]), bool(bik.ok().all())))
+            events.append(("ik", len(args[1])))
             grids.append(args[1])
+            passed.append(bik.ok())
             return bik
 
         monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
@@ -263,35 +266,61 @@ class TestWorkspaceFeasible:
         tol = 1e-3
         res = max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, ctx, tol=tol)
         assert res.radius > 0.0
-        # every kernel call is one probe's whole grid: the center block
-        # with HOME_POSE appended first, then full grids
-        batches = [e[1] for e in events if e[0] == "batch"]
-        assert sum(e[0] == "probe" for e in events) == len(batches)
-        assert batches == [6] + [305] * (len(batches) - 1)
+        sector = _sector_rows(DEFAULT_GRID)
+        n = len(sector)
+        assert n == 105
         # the ungated radius-0 probe's IK comes before its kernel call and
-        # also serves l_c
-        assert events[:3] == [("ik", 6, True), ("probe", 0.0), ("batch", 6)]
-        # the bracket is never probed: the first full grid is its midpoint
-        first = grid_array(WorkspaceSpec(upper_radius(DESIGN_III) / 2.0),
-                           DEFAULT_GRID)
-        assert _same_bytes(grids[1], first)
-        # then one IK per probe on its full grid: a failing gate makes no
-        # kernel call, a passing one hands its IK to its probe's call
-        rest, gates = events[3:], []
-        while rest[0][0] == "ik":
-            (_, n, ok), rest = rest[0], rest[1:]
-            assert n == 305
-            gates.append(ok)
-            if ok:
-                assert rest[0][0] == "probe" and rest[1] == ("batch", 305)
-                rest = rest[2:]
-        assert not gates[-1] and 0 < gates.count(False) < len(gates)
-        # one canonical call comes last, at the gated final radius, on the
-        # IK its gate solved: no IK after it
-        (kind, radius), last_batch = rest
-        assert kind == "probe" and res.radius < radius <= res.radius + tol
-        assert last_batch == ("batch", 305)
-        assert len(batches) == 2 + gates.count(True)
+        # also serves l_c; no sector ties, so it is the only probe
+        assert events[:3] == [("ik", 6), ("probe", 0.0), ("batch", 6)]
+        assert sum(e[0] == "probe" for e in events) == 1
+        # the bracket is never probed: the first step solves the sectors of
+        # its midpoint and of both next midpoints, bit for bit the rows of
+        # their full grids
+        hi = upper_radius(DESIGN_III)
+        mid = 0.5 * hi
+        first = np.concatenate([
+            grid_array(WorkspaceSpec(r), DEFAULT_GRID)[sector]
+            for r in (mid, 0.5 * mid, 0.5 * (mid + hi))])
+        assert _same_bytes(grids[2], first)
+        # one canonical call comes last, on rows of an IK a gate solved,
+        # at the gated final radius in (R_w, R_w + tol]
+        steps, final = events[3:-1], events[-1]
+        assert final == ("batch", n)
+        last = grids[-1]
+        assert any(_same_bytes(g[j:j + n], last) for g in grids[2:-1]
+                   for j in range(0, len(g), n))
+        outer = np.hypot(last[:, 0], last[:, 1]).max()
+        assert res.radius < outer <= res.radius + tol + 1e-12
+        # each step: one IK over one to three sectors, then one kernel
+        # call over the sectors whose gate passed, none if every one failed
+        calls, steps = 0, steps + [("ik", None)]
+        for (kind, rows), (after, after_rows) in zip(steps, steps[1:]):
+            if kind == "ik":
+                assert rows in (n, 2 * n, 3 * n)
+                calls += 1
+                gates = passed[calls].reshape(-1, n).all(axis=1)
+                assert gates.any() == (after == "batch")
+                if gates.any():
+                    assert after_rows == n * gates.sum()
+            else:
+                assert after == "ik"
+        # two bisection levels per step: half the one-probe-at-a-time count
+        levels, width = 0, hi
+        while width > tol:
+            levels, width = levels + 1, 0.5 * width
+        assert calls == (levels + 1) // 2
+        assert 0 < sum(kind == "batch" for kind, _ in steps) < calls
+        assert not passed[-1].reshape(-1, n).all(axis=1).all()
+
+
+def _sector_rows(grid):
+    """Row numbers of the sector in the full grid: the center block, then
+    ring directions 0 .. n_angular/3 - 1 of every ring, in grid order."""
+    n_o = grid.n_orientation
+    rows = np.arange(n_o * (1 + grid.n_radial * grid.n_angular))
+    rings = rows[n_o:].reshape(grid.n_radial, grid.n_angular, n_o)
+    return np.concatenate([rows[:n_o],
+                           rings[:, :grid.n_angular // 3].ravel()])
 
 
 def _ungated_search(design, ctx, center, tol=workspace.BISECTION_TOL_DEFAULT,
@@ -350,10 +379,6 @@ def test_reach_gate_matches_ungated_search(ctx):
         assert repr(res.radius) == repr(r_w)
         assert repr(res.limiting_pose) == repr(pose)
         assert repr(res.limiting_report) == repr(report)
-        fresh = constraints_batch(
-            design, grid_array(WorkspaceSpec(r_w, center), DEFAULT_GRID), ctx)
-        for name in fresh.__slots__:
-            assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
         if r_w > 0.0:
             reached += 1
             gated_final += pose is not None and _reach_gate_fails(
@@ -362,11 +387,87 @@ def test_reach_gate_matches_ungated_search(ctx):
     assert reached >= 10 and gated_final >= 2
 
 
+@pytest.mark.parametrize("center, grid, mode, rows", [
+    ((0.0, 0.0, 0.3), DEFAULT_GRID, DEFAULT_MODE, 105),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID, (Branch.MINUS,) * 3, 105),
+    ((0.05, -0.03, 0.2), DEFAULT_GRID, DEFAULT_MODE, 305),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID, (Branch.PLUS, Branch.MINUS, Branch.PLUS),
+     305),
+    ((0.0, 0.0, 0.0), GridSpec(5, 10, 5), DEFAULT_MODE, 255),
+], ids=["sector", "sector-minus", "off-origin", "mixed-mode", "grid-10"])
+def test_search_matches_one_probe_at_a_time(monkeypatch, center, grid, mode,
+                                            rows):
+    # probes score the sector only at x_c = y_c = 0, with one branch for
+    # every leg and n_angular a multiple of 3, and full grids otherwise
+    # (rows per grid), one per IK call; at any lookahead depth, R_w, the
+    # limiting pose and its report equal those of the reference bisection
+    ctx = EvalContext(mode=mode)
+    rng = np.random.default_rng(31)
+    designs = [DESIGN_I, DESIGN_II, DESIGN_III]
+    designs += [sample_design(rng, arch) for arch in Architecture
+                for _ in range(4)]
+    refs = [_ungated_search(design, ctx, center, grid=grid)[:3]
+            for design in designs]
+    sizes, ik = [], performance.ik_batch
+
+    def counted_ik(*args, **kwargs):
+        sizes.append(len(args[1]))
+        return ik(*args, **kwargs)
+
+    monkeypatch.setattr(performance, "ik_batch", counted_ik)
+    for design, ref in zip(designs, refs):
+        for depth in (1, 2, 3):
+            monkeypatch.setattr(workspace, "LOOKAHEAD", depth)
+            res = max_regular_workspace_detail(design, grid, ctx, center=center)
+            assert repr((res.radius, res.limiting_pose, res.limiting_report)) \
+                == repr(ref), (design, depth)
+    reached = sum(r_w > 0.0 for r_w, _, _ in refs)
+    # every IK above radius 0 solves whole grids of that size; sectors
+    # several at once, full grids one at a time whatever the depth
+    probed = [n for n in sizes if n != grid.n_orientation + 1]
+    assert reached >= 3 and probed and all(n % rows == 0 for n in probed)
+    full = grid.n_orientation * (1 + grid.n_radial * grid.n_angular)
+    assert max(probed) == rows if rows == full else max(probed) > rows
+
+
+def test_tied_sector_row_scores_its_full_grid(monkeypatch):
+    # Design I's first reachable probe, with the k_xy limit set to the
+    # least k_xy of its sector: a 120-degree image of that row reads a few
+    # ulps lower, so the sector alone would pass where the full grid
+    # fails.  The tie sends that probe to its full grid, and the search
+    # still equals the reference
+    default = EvalContext()
+    lo, hi = 0.0, upper_radius(DESIGN_I)
+    while _reach_gate_fails(DESIGN_I, default, workspace.CENTER_DEFAULT,
+                            0.5 * (lo + hi)):
+        hi = 0.5 * (lo + hi)
+    radius = 0.5 * (lo + hi)
+    kxy = constraints_batch(DESIGN_I, grid_array(WorkspaceSpec(radius),
+                                                 DEFAULT_GRID), default).kxy
+    limit = kxy[_sector_rows(DEFAULT_GRID)].min()
+    assert kxy.min() < limit
+    ctx = dataclasses.replace(default, limits=dataclasses.replace(
+        default.limits, k_xy=float(limit)))
+    probes, feasible = [], workspace.workspace_feasible
+
+    def counted_feasible(*args, **kwargs):
+        probes.append(args[1].radius)
+        return feasible(*args, **kwargs)
+
+    monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
+    res = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx)
+    assert radius in probes and res.radius < radius
+    r_w, pose, report, _ = _ungated_search(DESIGN_I, ctx,
+                                           workspace.CENTER_DEFAULT)
+    assert repr((res.radius, res.limiting_pose, res.limiting_report)) == \
+        repr((r_w, pose, report))
+
+
 def test_home_row_fold_matches_lc_resolved_first():
     # the search takes l_c from its radius-0 kernel pass; the reference
     # resolves it first with characteristic_length and scores every probe
-    # whole (_ungated_search): l_c, R_w, limiting pose and report and the
-    # scores at R_w must agree bit for bit
+    # whole (_ungated_search): l_c, R_w, limiting pose and report must
+    # agree bit for bit
     rng = np.random.default_rng(23)
     default, even = DEFAULT_GRID, GridSpec(5, 12, 4)
     rotated = (0.05, -0.03, 0.3)
@@ -398,18 +499,13 @@ def test_home_row_fold_matches_lc_resolved_first():
         assert repr(res.radius) == repr(r_w)
         assert repr(res.limiting_pose) == repr(pose)
         assert repr(res.limiting_report) == repr(report)
-        fresh = constraints_batch(
-            design, grid_array(WorkspaceSpec(r_w, center), grid), ctx, l_c=l_c)
-        for name in fresh.__slots__:
-            assert _same_bytes(getattr(res.scores, name), getattr(fresh, name))
-        # the appended home row stays out of the radius-0 scores, which
-        # ppmopt evaluate reads its minima from, and is its home report
+        # the radius-0 block ends in the home row, whose report is the
+        # home report (that the R_w = 0 minima of ppmopt evaluate leave
+        # it out is test_cli's test_workspace_minima_match_full_grid_at_r_w)
         block, *_ = workspace._grid_layout(grid, center,
                                            workspace.DELTA_PHI_DEFAULT)
         assert _same_bytes(block[-1], HOME_POSE.as_array())
-        if r_w == 0.0:
-            assert res.scores.overall.shape == (grid.n_orientation,)
-            appended_at_zero += 1
+        appended_at_zero += r_w == 0.0
         home = constraints_batch(design, HOME_POSE.as_array()[None, :], ctx,
                                  l_c=res.characteristic_length).report(0)
         assert repr(res.home) == repr(home)
