@@ -183,12 +183,6 @@ class BatchIK(NamedTuple):
         m = self.reachable & self.stroke_ok
         return m[0] & m[1] & m[2]
 
-    def rows(self, sel) -> "BatchIK":
-        """The solution of the poses that sel (a slice or index array)
-        selects, field by field."""
-        return BatchIK(self.poses[sel], *(None if a is None else a[..., sel]
-                                          for a in self[1:]))
-
 
 def _platform_anchors(layout: AnchorLayout, poses: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:

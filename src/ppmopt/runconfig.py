@@ -42,11 +42,12 @@ class RunConfig:
     def __post_init__(self):
         # checked here, not in parse_config, so that command-line overrides
         # applied with dataclasses.replace are checked too
-        try:    # WorkspaceSpec owns the center rule
-            WorkspaceSpec(0.0, self.center)
+        try:    # WorkspaceSpec owns the center rule and its float form
+            center = WorkspaceSpec(0.0, self.center).center
         except InvalidValue:
             raise ConfigError("workspace.center",
                               "must be three finite numbers") from None
+        object.__setattr__(self, "center", center)
         for path, ok, rule in (
                 ("workspace.delta_phi_deg", 0.0 < self.delta_phi_deg < math.inf,
                  "a finite angle > 0"),

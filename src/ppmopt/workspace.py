@@ -33,25 +33,26 @@ levels in all; one whose bracket is within tol is left out, so the
 midpoints and the stopping rule are those of a bisection one probe at a
 time.  Full grids are probed one level per call: three of them per call
 cost more than the calls saved.  A grid with a pose that is unreachable
-or past a stroke limit fails every constraint check, so it fails
-without the Jacobian, dexterity and stiffness kernels (the reach gate);
-one constraints_batch call scores the other grids, and none runs if
-every grid is gated.  The final failing grid, if the gate decided it or
-it was never probed, is scored once after the search: on the IK its
-gate solved, or at the bracket if every probe passed.  So the limiting
-pose and report are those of the first failing row of the final failing
-grid, as without the sector, the lookahead or the gate.  The search
-keeps no scores of the grid at R_w; ppmopt evaluate scores that grid
-itself.
+or past a stroke limit fails every constraint check whatever its scores
+(the reach gate).  The gate acts per step: a step whose grids all fail
+it runs no kernel, and any other step scores all its grids in one
+constraints_batch call, the gated ones too.  The final failing grid, if
+the gate decided it, is read off its step's scores; if its step ran no
+kernel, that step's whole IK is scored once after the search, and if
+every probe passed, the bracket is solved and scored then.  So the
+limiting pose and report are those of the first failing row of the
+final failing grid, as without the sector, the lookahead or the gate.
+The search keeps no scores of the grid at R_w; ppmopt evaluate scores
+that grid itself.
 
-The radius-0 probe scores the center block with HOME_POSE appended as
-its last row; the grid's cached layout holds that block.  The home row
-is scored with the block but stays out of the verdict and the limiting
-pose; its report is WorkspaceResult.home, the home block of ppmopt
-evaluate.  performance.home_length, where the l_c policy lives, resolves
-l_c on the block's IK: a fixed length as it is, else a search on the
-home row's kappa_F terms from the block's one kernel pass, to the value
-characteristic_length gives.
+The search scores radius 0 itself: the center block with HOME_POSE
+appended as its last row; the grid's cached layout holds that block.
+The home row is scored with the block but stays out of the verdict and
+the limiting pose; its report is WorkspaceResult.home, the home block
+of ppmopt evaluate.  performance.home_length, where the l_c policy
+lives, resolves l_c on the block's IK: a fixed length as it is, else a
+search on the home row's kappa_F terms from the block's one kernel
+pass, to the value characteristic_length gives.
 """
 
 from __future__ import annotations
@@ -66,13 +67,12 @@ import numpy as np
 
 from . import performance
 from .errors import InvalidValue
-from .kinematics import HOME_POSE, BatchIK, Pose, anchor_layout
+from .kinematics import HOME_POSE, Pose, anchor_layout
 from .model import Architecture, DesignVector, check_counts
 # characteristic_length is unused here but kept: bench/tracing.py hooks
 # workspace.characteristic_length
 from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
-                          EvalContext, Kernels, characteristic_length,
-                          constraints_batch)
+                          EvalContext, characteristic_length, constraints_batch)
 
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
@@ -99,10 +99,10 @@ class WorkspaceSpec:
             raise InvalidValue("radius", "finite and >= 0", self.radius)
         if not 0.0 < self.delta_phi < math.inf:
             raise InvalidValue("delta_phi", "a finite band > 0", self.delta_phi)
-        try:
+        try:    # no bool: the YAML path rejects true / false too
             ok = len(self.center) == 3 and all(
-                isinstance(v, numbers.Real) and math.isfinite(v)
-                for v in self.center)
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v) for v in self.center)
         except TypeError:       # no length
             ok = False
         if not ok:
@@ -184,9 +184,9 @@ def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
 
 
 class Probe(NamedTuple):
-    """Outcome of one cylinder check: the verdict, the first failing pose
-    in grid order and its report (None when feasible), and the scores of
-    every scored row."""
+    """Outcome of one full-grid check (workspace_feasible): the verdict,
+    the first failing pose in grid order and its report (None when
+    feasible), and the scores of every grid row."""
 
     feasible: bool
     pose: Pose | None
@@ -208,23 +208,17 @@ def _first_failure(res: BatchConstraints, points: np.ndarray, rows: slice
 def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
                        grid: GridSpec = DEFAULT_GRID,
                        ctx: EvalContext = DEFAULT_CONTEXT,
-                       l_c: float | None = None,
-                       bik: BatchIK | None = None,
-                       kern: Kernels | None = None) -> Probe:
+                       l_c: float | None = None) -> Probe:
     """Check every grid pose of the cylinder against g1..g6.
 
     The whole grid goes to one constraints_batch call: its rows do not
     depend on their batch, so the first failing row is the same as in a
-    pose-by-pose scan.  bik, when given, is ik_batch of the grid
-    (grid_array(spec, grid)) under ctx.mode, its poses then the grid,
-    and kern, when given, kernel_batch of bik.  At radius 0, bik may
-    also hold rows after the grid (the appended home row): they are
-    scored, and kept in the scores, but enter no verdict or report.
+    pose-by-pose scan.  The search scores its own steps; it calls this
+    only to score a tied sector's full grid.
     """
-    points = grid_array(spec, grid) if bik is None else bik.poses
-    res = constraints_batch(design, points, ctx, l_c=l_c, bik=bik, kern=kern)
-    n = grid.n_orientation if spec.radius == 0.0 else len(points)
-    fail = _first_failure(res, points, slice(0, n))
+    points = grid_array(spec, grid)
+    res = constraints_batch(design, points, ctx, l_c=l_c)
+    fail = _first_failure(res, points, slice(0, len(points)))
     return Probe(fail is None, *(fail or (None, None)), res)
 
 
@@ -267,17 +261,15 @@ def _lookahead(lo: float, hi: float, tol: float,
     return [None if b is None else 0.5 * (b[0] + b[1]) for b in brackets]
 
 
-def _ties(res: BatchConstraints, ctx: EvalContext) -> np.ndarray:
-    """Rows whose 1/kappa_F, k_xy, k_z or k_phiz lies within SECTOR_TIE
-    (relative) of its limit, where a sector row may part from its
-    120-degree images (see the module docstring)."""
+def _tied(res: BatchConstraints, rows: slice, ctx: EvalContext) -> bool:
+    """Whether a row among rows of res has its 1/kappa_F, k_xy, k_z or
+    k_phiz within SECTOR_TIE (relative) of its limit, where a sector row
+    may part from its 120-degree images (see the module docstring)."""
     lim = ctx.limits
-    tie = np.zeros(res.kinv.shape, dtype=bool)
-    for value, limit in ((res.kinv, ctx.dexterity.threshold),
-                         (res.kxy, lim.k_xy), (res.kz, lim.k_z),
-                         (res.kphiz, lim.k_phiz)):
-        tie |= np.abs(value - limit) < SECTOR_TIE * limit
-    return tie
+    return any((np.abs(value[rows] - limit) < SECTOR_TIE * limit).any()
+               for value, limit in ((res.kinv, ctx.dexterity.threshold),
+                                    (res.kxy, lim.k_xy), (res.kz, lim.k_z),
+                                    (res.kphiz, lim.k_phiz)))
 
 
 def max_regular_workspace_detail(design: DesignVector,
@@ -308,30 +300,29 @@ def max_regular_workspace_detail(design: DesignVector,
                                _grid_layout(grid, center, delta_phi)[0],
                                ctx.mode)
     l_c, kern = performance.home_length(design, bik, ctx)
-    at_0 = workspace_feasible(design, spec, grid, ctx, l_c=l_c, bik=bik,
-                              kern=kern)
-    home = at_0.scores.report(-1)
+    res = constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik, kern=kern)
+    home = res.report(-1)
+    # hi's first failing (pose, report), None while gated or unprobed
+    limiting = _first_failure(res, bik.poses, slice(0, grid.n_orientation))
     # the bracket itself always fails (see upper_radius), so it is not
     # probed; a failing radius 0 closes it at once
-    lo, hi = 0.0, upper_radius(design) if at_0.feasible else 0.0
-    # hi's first failing (pose, report), None if gated or unprobed, and
-    # the IK batch its grid was solved in, with that grid's rows
-    limiting, at_hi = None if at_0.feasible else at_0[1:3], None
+    lo, hi = 0.0, upper_radius(design) if limiting is None else 0.0
+    at_hi = None    # the IK, scores (None if unscored) and rows of hi's step
     sector = (center[0] == center[1] == 0.0 and len(set(ctx.mode)) == 1
               and grid.n_angular % 3 == 0)
     n_dir, depth = ((grid.n_angular // 3, LOOKAHEAD) if sector
                     else (grid.n_angular, 1))
     n = grid.n_orientation * (1 + grid.n_radial * n_dir)   # rows per grid
 
-    def decide(radius, res, points, rows, tie):
+    def decide(radius, res, bik, rows):
         """First failure of one scored grid, a tied sector's on its full
         grid."""
-        if tie is not None and tie[rows].any():
+        if sector and _tied(res, rows, ctx):
             probe = workspace_feasible(design, WorkspaceSpec(radius, center,
                                                              delta_phi),
                                        grid, ctx, l_c=l_c)
             return None if probe.feasible else probe[1:3]
-        return _first_failure(res, points, rows)
+        return _first_failure(res, bik.poses, rows)
 
     while hi - lo > tol:
         mids = _lookahead(lo, hi, tol, depth)
@@ -339,30 +330,26 @@ def max_regular_workspace_detail(design: DesignVector,
         bik = performance.ik_batch(
             design, _grids([mids[i] for i in live], grid, center, delta_phi,
                            n_dir), ctx.mode)
-        ok = bik.ok()
-        block = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(live)}
-        scored = [i for i in live if ok[block[i]].all()]
-        rows = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(scored)}
-        if scored:      # one kernel call over the grids the gate passed
-            sub = bik if len(scored) == len(live) else bik.rows(
-                np.r_[tuple(block[i] for i in scored)])
-            res = constraints_batch(design, sub.poses, ctx, l_c=l_c, bik=sub)
-            tie = _ties(res, ctx) if sector else None
+        rows = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(live)}
+        gate = dict(zip(live, bik.ok().reshape(len(live), n).all(axis=1)))
+        # one kernel call over every grid of the step, none if all are gated
+        res = (constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik)
+               if any(gate.values()) else None)
         i = 0     # walk the outcomes down from the step's midpoint
         while i < len(mids) and mids[i] is not None:
-            fail = (decide(mids[i], res, sub.poses, rows[i], tie)
-                    if i in rows else None)
-            if i in rows and fail is None:
+            fail = decide(mids[i], res, bik, rows[i]) if gate[i] else None
+            if gate[i] and fail is None:
                 lo, i = mids[i], 2 * i + 2
-            else:       # failed, or gated with its report still unscored
-                hi, limiting, at_hi = mids[i], fail, (bik, block[i])
+            else:       # failed, or gated with its report still undecided
+                hi, limiting, at_hi = mids[i], fail, (bik, res, rows[i])
                 i = 2 * i + 1
-    if limiting is None:    # score the final failing grid, on its gate's IK if any
-        bik_hi = (at_hi[0].rows(at_hi[1]) if at_hi else performance.ik_batch(
-            design, _grids([hi], grid, center, delta_phi, n_dir), ctx.mode))
-        res = constraints_batch(design, bik_hi.poses, ctx, l_c=l_c, bik=bik_hi)
-        limiting = decide(hi, res, bik_hi.poses, slice(0, n),
-                          _ties(res, ctx) if sector else None)
+    if limiting is None:    # hi was gated, or never probed (solved here)
+        bik, res, rows = at_hi or (performance.ik_batch(
+            design, _grids([hi], grid, center, delta_phi, n_dir), ctx.mode),
+            None, slice(0, n))
+        if res is None:     # its step ran no kernel: score the whole step
+            res = constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik)
+        limiting = decide(hi, res, bik, rows)
     return WorkspaceResult(lo, *limiting, l_c, home)
 
 

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from ppmopt import moga
-from ppmopt.cli import OPTIMIZER_NOTE, main, parse_design
+from ppmopt.cli import OPTIMIZER_NOTE, cmd_optimize, main, parse_design
 from ppmopt.errors import ConfigError
 from ppmopt.kinematics import HOME_POSE
 from ppmopt.model import Architecture
@@ -241,16 +241,29 @@ class TestConfig:
         ("center", (0.0, 0.0, 0.0, 0.0), "workspace.center"),
         ("center", "abc", "workspace.center"),
         ("center", 5, "workspace.center"),
-        ("center", (None, 0.0, 0.0), "workspace.center")],
+        ("center", (None, 0.0, 0.0), "workspace.center"),
+        ("center", (True, 0.0, 0.0), "workspace.center")],
         ids=["threads-negative", "threads-float", "threads-true",
              "center-two", "center-four", "center-string", "center-scalar",
-             "center-none"])
+             "center-none", "center-true"])
     def test_replaced_value_rejected_with_path(self, field, value, path):
         # command-line overrides go through dataclasses.replace, which
         # RunConfig checks by the parser's rules
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(load_config(None), **{field: value})
         assert err.value.path == path
+
+    def test_replaced_center_stored_as_floats(self, tmp_path):
+        # RunConfig stores the center as WorkspaceSpec normalizes it, so a
+        # numpy array reaches run.json as plain floats
+        cfg = dataclasses.replace(load_config(None),
+                                  center=np.array([0, 0, 0]),
+                                  moga=moga.MogaConfig(4, 1, seed=11))
+        assert cfg.center == (0.0, 0.0, 0.0)
+        assert all(type(v) is float for v in cfg.center)
+        assert cmd_optimize(cfg, str(tmp_path)) in (0, 4)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["workspace"]["center"] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("value", ["abc", True])
     def test_characteristic_length_error_names_its_kind(self, value):

@@ -17,6 +17,12 @@ it, at the same phi, is the same pose with the legs relabeled.  Where
 every leg takes the same branch, each grid row and its two images on the
 rings score alike: the same flags, and g3-g6 values equal up to rounding.
 The workspace search's sector probes rely on it.
+
+Raise a limit: a higher dexterity threshold or k_xy / k_z / k_phiz limit
+fails every pose the lower one failed, so every grid that failed still
+fails.  The bisection follows the same midpoints until the first one the
+raised limit fails and the lower passes; from there the raised search
+stays below that midpoint and the other above it.  So R_w never grows.
 """
 
 import dataclasses
@@ -111,3 +117,41 @@ def test_turn_by_120_degrees(arch):
                 scored += int(away.sum())
     print(f"[SYMMETRY {arch.name}] {scored} image pairs compared")
     assert scored >= 200
+
+
+def _raised(ctx: EvalContext, limit: str, level: float) -> EvalContext:
+    """ctx with the dexterity threshold or one stiffness limit at level."""
+    if limit == "threshold":
+        return dataclasses.replace(ctx, dexterity=dataclasses.replace(
+            ctx.dexterity, threshold=level))
+    return dataclasses.replace(ctx, limits=dataclasses.replace(
+        ctx.limits, **{limit: level}))
+
+
+@pytest.mark.parametrize("limit,index", [("threshold", "kinv"), ("k_xy", "kxy"),
+                                         ("k_z", "kz"), ("k_phiz", "kphiz")])
+def test_raising_a_limit_never_grows_the_workspace(limit, index):
+    # the raised levels are quantiles of the index over the grid at R_w,
+    # where every row passes: each is at or above the limit and binds
+    # inside the workspace, not only at its center
+    rng = np.random.default_rng(17)
+    designs = [DESIGN_I, DESIGN_II, DESIGN_III, RRR] + [
+        sample_design(rng, arch)
+        for arch in (Architecture.PRR, Architecture.RRR) for _ in range(3)]
+    ctx, feasible, shrunk = EvalContext(), 0, 0
+    for design in designs:
+        res = max_regular_workspace_detail(design, DEFAULT_GRID, ctx)
+        if res.radius == 0.0:
+            continue
+        feasible += 1
+        values = getattr(constraints_batch(
+            design, grid_array(WorkspaceSpec(res.radius), DEFAULT_GRID), ctx,
+            l_c=res.characteristic_length), index)
+        r_w = res.radius
+        for level in np.quantile(values, (0.02, 0.2, 0.6)):   # rising
+            raised = max_regular_workspace_detail(
+                design, DEFAULT_GRID, _raised(ctx, limit, float(level))).radius
+            assert raised <= r_w, (design, level)
+            shrunk += raised < r_w
+            r_w = raised
+    assert feasible >= 6 and shrunk >= feasible

@@ -119,10 +119,11 @@ class TestWorkspaceSpec:
     @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0),
                                         (math.inf, 0.0, 0.0),
                                         (0.0, 0.0, -math.inf),
-                                        "abc", 5, (None, 0.0, 0.0)])
+                                        "abc", 5, (None, 0.0, 0.0),
+                                        (True, 0.0, 0.0)])
     def test_non_finite_center_rejected(self, center):
-        # a string, a scalar or a None element is no center either: each
-        # names the field, not a bare TypeError
+        # a string, a scalar, a None or a bool element is no center
+        # either: each names the field, not a bare TypeError
         with pytest.raises(InvalidValue, match="center") as exc:
             WorkspaceSpec(0.1, center=center)
         assert exc.value.field == "center"
@@ -235,10 +236,10 @@ class TestWorkspaceFeasible:
 
     def test_one_ik_per_probe(self, ctx, monkeypatch):
         # Design III's final failing radius is decided by the reach gate;
-        # its l_c comes from the radius-0 probe's IK, so no home IK shows.
-        # Above radius 0 every step probes sectors: one IK over the sectors
-        # of its midpoint and of both next midpoints, then at most one
-        # kernel call over those the gate passed
+        # its l_c comes from the radius-0 IK, so no home IK shows.  Above
+        # radius 0 every step probes sectors: one IK over the sectors of
+        # its midpoint and of both next midpoints, then one kernel call
+        # over all of that IK's rows if any sector passes its gate
         events, grids, passed = [], [], []
         feasible, batch, ik = (workspace.workspace_feasible,
                                workspace.constraints_batch,
@@ -269,10 +270,10 @@ class TestWorkspaceFeasible:
         sector = _sector_rows(DEFAULT_GRID)
         n = len(sector)
         assert n == 105
-        # the ungated radius-0 probe's IK comes before its kernel call and
-        # also serves l_c; no sector ties, so it is the only probe
-        assert events[:3] == [("ik", 6), ("probe", 0.0), ("batch", 6)]
-        assert sum(e[0] == "probe" for e in events) == 1
+        # the search scores the ungated radius-0 IK itself, which also
+        # serves l_c; no sector ties, so workspace_feasible is never called
+        assert events[:2] == [("ik", 6), ("batch", 6)]
+        assert not any(kind == "probe" for kind, _ in events)
         # the bracket is never probed: the first step solves the sectors of
         # its midpoint and of both next midpoints, bit for bit the rows of
         # their full grids
@@ -282,34 +283,34 @@ class TestWorkspaceFeasible:
             grid_array(WorkspaceSpec(r), DEFAULT_GRID)[sector]
             for r in (mid, 0.5 * mid, 0.5 * (mid + hi))])
         assert _same_bytes(grids[2], first)
-        # one canonical call comes last, on rows of an IK a gate solved,
-        # at the gated final radius in (R_w, R_w + tol]
-        steps, final = events[3:-1], events[-1]
-        assert final == ("batch", n)
-        last = grids[-1]
-        assert any(_same_bytes(g[j:j + n], last) for g in grids[2:-1]
-                   for j in range(0, len(g), n))
-        outer = np.hypot(last[:, 0], last[:, 1]).max()
-        assert res.radius < outer <= res.radius + tol + 1e-12
-        # each step: one IK over one to three sectors, then one kernel
-        # call over the sectors whose gate passed, none if every one failed
-        calls, steps = 0, steps + [("ik", None)]
-        for (kind, rows), (after, after_rows) in zip(steps, steps[1:]):
-            if kind == "ik":
-                assert rows in (n, 2 * n, 3 * n)
-                calls += 1
-                gates = passed[calls].reshape(-1, n).all(axis=1)
-                assert gates.any() == (after == "batch")
-                if gates.any():
-                    assert after_rows == n * gates.sum()
+        # each step: one IK over one to three sectors, then one kernel call
+        # over all of its rows if any sector's gate passed, none otherwise
+        k, kinds, gated = 2, [], []
+        while k < len(events) and events[k][0] == "ik":
+            rows = events[k][1]
+            gates = passed[len(kinds) + 1].reshape(-1, n).all(axis=1)
+            assert rows in (n, 2 * n, 3 * n)
+            if gates.any():
+                assert events[k + 1] == ("batch", rows)
+                assert _same_bytes(grids[k + 1], grids[k])
+                kinds.append("all passed" if gates.all() else "mixed")
             else:
-                assert after == "ik"
+                kinds.append("all gated")
+                gated.append(grids[k])
+            k += 1 + gates.any()
+        # one final call comes last: the whole IK of an all-gated step,
+        # whose sectors hold the gated final radius in (R_w, R_w + tol]
+        assert events[k:] == [("batch", len(grids[-1]))]
+        assert any(_same_bytes(g, grids[-1]) for g in gated)
+        outer = [np.hypot(*grids[-1][j:j + n, :2].T).max()
+                 for j in range(0, len(grids[-1]), n)]
+        assert any(res.radius < r <= res.radius + tol + 1e-12 for r in outer)
         # two bisection levels per step: half the one-probe-at-a-time count
         levels, width = 0, hi
         while width > tol:
             levels, width = levels + 1, 0.5 * width
-        assert calls == (levels + 1) // 2
-        assert 0 < sum(kind == "batch" for kind, _ in steps) < calls
+        assert len(kinds) == (levels + 1) // 2
+        assert "mixed" in kinds and "all gated" in kinds
         assert not passed[-1].reshape(-1, n).all(axis=1).all()
 
 
