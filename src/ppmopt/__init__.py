@@ -19,8 +19,8 @@ from .performance import (AccuracySpec, ConstraintReport, DexterityConfig,
                           evaluate_constraints, inverse_condition)
 from .runconfig import RunConfig, default_config_yaml, load_config, parse_config
 from .stiffness import beam_compliance, platform_stiffness
-from .workspace import (GridSpec, WorkspaceSpec, max_regular_workspace,
-                        max_regular_workspace_detail, workspace_feasible)
+from .workspace import (GridSpec, WorkspaceSpec, max_regular_workspace_detail,
+                        workspace_feasible)
 
 __version__ = "0.1.0"
 

@@ -332,10 +332,6 @@ class BatchConstraints:
         return ConstraintReport(*[getattr(self, n).item(idx)
                                   for n in self.__slots__])
 
-    def rows(self, sel) -> "BatchConstraints":
-        """The outcome of the rows that sel selects, field by field."""
-        return BatchConstraints(*[getattr(self, n)[sel] for n in self.__slots__])
-
 
 def geometry_ok(design: DesignVector) -> bool:
     """g1: the platform bar plus link must span half the base radius."""

@@ -34,14 +34,13 @@ midpoints and the stopping rule are those of a bisection one probe at a
 time.  Full grids are probed one level per call: three of them per call
 cost more than the calls saved.  A grid with a pose that is unreachable
 or past a stroke limit fails every constraint check whatever its scores
-(the reach gate).  The gate acts per step: a step whose grids all fail
-it runs no kernel, and any other step scores all its grids in one
-constraints_batch call, the gated ones too.  The final failing grid, if
-the gate decided it, is read off its step's scores; if its step ran no
-kernel, that step's whole IK is scored once after the search, and if
-every probe passed, the bracket is solved and scored then.  So the
-limiting pose and report are those of the first failing row of the
-final failing grid, as without the sector, the lookahead or the gate.
+(the reach gate).  The gate decides only whether a step runs a kernel:
+one constraints_batch call over all its grids if any grid passes it,
+none otherwise.  Each grid of a scored step is decided by its first
+failing row; every grid an unscored step visits fails.  A final failing
+grid without scores (its step ran no kernel, or the bracket was never
+probed) is scored alone after the search, so the limiting pose and
+report are always the first failing row of the final failing grid.
 The search keeps no scores of the grid at R_w; ppmopt evaluate scores
 that grid itself.
 
@@ -185,13 +184,12 @@ def grid_array(spec: WorkspaceSpec, grid: GridSpec) -> np.ndarray:
 
 class Probe(NamedTuple):
     """Outcome of one full-grid check (workspace_feasible): the verdict,
-    the first failing pose in grid order and its report (None when
-    feasible), and the scores of every grid row."""
+    and the first failing pose in grid order and its report (None when
+    feasible)."""
 
     feasible: bool
     pose: Pose | None
     report: ConstraintReport | None
-    scores: BatchConstraints
 
 
 def _first_failure(res: BatchConstraints, points: np.ndarray, rows: slice
@@ -219,7 +217,7 @@ def workspace_feasible(design: DesignVector, spec: WorkspaceSpec,
     points = grid_array(spec, grid)
     res = constraints_batch(design, points, ctx, l_c=l_c)
     fail = _first_failure(res, points, slice(0, len(points)))
-    return Probe(fail is None, *(fail or (None, None)), res)
+    return Probe(fail is None, *(fail or (None, None)))
 
 
 def upper_radius(design: DesignVector) -> float:
@@ -302,27 +300,26 @@ def max_regular_workspace_detail(design: DesignVector,
     l_c, kern = performance.home_length(design, bik, ctx)
     res = constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik, kern=kern)
     home = res.report(-1)
-    # hi's first failing (pose, report), None while gated or unprobed
+    # hi's first failing (pose, report), None while unscored or unprobed
     limiting = _first_failure(res, bik.poses, slice(0, grid.n_orientation))
     # the bracket itself always fails (see upper_radius), so it is not
     # probed; a failing radius 0 closes it at once
     lo, hi = 0.0, upper_radius(design) if limiting is None else 0.0
-    at_hi = None    # the IK, scores (None if unscored) and rows of hi's step
     sector = (center[0] == center[1] == 0.0 and len(set(ctx.mode)) == 1
               and grid.n_angular % 3 == 0)
     n_dir, depth = ((grid.n_angular // 3, LOOKAHEAD) if sector
                     else (grid.n_angular, 1))
     n = grid.n_orientation * (1 + grid.n_radial * n_dir)   # rows per grid
 
-    def decide(radius, res, bik, rows):
+    def decide(radius, res, points, rows):
         """First failure of one scored grid, a tied sector's on its full
         grid."""
         if sector and _tied(res, rows, ctx):
             probe = workspace_feasible(design, WorkspaceSpec(radius, center,
                                                              delta_phi),
                                        grid, ctx, l_c=l_c)
-            return None if probe.feasible else probe[1:3]
-        return _first_failure(res, bik.poses, rows)
+            return None if probe.feasible else probe[1:]
+        return _first_failure(res, points, rows)
 
     while hi - lo > tol:
         mids = _lookahead(lo, hi, tol, depth)
@@ -331,30 +328,21 @@ def max_regular_workspace_detail(design: DesignVector,
             design, _grids([mids[i] for i in live], grid, center, delta_phi,
                            n_dir), ctx.mode)
         rows = {i: slice(j * n, (j + 1) * n) for j, i in enumerate(live)}
-        gate = dict(zip(live, bik.ok().reshape(len(live), n).all(axis=1)))
-        # one kernel call over every grid of the step, none if all are gated
+        # the reach gate: one kernel call over every grid of the step if
+        # any grid has every row usable, none otherwise
         res = (constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik)
-               if any(gate.values()) else None)
+               if bik.ok().reshape(len(live), n).all(axis=1).any() else None)
         i = 0     # walk the outcomes down from the step's midpoint
         while i < len(mids) and mids[i] is not None:
-            fail = decide(mids[i], res, bik, rows[i]) if gate[i] else None
-            if gate[i] and fail is None:
+            # every grid of an unscored step fails, with no report yet
+            fail = (() if res is None
+                    else decide(mids[i], res, bik.poses, rows[i]))
+            if fail is None:
                 lo, i = mids[i], 2 * i + 2
-            else:       # failed, or gated with its report still undecided
-                hi, limiting, at_hi = mids[i], fail, (bik, res, rows[i])
-                i = 2 * i + 1
-    if limiting is None:    # hi was gated, or never probed (solved here)
-        bik, res, rows = at_hi or (performance.ik_batch(
-            design, _grids([hi], grid, center, delta_phi, n_dir), ctx.mode),
-            None, slice(0, n))
-        if res is None:     # its step ran no kernel: score the whole step
-            res = constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik)
-        limiting = decide(hi, res, bik, rows)
+            else:
+                hi, limiting, i = mids[i], fail or None, 2 * i + 1
+    if limiting is None:    # hi's grid has no scores: score it alone
+        points = _grids([hi], grid, center, delta_phi, n_dir)
+        limiting = decide(hi, constraints_batch(design, points, ctx, l_c=l_c),
+                          points, slice(0, n))
     return WorkspaceResult(lo, *limiting, l_c, home)
-
-
-def max_regular_workspace(design: DesignVector, grid: GridSpec = DEFAULT_GRID,
-                          ctx: EvalContext = DEFAULT_CONTEXT,
-                          tol: float = BISECTION_TOL_DEFAULT) -> float:
-    """Largest regular-workspace radius of a design [m] (0 if infeasible)."""
-    return max_regular_workspace_detail(design, grid, ctx, tol).radius

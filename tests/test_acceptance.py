@@ -28,7 +28,7 @@ from ppmopt.model import Architecture, DEFAULT_MATERIAL, mass
 from ppmopt.moga import (MogaConfig, dominates, evolve, pareto_filter,
                          per_architecture_fronts)
 from ppmopt.stiffness import beam_compliance
-from ppmopt.workspace import max_regular_workspace
+from ppmopt.workspace import max_regular_workspace_detail
 from screw_oracle import leg_model, leg_models_batch
 from test_moga import _fake_eval
 
@@ -201,7 +201,7 @@ def test_06_ik_round_trip_from_offset():
 
 def test_07_workspace_radius_bracket(ctx):
     t0 = time.perf_counter()
-    radius = max_regular_workspace(DESIGN_I, ctx=ctx)
+    radius = max_regular_workspace_detail(DESIGN_I, ctx=ctx).radius
     elapsed = time.perf_counter() - t0
     ok = 0.07 <= radius <= 0.15 and elapsed <= 30.0
     _criterion(7, ok, f"Design I max regular workspace {radius:.4f} m "

@@ -23,6 +23,11 @@ fails every pose the lower one failed, so every grid that failed still
 fails.  The bisection follows the same midpoints until the first one the
 raised limit fails and the lower passes; from there the raised search
 stays below that midpoint and the other above it.  So R_w never grows.
+
+Refine the angular grid: ring direction j of n_angular is direction 2j of
+2 n_angular, bit for bit, so each doubled grid holds every pose of the
+one before and fails wherever it failed.  By the same argument R_w never
+grows with n_angular.
 """
 
 import dataclasses
@@ -34,7 +39,7 @@ from conftest import DESIGN_I, DESIGN_II, DESIGN_III, sample_design
 from ppmopt.kinematics import Branch
 from ppmopt.model import ActuatorStiffness, Architecture, DesignVector, mass
 from ppmopt.performance import EvalContext, constraints_batch
-from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID,
+from ppmopt.workspace import (BISECTION_TOL_DEFAULT, DEFAULT_GRID, GridSpec,
                               WorkspaceSpec, grid_array,
                               max_regular_workspace_detail)
 
@@ -155,3 +160,28 @@ def test_raising_a_limit_never_grows_the_workspace(limit, index):
             shrunk += raised < r_w
             r_w = raised
     assert feasible >= 6 and shrunk >= feasible
+
+
+def test_refining_the_angular_grid_never_grows_the_workspace():
+    # the convergence table: R_w against n_angular (12, 24, 48, 96), the
+    # other GridSpec fields at their defaults; every count is a multiple
+    # of 3, so every search runs on sectors
+    rng = np.random.default_rng(6)
+    sampled = []
+    for arch in (Architecture.PRR, Architecture.RRR):    # the first with R_w > 0
+        design = sample_design(rng, arch)
+        while max_regular_workspace_detail(design).radius == 0.0:
+            design = sample_design(rng, arch)
+        sampled.append(design)
+    counts = (12, 24, 48, 96)
+    names = ("Design I", "Design II", "Design III", "PRR seed 6", "RRR seed 6")
+    shrunk = 0
+    print(f"\n[R_w convergence] n_angular {counts}")
+    for name, design in zip(names, [DESIGN_I, DESIGN_II, DESIGN_III, *sampled]):
+        radii = [max_regular_workspace_detail(design, GridSpec(n_angular=n)).radius
+                 for n in counts]
+        print(f"  {name:<11}" + "".join(f" {r:.4f}" for r in radii))
+        assert radii[0] > 0.0
+        assert all(b <= a for a, b in zip(radii, radii[1:])), (name, radii)
+        shrunk += radii[-1] < radii[0]
+    assert shrunk >= 2

@@ -14,7 +14,6 @@ from ppmopt.performance import (DexterityConfig, EvalContext,
                                 characteristic_length, constraints_batch)
 from ppmopt.runconfig import load_config
 from ppmopt.workspace import (DEFAULT_GRID, GridSpec, WorkspaceSpec, grid_array,
-                              max_regular_workspace,
                               max_regular_workspace_detail, upper_radius,
                               workspace_feasible)
 
@@ -185,13 +184,13 @@ class TestGridSpec:
 
 class TestWorkspaceFeasible:
     def test_degenerate_cylinder_feasible(self, ctx):
-        ok, pose, report, _ = workspace_feasible(DESIGN_I, WorkspaceSpec(0.0),
-                                                 DEFAULT_GRID, ctx)
+        ok, pose, report = workspace_feasible(DESIGN_I, WorkspaceSpec(0.0),
+                                              DEFAULT_GRID, ctx)
         assert ok and pose is None and report is None
 
     def test_oversized_cylinder_infeasible(self, ctx):
-        ok, pose, report, _ = workspace_feasible(DESIGN_I, WorkspaceSpec(2.0),
-                                                 DEFAULT_GRID, ctx)
+        ok, pose, report = workspace_feasible(DESIGN_I, WorkspaceSpec(2.0),
+                                              DEFAULT_GRID, ctx)
         assert not ok
         assert pose is not None and report is not None
         assert not report.overall
@@ -215,8 +214,8 @@ class TestWorkspaceFeasible:
         bad = [i for i, r in enumerate(rows) if not r.overall]
         outer = len(points) - DEFAULT_GRID.n_angular * DEFAULT_GRID.n_orientation
         assert bad and min(bad) >= outer
-        ok, pose, report, _ = workspace_feasible(DESIGN_I, spec, DEFAULT_GRID,
-                                                 ctx, l_c=l_c)
+        ok, pose, report = workspace_feasible(DESIGN_I, spec, DEFAULT_GRID,
+                                              ctx, l_c=l_c)
         assert not ok
         assert pose == Pose(*points[bad[0]])
         assert report == rows[bad[0]]
@@ -228,18 +227,21 @@ class TestWorkspaceFeasible:
         for row in grid_array(WorkspaceSpec(0.3, center), DEFAULT_GRID):
             assert _same_bytes(Pose(*row).as_array(), row)
         spec = WorkspaceSpec(2.0, center)
-        ok, pose, _, scores = workspace_feasible(DESIGN_II, spec, DEFAULT_GRID, ctx)
-        first = grid_array(spec, DEFAULT_GRID)[np.flatnonzero(~scores.overall)[0]]
+        points = grid_array(spec, DEFAULT_GRID)
+        ok, pose, _ = workspace_feasible(DESIGN_II, spec, DEFAULT_GRID, ctx)
+        scores = constraints_batch(DESIGN_II, points, ctx)
+        first = points[np.flatnonzero(~scores.overall)[0]]
         assert not ok
         assert math.atan2(math.sin(first[2]), math.cos(first[2])) != first[2]
         assert _same_bytes(pose.as_array(), first)
 
     def test_one_ik_per_probe(self, ctx, monkeypatch):
-        # Design III's final failing radius is decided by the reach gate;
-        # its l_c comes from the radius-0 IK, so no home IK shows.  Above
-        # radius 0 every step probes sectors: one IK over the sectors of
-        # its midpoint and of both next midpoints, then one kernel call
-        # over all of that IK's rows if any sector passes its gate
+        # Design III's final failing radius is decided by the reach gate in
+        # a step that runs no kernel; its l_c comes from the radius-0 IK, so
+        # no home IK shows.  Above radius 0 every step probes sectors: one
+        # IK over the sectors of its midpoint and of both next midpoints,
+        # then one kernel call over all of that IK's rows if any sector
+        # passes its gate
         events, grids, passed = [], [], []
         feasible, batch, ik = (workspace.workspace_feasible,
                                workspace.constraints_batch,
@@ -296,22 +298,23 @@ class TestWorkspaceFeasible:
                 kinds.append("all passed" if gates.all() else "mixed")
             else:
                 kinds.append("all gated")
-                gated.append(grids[k])
+                gated += [grids[k][j:j + n] for j in range(0, rows, n)]
             k += 1 + gates.any()
-        # one final call comes last: the whole IK of an all-gated step,
-        # whose sectors hold the gated final radius in (R_w, R_w + tol]
-        assert events[k:] == [("batch", len(grids[-1]))]
+        # the final failing sector has no scores, so the last calls score
+        # it alone, once: one of a gated step's sectors, bit for bit, whose
+        # outer ring lies in (R_w, R_w + tol]
+        assert events[k:] == [("batch", n), ("ik", n)]
+        assert _same_bytes(grids[-2], grids[-1])
         assert any(_same_bytes(g, grids[-1]) for g in gated)
-        outer = [np.hypot(*grids[-1][j:j + n, :2].T).max()
-                 for j in range(0, len(grids[-1]), n)]
-        assert any(res.radius < r <= res.radius + tol + 1e-12 for r in outer)
+        outer = np.hypot(*grids[-1][:, :2].T).max()
+        assert res.radius < outer <= res.radius + tol + 1e-12
+        assert not passed[-1].all()
         # two bisection levels per step: half the one-probe-at-a-time count
         levels, width = 0, hi
         while width > tol:
             levels, width = levels + 1, 0.5 * width
         assert len(kinds) == (levels + 1) // 2
         assert "mixed" in kinds and "all gated" in kinds
-        assert not passed[-1].reshape(-1, n).all(axis=1).all()
 
 
 def _sector_rows(grid):
@@ -464,6 +467,55 @@ def test_tied_sector_row_scores_its_full_grid(monkeypatch):
         repr((r_w, pose, report))
 
 
+def test_tied_gated_sector_of_a_mixed_step_scores_its_full_grid(monkeypatch):
+    # Design III's second step solves three sectors: its midpoint's fails
+    # the reach gate and another passes, so the step runs its kernel and
+    # the walk decides the gated midpoint through the tie test too.  With
+    # the k_xy limit set to the least k_xy of that sector's usable rows,
+    # its center block among them, radius 0 still passes and the first
+    # step, all gated, runs no kernel; the tie then sends the midpoint to
+    # its full grid, and the search still equals the reference
+    n = len(_sector_rows(DEFAULT_GRID))
+    radii, iks, probes = [], [], []
+    grids, ik, feasible = (workspace._grids, performance.ik_batch,
+                           workspace.workspace_feasible)
+
+    def counted_grids(mids, *args):
+        radii.append(list(mids))
+        return grids(mids, *args)
+
+    def counted_ik(*args, **kwargs):
+        iks.append(ik(*args, **kwargs))
+        return iks[-1]
+
+    def counted_feasible(*args, **kwargs):
+        probes.append(args[1].radius)
+        return feasible(*args, **kwargs)
+
+    monkeypatch.setattr(workspace, "_grids", counted_grids)
+    monkeypatch.setattr(performance, "ik_batch", counted_ik)
+    monkeypatch.setattr(workspace, "workspace_feasible", counted_feasible)
+    default = EvalContext()
+    max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, default)
+    assert not probes
+    assert not iks[1].ok().reshape(-1, n).all(axis=1).any()  # all gated
+    step, mid = iks[2], radii[1][0]
+    gates = step.ok().reshape(-1, n).all(axis=1)
+    assert len(gates) == 3 and not gates[0] and gates.any()
+    usable = step.ok()[:n]
+    assert usable[:DEFAULT_GRID.n_orientation].all()
+    kxy = constraints_batch(DESIGN_III, step.poses[:n], default).kxy
+    ctx = dataclasses.replace(default, limits=dataclasses.replace(
+        default.limits, k_xy=float(kxy[usable].min())))
+    radii.clear()
+    res = max_regular_workspace_detail(DESIGN_III, DEFAULT_GRID, ctx)
+    assert radii[1][0] == mid and probes[0] == mid
+    r_w, pose, report, _ = _ungated_search(DESIGN_III, ctx,
+                                           workspace.CENTER_DEFAULT)
+    assert repr((res.radius, res.limiting_pose, res.limiting_report)) == \
+        repr((r_w, pose, report))
+
+
 def test_home_row_fold_matches_lc_resolved_first():
     # the search takes l_c from its radius-0 kernel pass; the reference
     # resolves it first with characteristic_length and scores every probe
@@ -518,12 +570,13 @@ def test_home_row_fold_matches_lc_resolved_first():
 class TestMaxRegularWorkspace:
     def test_needle_design_has_no_workspace(self, ctx):
         needle = dataclasses.replace(DESIGN_I, leg_section_radius=1e-4)
-        assert max_regular_workspace(needle, DEFAULT_GRID, ctx) == 0.0
+        assert max_regular_workspace_detail(needle, DEFAULT_GRID,
+                                            ctx).radius == 0.0
 
     def test_design_i_radius_value(self, ctx):
         # honest value under this artifact's defaults; the dexterity cliff
         # sits just inside the serial-singularity reach boundary
-        radius = max_regular_workspace(DESIGN_I, DEFAULT_GRID, ctx)
+        radius = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx).radius
         assert radius == pytest.approx(0.226, abs=0.01)
 
     def test_bisection_bracket_property(self, ctx):
@@ -538,18 +591,22 @@ class TestMaxRegularWorkspace:
         assert not res.limiting_report.overall
 
     def test_finer_grid_never_larger(self, ctx):
-        coarse = max_regular_workspace(DESIGN_I, GridSpec(3, 8, 3), ctx)
-        fine = max_regular_workspace(DESIGN_I, GridSpec(6, 16, 6), ctx)
+        coarse = max_regular_workspace_detail(DESIGN_I, GridSpec(3, 8, 3),
+                                              ctx).radius
+        fine = max_regular_workspace_detail(DESIGN_I, GridSpec(6, 16, 6),
+                                            ctx).radius
         assert fine <= coarse + 1e-9
 
     def test_lower_dexterity_threshold_never_smaller(self, ctx):
         loose = EvalContext(dexterity=DexterityConfig(threshold=0.05))
-        r_loose = max_regular_workspace(DESIGN_I, DEFAULT_GRID, loose)
-        r_tight = max_regular_workspace(DESIGN_I, DEFAULT_GRID, ctx)
+        r_loose = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID,
+                                               loose).radius
+        r_tight = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID,
+                                               ctx).radius
         assert r_loose >= r_tight - 1e-9
 
     def test_result_stable_under_grid_rotation(self, ctx):
-        base = max_regular_workspace(DESIGN_I, DEFAULT_GRID, ctx)
+        base = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx).radius
 
         def rotated(phase):
             return _ungated_search(DESIGN_I, ctx, workspace.CENTER_DEFAULT,
