@@ -93,18 +93,14 @@ def encode(design: DesignVector, bounds: Bounds = DEFAULT_BOUNDS) -> np.ndarray:
     lattice index v Gray-coded as v ^ v >> 1; _decode_key reads it back.
     A value outside the box takes the nearest end's index; a NaN has none
     and raises InvalidValue."""
-    values = design.as_tuple()[1:]
-    for name, v in zip(SHORT_NAMES, values):
+    bits = int(design.architecture) - 1
+    for name, v, lo, hi in zip(SHORT_NAMES, design.as_tuple()[1:],
+                               bounds.lower, bounds.upper):
         if math.isnan(v):
             raise InvalidValue(name, "a number", v)
-    lo = np.asarray(bounds.lower)
-    hi = np.asarray(bounds.upper)
-    x = np.array(values)
-    frac = np.where(hi > lo, (x - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
-    idx = np.clip(np.rint(frac * GENE_MAX), 0, GENE_MAX).astype(np.int64)
-    bits = int(design.architecture) - 1
-    for v in idx.tolist():
-        bits = bits << GENE_BITS | (v ^ v >> 1) & GENE_MAX
+        i = (round(min(max((v - lo) / (hi - lo) * GENE_MAX, 0.0), GENE_MAX))
+             if hi > lo else 0)
+        bits = bits << GENE_BITS | i ^ i >> 1
     return _unpack((bits << _KEY_PAD).to_bytes((N_BITS + _KEY_PAD) // 8, "big"))
 
 
@@ -381,7 +377,8 @@ def _directional_crossover(tour: _Tournament, bounds: Bounds,
     The sign of each step is +1 when the primary parent beats the
     reference (step away from the worse design) and -1 otherwise; step
     lengths are uniform in [0, 1).  Architecture is inherited from the
-    primary parent; the result is clipped to the box and re-encoded.
+    primary parent; encode gives a value outside the box its nearest
+    end's index.
     """
     i0, i1, i2 = tour.pick(), tour.pick(), tour.pick()
     x0 = np.array(tour.pool[i0].design.as_tuple()[1:])
@@ -391,7 +388,6 @@ def _directional_crossover(tour: _Tournament, bounds: Bounds,
     s2 = 1.0 if tour._better(i0, i2) == i0 else -1.0
     t1, t2 = rng.random(2)
     child = x0 + 0.5 * t1 * s1 * (x0 - x1) + 0.5 * t2 * s2 * (x0 - x2)
-    child = np.clip(child, bounds.lower, bounds.upper)
     return encode(DesignVector(tour.pool[i0].design.architecture, *child), bounds)
 
 

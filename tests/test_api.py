@@ -52,6 +52,30 @@ def test_oracles_import_no_private_name():
             assert not any(p.startswith("_") for p in parts), (path.name, module, name)
 
 
+#: imported but never read: bench/tracing.py hooks them in these modules
+TRACER_ONLY_IMPORTS = {("stiffness", "ik_batch"),
+                       ("workspace", "characteristic_length")}
+
+
+def test_every_import_is_read():
+    # the package's own imports are read through __all__; the allowlist
+    # must name exactly the unread ones, so it cannot go stale
+    unread = set()
+    for path in sorted((ROOT / "src" / "ppmopt").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read |= set(ppmopt.__all__)
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread == TRACER_ONLY_IMPORTS
+
+
 def test_error_classes_pinned():
     # adding or removing an error class must show up here
     assert sorted(name for name in ppmopt.__all__

@@ -64,18 +64,30 @@ def _encode_bits(design, bounds):
                            bits(idx ^ (idx >> 1), 16).reshape(-1)])
 
 
+# lo == hi on three sides of the last box
+CODEC_BOUNDS = (DEFAULT_BOUNDS, WIDE_BOUNDS,
+                Bounds(lower=(1.0, 0.5, 0.7, 0.05, 0.0),
+                       upper=(1.0, 4.0, 0.7, 0.1, 0.0)))
+
+
 class TestGenomeCodec:
     def test_encode_matches_bit_array_reference(self):
         rng = np.random.default_rng(29)
-        flat = Bounds(lower=(1.0, 0.5, 0.7, 0.05, 0.0),
-                      upper=(1.0, 4.0, 0.7, 0.1, 0.0))   # lo == hi on three
-        for bounds in (DEFAULT_BOUNDS, WIDE_BOUNDS, flat):
+        for bounds in CODEC_BOUNDS:
             lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
             span = np.where(hi > lo, hi - lo, 1.0)
             for i in range(3400):
-                # in the box, out of it on either side, on its corners, NaN
-                x = lo + (rng.integers(0, 2, 5) * (hi - lo) if i % 5 == 0
-                          else rng.uniform(-0.25, 1.25, 5) * span)
+                # in the box, out of it on either side, on its corners, on
+                # half lattice steps (round half to even), +-inf, NaN
+                if i % 5 == 0:
+                    x = lo + rng.integers(0, 2, 5) * (hi - lo)
+                elif i % 5 == 1:
+                    k = rng.integers(-2, GENE_MAX + 2, 5)
+                    x = lo + (k + 0.5) / GENE_MAX * (hi - lo)
+                else:
+                    x = lo + rng.uniform(-0.25, 1.25, 5) * span
+                if i % 7 == 3:
+                    x[i % 5] = rng.choice([np.inf, -np.inf])
                 if i % 11 == 0:
                     x[i % 5] = np.nan
                 d = DesignVector(Architecture(i % 3 + 1), *x)
@@ -89,6 +101,21 @@ class TestGenomeCodec:
                 assert np.array_equal(got, ref), (d, bounds)
         with pytest.raises(InvalidValue, match="R must be a number"):
             encode(DesignVector(Architecture.PRR, np.nan, 1.0, 1.0, 0.05, 0.05))
+
+    def test_out_of_box_values_encode_as_their_clip(self):
+        # the directional crossover hands encode its children unclipped
+        rng = np.random.default_rng(31)
+        for bounds in CODEC_BOUNDS:
+            lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
+            span = np.where(hi > lo, hi - lo, 1.0)
+            for i in range(600):
+                x = lo + rng.uniform(-2.0, 3.0, 5) * span
+                if i % 4 == 0:
+                    x[i % 5] = rng.choice([np.inf, -np.inf])
+                arch = Architecture(i % 3 + 1)
+                clipped = DesignVector(arch, *np.clip(x, lo, hi))
+                assert np.array_equal(encode(DesignVector(arch, *x), bounds),
+                                      encode(clipped, bounds)), (x, bounds)
 
     def test_round_trip_within_quantization(self):
         rng = np.random.default_rng(3)
