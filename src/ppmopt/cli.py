@@ -209,6 +209,12 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         "doe": DOE_NOTE,
         "optimizer": OPTIMIZER_NOTE,
         "working_mode": [b.name for b in cfg.ctx.mode],
+        # the resolved physics; the limits are what wrench and accuracy give
+        "bounds": dataclasses.asdict(cfg.bounds),
+        "material": dataclasses.asdict(cfg.ctx.material),
+        "actuator": dataclasses.asdict(cfg.ctx.actuator),
+        "stiffness_thresholds": dataclasses.asdict(cfg.ctx.limits),
+        "dexterity": dataclasses.asdict(cfg.ctx.dexterity),
         "workspace": {
             "center": list(cfg.center),
             "delta_phi_deg": cfg.delta_phi_deg,

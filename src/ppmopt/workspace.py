@@ -27,14 +27,16 @@ and g2) are thresholds on IK values too, and a pose within rounding of
 one could part from its image, which would move R_w by one bisection
 step.  No checked design or config showed one.
 
-Lookahead.  On sectors, each step solves, in one ik_batch call, the
-grids of its midpoint and of the midpoints it may bisect next, LOOKAHEAD
-levels in all; one whose bracket is within tol is left out, so the
-midpoints and the stopping rule are those of a bisection one probe at a
-time.  Full grids are probed one level per call: three of them per call
-cost more than the calls saved.  A grid with a pose that is unreachable
-or past a stroke limit fails every constraint check whatever its scores
-(the reach gate).  The gate decides only whether a step runs a kernel:
+Two levels per step.  On sectors, each step solves, in one ik_batch
+call, the grids of its midpoint and of the two midpoints it may bisect
+next, one per outcome; one whose own bracket is within tol is left out,
+so the midpoints and the stopping rule are those of a bisection one
+probe at a time.  Full grids are probed one level per call: three of
+them per call cost more than the calls saved.  The bisection also ends
+once its bracket cannot be split in floating point: a midpoint that
+rounds onto lo or hi repeats that end's verdict.  A grid with a pose
+that is unreachable or past a stroke limit fails every constraint check
+whatever its scores (the reach gate).  The gate decides only whether a step runs a kernel:
 one constraints_batch call over all its grids if any grid passes it,
 none otherwise.  Each grid of a scored step is decided by its first
 failing row; every grid an unscored step visits fails.  A final failing
@@ -76,10 +78,6 @@ from .performance import (BatchConstraints, ConstraintReport, DEFAULT_CONTEXT,
 DELTA_PHI_DEFAULT = math.radians(20.0)  # total rotation range of the cylinder
 CENTER_DEFAULT = (0.0, 0.0, 0.0)        # (x_c [m], y_c [m], phi_c [rad])
 BISECTION_TOL_DEFAULT = 1e-3            # [m], final bracket width on R_w
-#: Bisection levels per kernel call on sector probes: best of 1-3 on the
-#: default 105-row sectors, level with 1 on 305-row full grids, but 1.5x
-#: (sectors) to 2.5-3.9x (full grids) slower than 1 on GridSpec(20, 96, 9).
-LOOKAHEAD = 2
 #: Relative distance to a g3-g6 limit within which a sector row decides
 #: nothing: its 120-degree images agree only to about 1e-12 relative.
 SECTOR_TIE = 1e-9
@@ -244,22 +242,6 @@ class WorkspaceResult:
     home: ConstraintReport      # HOME_POSE, the radius-0 batch's last row
 
 
-def _lookahead(lo: float, hi: float, tol: float,
-               depth: int) -> list[float | None]:
-    """The midpoints of the next depth bisection levels from [lo, hi] in
-    heap order: node i's children 2i+1 and 2i+2 are the midpoints
-    bisected next if node i's probe fails or passes.  None where the
-    bracket is within tol, as the search stops there."""
-    brackets: list = [(lo, hi)] + [None] * (2 ** depth - 2)
-    for i in range(2 ** (depth - 1) - 1):
-        if brackets[i] is not None:
-            a, b = brackets[i]
-            m = 0.5 * (a + b)
-            brackets[2 * i + 1:2 * i + 3] = [
-                (x, y) if y - x > tol else None for x, y in ((a, m), (m, b))]
-    return [None if b is None else 0.5 * (b[0] + b[1]) for b in brackets]
-
-
 def _tied(res: BatchConstraints, rows: slice, ctx: EvalContext) -> bool:
     """Whether a row among rows of res has its 1/kappa_F, k_xy, k_z or
     k_phiz within SECTOR_TIE (relative) of its limit, where a sector row
@@ -281,11 +263,11 @@ def max_regular_workspace_detail(design: DesignVector,
 
     Returns radius 0 when even the center poses fail; the limiting pose
     is the first grid failure at the smallest infeasible radius probed.
-    Probes above radius 0 score the sector, LOOKAHEAD levels per kernel
-    call, when the design's symmetry allows, behind the reach gate; the
-    radius-0 probe also scores HOME_POSE and resolves l_c (see the module
-    docstring).  tol must be finite and > 0, or the bisection could never
-    end.
+    Probes above radius 0 score the sector, two bisection levels per
+    kernel call, when the design's symmetry allows, behind the reach
+    gate; the radius-0 probe also scores HOME_POSE and resolves l_c (see
+    the module docstring).  tol must be finite and > 0; the bisection
+    ends when the bracket is within tol or can no longer be split.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidValue("tol", "finite and > 0", tol)
@@ -308,8 +290,7 @@ def max_regular_workspace_detail(design: DesignVector,
     lo, hi = 0.0, upper_radius(design) if limiting is None else 0.0
     sector = (center[0] == center[1] == 0.0 and len(set(ctx.mode)) == 1
               and grid.n_angular % 3 == 0)
-    n_dir, depth = ((grid.n_angular // 3, LOOKAHEAD) if sector
-                    else (grid.n_angular, 1))
+    n_dir = grid.n_angular // 3 if sector else grid.n_angular
     n = grid.n_orientation * (1 + grid.n_radial * n_dir)   # rows per grid
 
     def decide(radius, res, points, rows):
@@ -323,7 +304,13 @@ def max_regular_workspace_detail(design: DesignVector,
         return _first_failure(res, points, rows)
 
     while hi - lo > tol:
-        mids = _lookahead(lo, hi, tol, depth)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # rounds onto an end: the bracket is spent
+            break
+        # sectors also take the midpoints bisected next if mid fails (node
+        # 1) or passes (node 2), each left out if its bracket is within tol
+        mids = [mid] + ([0.5 * (a + b) if b - a > tol else None
+                         for a, b in ((lo, mid), (mid, hi))] if sector else [])
         live = [i for i, m in enumerate(mids) if m is not None]
         bik = performance.ik_batch(
             design, _grids([mids[i] for i in live], grid, center, delta_phi,
@@ -333,7 +320,7 @@ def max_regular_workspace_detail(design: DesignVector,
         # any grid has every row usable, none otherwise
         res = (constraints_batch(design, bik.poses, ctx, l_c=l_c, bik=bik)
                if bik.ok().reshape(len(live), n).all(axis=1).any() else None)
-        i = 0     # walk the outcomes down from the step's midpoint
+        i = 0     # walk the outcomes down from node 0, mid
         while i < len(mids) and mids[i] is not None:
             # every grid of an unscored step fails, with no report yet
             fail = (() if res is None

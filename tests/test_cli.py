@@ -697,17 +697,42 @@ class TestOptimize:
             "center": [0.0, 0.0, 0.0], "delta_phi_deg": 20.0,
             "bisection_tol": 1e-3,
             "grid": {"n_radial": 5, "n_angular": 12, "n_orientation": 5}}
+        # the resolved physics: here the defaults, with r's lower bound set
+        ctx = EvalContext()
+        assert doc["bounds"] == {"lower": [0.5, 0.1, 0.5, 0.0, 0.0],
+                                 "upper": [4.0, 4.0, 4.0, 0.1, 0.1]}
+        assert doc["material"] == dataclasses.asdict(ctx.material)
+        assert doc["actuator"] == dataclasses.asdict(ctx.actuator)
+        assert doc["stiffness_thresholds"] == dataclasses.asdict(ctx.limits)
+        assert doc["dexterity"] == {"threshold": 0.1,
+                                    "characteristic_length": None}
         # the configured band, not its round trip through radians
-        # (15 degrees came back as 14.999999999999998)
+        # (15 degrees came back as 14.999999999999998); and a run with
+        # other physics says so
         cfg = tmp_path / "band.yaml"
         cfg.write_text(yaml.safe_dump(
             {"moga": {"population": 4, "generations": 1, "seed": 11},
-             "workspace": {"delta_phi_deg": 15}}), encoding="utf-8")
+             "workspace": {"delta_phi_deg": 15},
+             "bounds": {"upper": {"R": 3.0}},
+             "material": {"density": 2700.0, "young_modulus": 70e9,
+                          "poisson_ratio": 0.33},
+             "actuator": {"revolute": 2e6},
+             "wrench": {"f_x": 50.0},
+             "dexterity": {"threshold": 0.2, "characteristic_length": 0.5}}),
+            encoding="utf-8")
         out = tmp_path / "band"
         assert main(["optimize", "--config", str(cfg), "--out", str(out)]) in (0, 4)
-        doc = json.loads((out / "run.json").read_text())
-        assert doc["workspace"]["delta_phi_deg"] == 15.0
-        assert load_config(str(cfg)).delta_phi == math.radians(15.0)
+        other = json.loads((out / "run.json").read_text())
+        assert other["workspace"]["delta_phi_deg"] == 15.0
+        resolved = load_config(str(cfg))
+        assert resolved.delta_phi == math.radians(15.0)
+        for key, value in (("bounds", resolved.bounds),
+                           ("material", resolved.ctx.material),
+                           ("actuator", resolved.ctx.actuator),
+                           ("stiffness_thresholds", resolved.ctx.limits),
+                           ("dexterity", resolved.ctx.dexterity)):
+            assert other[key] == json.loads(json.dumps(
+                dataclasses.asdict(value))) != doc[key], key
 
     def test_rotated_center_changes_front(self, opt_run, tmp_path):
         # optimize searches the configured cylinder, not the default one

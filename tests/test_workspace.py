@@ -391,26 +391,33 @@ def test_reach_gate_matches_ungated_search(ctx):
     assert reached >= 10 and gated_final >= 2
 
 
-@pytest.mark.parametrize("center, grid, mode, rows", [
-    ((0.0, 0.0, 0.3), DEFAULT_GRID, DEFAULT_MODE, 105),
-    ((0.0, 0.0, 0.0), DEFAULT_GRID, (Branch.MINUS,) * 3, 105),
-    ((0.05, -0.03, 0.2), DEFAULT_GRID, DEFAULT_MODE, 305),
-    ((0.0, 0.0, 0.0), DEFAULT_GRID, (Branch.PLUS, Branch.MINUS, Branch.PLUS),
-     305),
-    ((0.0, 0.0, 0.0), GridSpec(5, 10, 5), DEFAULT_MODE, 255),
-], ids=["sector", "sector-minus", "off-origin", "mixed-mode", "grid-10"])
-def test_search_matches_one_probe_at_a_time(monkeypatch, center, grid, mode,
-                                            rows):
+@pytest.mark.parametrize("center, grid, ctx, tol, rows", [
+    ((0.0, 0.0, 0.3), DEFAULT_GRID, EvalContext(), 1e-3, 105),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID, EvalContext(mode=(Branch.MINUS,) * 3),
+     1e-3, 105),
+    ((0.05, -0.03, 0.2), DEFAULT_GRID, EvalContext(), 1e-3, 305),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID,
+     EvalContext(mode=(Branch.PLUS, Branch.MINUS, Branch.PLUS)), 1e-3, 305),
+    ((0.0, 0.0, 0.0), GridSpec(5, 10, 5), EvalContext(), 1e-3, 255),
+    ((0.0, 0.0, 0.0), GridSpec(3, 24, 4), EvalContext(), 1e-3, 100),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID,
+     EvalContext(dexterity=DexterityConfig(characteristic_length=0.5)), 1e-3,
+     105),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID, EvalContext(), 10.0, 105),
+    ((0.0, 0.0, 0.0), DEFAULT_GRID, EvalContext(), 1e-5, 105),
+], ids=["sector", "sector-minus", "off-origin", "mixed-mode", "grid-10",
+        "grid-24", "fixed-lc", "tol-10", "tol-1e-5"])
+def test_search_matches_one_probe_at_a_time(monkeypatch, center, grid, ctx,
+                                            tol, rows):
     # probes score the sector only at x_c = y_c = 0, with one branch for
     # every leg and n_angular a multiple of 3, and full grids otherwise
-    # (rows per grid), one per IK call; at any lookahead depth, R_w, the
-    # limiting pose and its report equal those of the reference bisection
-    ctx = EvalContext(mode=mode)
+    # (rows per grid); R_w, the limiting pose and its report equal those
+    # of the reference bisection
     rng = np.random.default_rng(31)
     designs = [DESIGN_I, DESIGN_II, DESIGN_III]
     designs += [sample_design(rng, arch) for arch in Architecture
                 for _ in range(4)]
-    refs = [_ungated_search(design, ctx, center, grid=grid)[:3]
+    refs = [_ungated_search(design, ctx, center, tol, grid)[:3]
             for design in designs]
     sizes, ik = [], performance.ik_batch
 
@@ -420,18 +427,20 @@ def test_search_matches_one_probe_at_a_time(monkeypatch, center, grid, mode,
 
     monkeypatch.setattr(performance, "ik_batch", counted_ik)
     for design, ref in zip(designs, refs):
-        for depth in (1, 2, 3):
-            monkeypatch.setattr(workspace, "LOOKAHEAD", depth)
-            res = max_regular_workspace_detail(design, grid, ctx, center=center)
-            assert repr((res.radius, res.limiting_pose, res.limiting_report)) \
-                == repr(ref), (design, depth)
+        res = max_regular_workspace_detail(design, grid, ctx, tol, center)
+        assert repr((res.radius, res.limiting_pose, res.limiting_report)) \
+            == repr(ref), design
+    # the next midpoints of a first step bisect half its bracket; a tol
+    # at least that wide leaves them out, and in this sample gives R_w 0
+    wide = tol >= 0.5 * max(map(upper_radius, designs))
     reached = sum(r_w > 0.0 for r_w, _, _ in refs)
-    # every IK above radius 0 solves whole grids of that size; sectors
-    # several at once, full grids one at a time whatever the depth
+    assert reached == 0 if wide else reached >= 3
+    # every IK above radius 0 solves whole grids of that size; a step
+    # solves up to three sectors at once, full grids one at a time
     probed = [n for n in sizes if n != grid.n_orientation + 1]
-    assert reached >= 3 and probed and all(n % rows == 0 for n in probed)
+    assert probed and all(n % rows == 0 for n in probed)
     full = grid.n_orientation * (1 + grid.n_radial * grid.n_angular)
-    assert max(probed) == rows if rows == full else max(probed) > rows
+    assert max(probed) == (rows if wide or rows == full else 3 * rows)
 
 
 def test_tied_sector_row_scores_its_full_grid(monkeypatch):
@@ -662,6 +671,33 @@ class TestMaxRegularWorkspace:
         assert res.radius == 0.0 and not at_hi.feasible
         assert res.limiting_pose == at_hi.pose
         assert res.limiting_report == at_hi.report
+
+    @pytest.mark.parametrize("share, sectors", [(0.6, 1), (0.3, 3)])
+    def test_next_midpoint_within_tol_left_out(self, ctx, monkeypatch, share,
+                                               sectors):
+        # the first step's next midpoints bisect brackets of half the
+        # bracket: within a tol of 0.6 of it, so the step solves only its
+        # midpoint's sector; wider than a tol of 0.3 of it, so all three
+        sizes, ik = [], performance.ik_batch
+
+        def counted_ik(*args, **kwargs):
+            sizes.append(len(args[1]))
+            return ik(*args, **kwargs)
+
+        monkeypatch.setattr(performance, "ik_batch", counted_ik)
+        max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                     tol=share * upper_radius(DESIGN_I))
+        assert sizes[:2] == [6, sectors * 105]
+
+    def test_tol_below_float_spacing_ends(self, ctx):
+        # below the float spacing of R_w a midpoint rounds onto an end of
+        # the bracket, whose verdict it would repeat forever; the search
+        # ends there, inside the bracket it had at tol 1e-16
+        coarse = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                              tol=1e-16)
+        fine = max_regular_workspace_detail(DESIGN_I, DEFAULT_GRID, ctx,
+                                            tol=1e-300)
+        assert coarse.radius <= fine.radius <= coarse.radius + 1e-16
 
     def test_stiffness_positive_definite_on_feasible_grid(self, ctx):
         import numpy as np
